@@ -63,8 +63,9 @@
 //!                     with every other artifact flag
 //!       [--cache-dir DIR]  content-addressed result cache: experiments
 //!                     whose (spec, seed, config) key is already stored
-//!                     are returned without simulating; writes
-//!                     results/cache_stats.json
+//!                     are returned without simulating, except under
+//!                     --dataset-dir, where every experiment simulates;
+//!                     writes results/cache_stats.json
 //!       [--cache-gc MAX_BYTES]  size-bounded cache eviction
 //!                     (oldest-entry-first) plus a stale/torn-entry
 //!                     sweep, then exit (requires --cache-dir; run

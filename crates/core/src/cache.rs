@@ -7,6 +7,11 @@
 //! experiment by everything that determines its result and returns the
 //! journaled row without simulating on a hit.
 //!
+//! Entries hold verdicts only: the classified record and the metrics row.
+//! A campaign exporting a dataset simulates every experiment, because
+//! rendering a shard costs more than the simulation that produces its
+//! rows, and still stores verdict-only entries for plain runs to hit.
+//!
 //! This module defines only the *types* of that contract — the key
 //! derivation, the cached payloads, and the [`ExperimentCache`] trait the
 //! campaign runner talks to. The on-disk store lives in the `comfase-dist`
@@ -27,10 +32,11 @@
 //!   derived stream;
 //! - `config_hash` — FNV-1a 64 over the canonical JSON of the traffic
 //!   scenario, communication model, event budget and telemetry
-//!   configuration: everything *besides* the spec and seed that can move
-//!   a result. Execution mode, thread count and indexing substrate are
-//!   excluded — all are proven byte-identity-preserving, so entries are
-//!   shared across them.
+//!   configuration (metrics flag and trace capacity): everything *besides*
+//!   the spec and seed that can move a result. Execution mode, thread
+//!   count, indexing substrate and the dataset capture flag are excluded —
+//!   all are proven byte-identity-preserving for verdicts and metrics, so
+//!   entries are shared across them.
 //!
 //! Cached records and metrics rows are index-free by construction (the
 //! stored `index` is rewritten to the hitting campaign's index on load),
@@ -97,17 +103,13 @@ impl CacheKey {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheEntry {
     /// A completed experiment: its classified record plus the metrics row
-    /// when the writing campaign collected telemetry.
+    /// when the writing campaign collected telemetry. Never a dataset
+    /// capture: dataset runs simulate (see the module docs).
     Experiment {
         /// The classified record (spec + verdict).
         record: ExperimentRecord,
         /// Per-experiment metrics row, when collected.
         metrics: Option<ExperimentMetrics>,
-        /// Label-free dataset rows, when the writing campaign exported a
-        /// dataset. Stored so a warm re-run can re-render the shard
-        /// (labels are stamped from the hitting campaign's record) without
-        /// simulating.
-        dataset: Option<comfase_obs::DatasetCapture>,
     },
     /// The golden (attack-free) reference run, stored whole so a fully
     /// warm campaign re-run performs zero simulations: classification
@@ -124,18 +126,11 @@ impl ToJson for CacheEntry {
     fn write_json(&self, w: &mut Writer<'_>) {
         w.begin_object();
         match self {
-            CacheEntry::Experiment {
-                record,
-                metrics,
-                dataset,
-            } => {
+            CacheEntry::Experiment { record, metrics } => {
                 w.field("entry", "experiment");
                 w.field("record", record);
                 if metrics.is_some() {
                     w.field("metrics", metrics);
-                }
-                if dataset.is_some() {
-                    w.field("dataset", dataset);
                 }
             }
             CacheEntry::Golden { log } => {
@@ -154,7 +149,6 @@ impl FromJson for CacheEntry {
             "experiment" => CacheEntry::Experiment {
                 record: fields.get("record")?,
                 metrics: fields.get("metrics")?,
-                dataset: fields.get("dataset")?,
             },
             "golden" => CacheEntry::Golden {
                 log: fields.get("log")?,
@@ -231,7 +225,9 @@ impl CacheKeyBase {
     }
 }
 
-/// Hashes the campaign-constant key components.
+/// Hashes the campaign-constant key components. `obs.dataset` is left
+/// out: capture changes neither verdicts nor metrics, so dataset runs and
+/// plain runs share entries.
 pub fn config_hash(
     scenario: &crate::config::TrafficScenario,
     comm: &crate::config::CommModel,
@@ -239,7 +235,7 @@ pub fn config_hash(
     obs: comfase_obs::ObsConfig,
 ) -> u64 {
     use crate::fingerprint::{fnv1a64_extend, FNV_OFFSET};
-    let mut hash = fnv1a64(b"comfase-cache-config-v1");
+    let mut hash = fnv1a64(b"comfase-cache-config-v2");
     for bytes in [
         canonical_json(scenario),
         canonical_json(comm),
@@ -251,7 +247,6 @@ pub fn config_hash(
     }
     hash = fnv1a64_extend(hash, &[u8::from(obs.metrics)]);
     hash = fnv1a64_extend(hash, &(obs.trace_capacity as u64).to_le_bytes());
-    hash = fnv1a64_extend(hash, &[u8::from(obs.dataset)]);
     // Guard against the (astronomically unlikely) all-zero result so the
     // golden key's `spec_hash == 0` convention stays unambiguous.
     if hash == 0 {

@@ -647,7 +647,8 @@ pub struct RunConfig {
     pub wall_deadline_s: Option<f64>,
     /// Content-addressed result cache. Experiments (and the golden run)
     /// whose key is already stored return their journaled rows without
-    /// simulating; fresh results are stored on completion. See
+    /// simulating; fresh results are stored on completion. With a
+    /// [`RunConfig::dataset`] sink, only the golden run is looked up. See
     /// [`crate::cache`].
     pub cache: Option<Arc<dyn ExperimentCache>>,
     /// Dynamic work source for claim-driven execution (see
@@ -661,9 +662,9 @@ pub struct RunConfig {
     /// row is appended (so a resumed campaign never has a journaled row
     /// without its shard). Requires the engine's
     /// [`ObsConfig::dataset`](comfase_obs::ObsConfig) capture flag —
-    /// without it there would be nothing to export. Cache hits replay
-    /// their stored capture through the sink, so a fully warm run still
-    /// produces the complete corpus.
+    /// without it there would be nothing to export. Cache entries hold no
+    /// capture, so a dataset run simulates every pending experiment; it
+    /// still stores verdict-only entries when a cache is configured.
     pub dataset: Option<Arc<dyn DatasetSink>>,
 }
 
@@ -1004,6 +1005,14 @@ impl Campaign {
         // a hit skips the simulation and recomputes both deterministically
         // from the stored log.
         observer.phase_started(CampaignPhase::Golden);
+        // No shard is exported for the golden run: its capture (present
+        // with dataset capture on) is dropped before the log is stored or
+        // kept.
+        let golden_run = || {
+            let mut log = self.engine.golden_run()?;
+            log.obs.dataset = None;
+            Ok::<_, ComfaseError>(log)
+        };
         let golden = match (config.cache.as_deref(), key_base) {
             (Some(store), Some(base)) => {
                 let key = base.golden_key();
@@ -1032,13 +1041,13 @@ impl Campaign {
                 match cached {
                     Some(log) => log,
                     None => {
-                        let log = self.engine.golden_run()?;
+                        let log = golden_run()?;
                         store.store(&key, &CacheEntry::Golden { log: log.clone() })?;
                         log
                     }
                 }
             }
-            _ => self.engine.golden_run()?,
+            _ => golden_run()?,
         };
         observer.phase_finished(CampaignPhase::Golden);
         let params = ClassificationParams::from_golden(&golden.trace);
@@ -1076,14 +1085,15 @@ impl Campaign {
         // ascending index order — deterministic) and folded into the
         // completed state exactly like resumed entries; the stored
         // index-free record and row are rewritten to this campaign's
-        // index.
+        // index. A dataset run looks nothing up: entries hold no capture,
+        // so every experiment it exports must simulate.
         let mut pending: Vec<usize> = Vec::with_capacity(total);
         for (i, spec) in specs.iter().enumerate() {
             if completed.contains_key(&i) {
                 continue;
             }
             let hit = match (config.cache.as_deref(), key_base) {
-                (Some(store), Some(base)) => {
+                (Some(store), Some(base)) if config.dataset.is_none() => {
                     let spec_json = fingerprint::canonical_json(spec);
                     let key = base.experiment_key(&spec_json, i, spec.model.seed_invariant());
                     match store.load(&key) {
@@ -1091,22 +1101,19 @@ impl Campaign {
                             CacheEntry::Experiment {
                                 mut record,
                                 metrics,
-                                dataset,
                             } if record.spec == *spec
-                                && !(collect_metrics && metrics.is_none())
-                                && !(config.dataset.is_some() && dataset.is_none()) =>
+                                && !(collect_metrics && metrics.is_none()) =>
                             {
                                 record.index = i;
                                 let row = metrics.map(|mut row| {
                                     row.index = i;
                                     row
                                 });
-                                Some((record, row, dataset))
+                                Some((record, row))
                             }
                             // Spec-echo mismatch (hash collision or
                             // tampering), or a hit missing the telemetry
-                            // or dataset capture this campaign needs:
-                            // unusable.
+                            // this campaign needs: unusable.
                             _ => {
                                 cache_stale += 1;
                                 None
@@ -1125,19 +1132,8 @@ impl Campaign {
                 _ => None,
             };
             match hit {
-                Some((record, row, dataset)) => {
+                Some((record, row)) => {
                     cache_hits += 1;
-                    // Replay the cached capture through the sink before the
-                    // journal append (same ordering as live execution), so a
-                    // fully warm run still produces the complete corpus.
-                    if let (Some(sink), Some(capture)) = (config.dataset.as_deref(), dataset) {
-                        sink.export(&ExperimentExport {
-                            header: dataset_header,
-                            label: experiment_label(&record),
-                            capture,
-                        })
-                        .map_err(|e| ComfaseError::Io(format!("dataset export failed: {e}")))?;
-                    }
                     if let Some(journal) = journal.as_ref() {
                         journal.append(&JournalEntry::Completed {
                             index: i,
@@ -1712,7 +1708,7 @@ impl ResultSink<'_> {
                     let exported = sink.export(&ExperimentExport {
                         header: self.dataset_header,
                         label: experiment_label(&record),
-                        capture: dataset.clone().unwrap_or_default(),
+                        capture: dataset.unwrap_or_default(),
                     });
                     if let Err(e) = exported {
                         return self.fail(ComfaseError::Io(format!("dataset export failed: {e}")));
@@ -1740,7 +1736,7 @@ impl ResultSink<'_> {
                             record.index
                         )))
                     } else {
-                        store_experiment(cache_store, base, &record, row.as_ref(), dataset)
+                        store_experiment(cache_store, base, &record, row.as_ref())
                     };
                     if let Err(e) = stored {
                         return self.fail(e);
@@ -1817,7 +1813,6 @@ fn store_experiment(
     base: CacheKeyBase,
     record: &ExperimentRecord,
     row: Option<&ExperimentMetrics>,
-    dataset: Option<DatasetCapture>,
 ) -> Result<(), ComfaseError> {
     let spec_json = fingerprint::canonical_json(&record.spec);
     let key = base.experiment_key(&spec_json, record.index, record.spec.model.seed_invariant());
@@ -1828,14 +1823,11 @@ fn store_experiment(
         row.index = 0;
         row
     });
-    // The capture is stored as-is: its rows carry sim times, not the
-    // experiment index, so it is already index-free like the record.
     cache_store.store(
         &key,
         &CacheEntry::Experiment {
             record: stored,
             metrics,
-            dataset,
         },
     )
 }

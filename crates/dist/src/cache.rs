@@ -125,13 +125,11 @@ impl DiskCache {
                 }
                 // Validity here is the address check only — the file must
                 // parse and its key echo must hash to the file's own path.
-                // Payload validation stays `load`'s job: a gc pass checks
-                // the entry's grammar but builds only the key echo, so it
-                // never costs a tree of a multi-megabyte dataset entry.
+                // Payload validation stays `load`'s job.
                 let valid = fs::read(&path)
                     .ok()
-                    .and_then(|bytes| comfase_json::parse_member(&bytes, "key").ok()?)
-                    .and_then(|key| CacheKey::from_json(&key).ok())
+                    .and_then(|bytes| comfase_json::parse_slice(&bytes).ok())
+                    .and_then(|doc| CacheKey::from_json(doc.get("key")?).ok())
                     .is_some_and(|key| self.entry_path(&key) == path);
                 if !valid {
                     remove_entry(&path)?;

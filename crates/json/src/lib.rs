@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-pub use parse::{parse, parse_member, parse_slice};
+pub use parse::{parse, parse_slice};
 pub use value::{Number, Value};
 pub use write::{write_f64, write_str, Writer};
 

@@ -27,7 +27,11 @@ const MAX_DEPTH: usize = 128;
 ///
 /// The first grammar violation, with its byte offset.
 pub fn parse(input: &str) -> Result<Value, Error> {
-    Parser::new(input, None).document()
+    Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    }
+    .document()
 }
 
 /// [`parse`] over bytes that must be UTF-8.
@@ -36,51 +40,17 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 ///
 /// Invalid UTF-8, or any error [`parse`] reports.
 pub fn parse_slice(input: &[u8]) -> Result<Value, Error> {
-    parse(utf8(input)?)
-}
-
-/// Checks a whole document against the grammar but builds only the member
-/// `key` of its top-level object; `None` when the document is not an
-/// object or has no such member.
-///
-/// For a reader after one small field of a large document (a cache file's
-/// key echo): the rest is scanned, not built. Duplicate keys are caught at
-/// the top level and inside the member, not in the members skipped.
-///
-/// # Errors
-///
-/// Invalid UTF-8, or the first grammar violation anywhere in the document.
-pub fn parse_member(input: &[u8], key: &str) -> Result<Option<Value>, Error> {
-    match Parser::new(utf8(input)?, Some(key)).document()? {
-        Value::Object(mut map) => Ok(map.remove(key)),
-        _ => Ok(None),
-    }
-}
-
-fn utf8(input: &[u8]) -> Result<&str, Error> {
-    std::str::from_utf8(input)
-        .map_err(|e| Error::new(format!("invalid UTF-8 at byte {}", e.valid_up_to())))
+    let input = std::str::from_utf8(input)
+        .map_err(|e| Error::new(format!("invalid UTF-8 at byte {}", e.valid_up_to())))?;
+    parse(input)
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Build the values read; when `false` they are only checked.
-    build: bool,
-    /// The one top-level member to build (see [`parse_member`]).
-    member: Option<&'a str>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str, member: Option<&'a str>) -> Parser<'a> {
-        Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            build: true,
-            member,
-        }
-    }
-
+impl Parser<'_> {
     fn document(&mut self) -> Result<Value, Error> {
         let value = self.value(0)?;
         self.skip_ws();
@@ -164,9 +134,6 @@ impl<'a> Parser<'a> {
             }
             self.require_digits()?;
         }
-        if !self.build {
-            return Ok(Value::Null);
-        }
         let token = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
         Ok(Value::Number(Number::from_token(token.to_string())))
@@ -201,12 +168,10 @@ impl<'a> Parser<'a> {
             }
             // The input is a `&str` and the run stops only at ASCII bytes,
             // so it is valid UTF-8 on its own.
-            if self.build {
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[run..self.pos])
-                        .map_err(|_| self.err("bad UTF-8"))?,
-                );
-            }
+            out.push_str(
+                std::str::from_utf8(&self.bytes[run..self.pos])
+                    .map_err(|_| self.err("bad UTF-8"))?,
+            );
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -215,10 +180,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let c = self.escape()?;
-                    if self.build {
-                        out.push(c);
-                    }
+                    out.push(self.escape()?);
                 }
                 Some(_) => return Err(self.err("raw control character in string")),
             }
@@ -292,15 +254,8 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let outer = self.build;
-            if depth == 1 && self.member.is_some_and(|member| member != key) {
-                self.build = false;
-            }
             let value = self.value(depth)?;
-            self.build = outer;
-            // Unbuilt keys are all empty: only built objects can hold
-            // (and be checked for) duplicates.
-            if outer && map.insert(key, value).is_some() {
+            if map.insert(key, value).is_some() {
                 return Err(Error::new(format!("duplicate key at byte {at}")));
             }
             self.skip_ws();
@@ -327,10 +282,7 @@ impl<'a> Parser<'a> {
             return Ok(Value::Array(items));
         }
         loop {
-            let item = self.value(depth)?;
-            if self.build {
-                items.push(item);
-            }
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -425,27 +377,6 @@ mod tests {
             panic!("not a number");
         };
         assert_eq!(n.as_str(), "-0.000e+5");
-    }
-
-    #[test]
-    fn one_member_is_built_and_the_rest_is_checked() {
-        let doc =
-            br#"{"key":{"a":[1,"x"]},"entry":{"rows":[{"b":"\u00e9\n","c":-2.5e3}],"d":null}}"#;
-        assert_eq!(
-            parse_member(doc, "key").unwrap(),
-            parse(r#"{"a":[1,"x"]}"#).ok()
-        );
-        assert_eq!(parse_member(doc, "nope").unwrap(), None);
-        assert_eq!(parse_member(b"[1]", "key").unwrap(), None);
-        // The members skipped are still held to the grammar ...
-        for cut in 1..doc.len() {
-            assert!(parse_member(&doc[..cut], "key").is_err(), "cut at {cut}");
-        }
-        assert!(parse_member(br#"{"key":1,"entry":[1,]}"#, "key").is_err());
-        assert!(parse_member(br#"{"key":1,"entry":"\x"}"#, "key").is_err());
-        // ... and the top level and the member built to the key rules.
-        assert!(parse_member(br#"{"key":1,"key":1}"#, "key").is_err());
-        assert!(parse_member(br#"{"key":{"a":1,"a":1}}"#, "key").is_err());
     }
 
     #[test]

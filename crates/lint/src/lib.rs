@@ -27,13 +27,12 @@
 //!
 //! ## The three passes
 //!
-//! 1. **Per-file** (cacheable): lex each file and extract raw textual
-//!    findings, `allow(...)` annotations, `host-region` markers, test
-//!    regions, and a symbol summary (`use` bindings, type aliases, local
-//!    definitions, candidate usage sites). This phase is a pure function of
-//!    the file bytes, so [`cache`] reuses it by content hash.
-//! 2. **Use-graph** (always runs): join all symbol summaries into a
-//!    workspace [`usegraph::SymbolTable`] and resolve every usage site
+//! 1. **Per-file**: lex each file and extract raw textual findings,
+//!    `allow(...)` annotations, `host-region` markers, test regions, and a
+//!    symbol summary (`use` bindings, type aliases, local definitions,
+//!    candidate usage sites).
+//! 2. **Use-graph**: join all symbol summaries into a workspace
+//!    [`usegraph::SymbolTable`] and resolve every usage site
 //!    transitively, so `use std::collections::HashMap as Map` in one module
 //!    cannot launder a banned type into another. Diagnostics report the full
 //!    alias chain.
@@ -58,23 +57,22 @@
 //! ```
 //!
 //! Run it as a CI gate with `cargo run -p comfase-lint -- --workspace`; add
-//! `--format json` or `--format sarif` for machine-readable reports,
-//! `--cache .lint-cache.json` for millisecond warm runs, and
-//! `--baseline lint-baseline.json` for the waiver ratchet.
+//! `--format json` or `--format sarif` for machine-readable reports, and
+//! `--baseline lint-baseline.json` for the waiver ratchet. A whole-workspace
+//! audit lexes every file each run, in tens of milliseconds.
 //!
 //! ## Implementation notes
 //!
 //! The pass has **one dependency, in-repo**: a comment/string-aware
 //! tokenizer ([`lexer`]) feeds lexical rules ([`rules`]) and a use-graph
-//! pass ([`usegraph`]); reports, the baseline and the cache are written
-//! and read back with the workspace's zero-dependency `comfase-json`
-//! codec. The invariants are lexical by nature (forbidden names, short
-//! token sequences, and name bindings), so a full AST buys nothing here,
+//! pass ([`usegraph`]); reports and the baseline are written and read
+//! back with the workspace's zero-dependency `comfase-json` codec. The
+//! invariants are lexical by nature (forbidden names, short token
+//! sequences, and name bindings), so a full AST buys nothing here,
 //! while no external dependencies keep the gate instant to build, immune
 //! to upstream churn, and auditable end to end.
 
 pub mod baseline;
-pub mod cache;
 pub mod diagnostics;
 pub mod lexer;
 pub mod rules;
@@ -105,13 +103,11 @@ pub struct AllowSite {
 }
 
 /// Phase-1 output for one file: everything later passes need, and nothing
-/// that depends on other files — so it can be cached by content hash.
+/// that depends on other files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileAnalysis {
     /// Display label (path relative to the workspace root).
     pub label: String,
-    /// Content hash of the source ([`cache::content_hash`]).
-    pub hash: String,
     /// Raw textual findings (before suppression).
     pub findings: Vec<RawFinding>,
     /// Well-formed `allow(...)` sites.
@@ -164,7 +160,6 @@ pub fn analyze_source(label: &str, source: &str) -> FileAnalysis {
     let symbols = usegraph::file_symbols(&lexed.tokens);
     FileAnalysis {
         label: label.to_string(),
-        hash: cache::content_hash(source),
         findings,
         allows,
         bad_annotations,
@@ -314,82 +309,35 @@ pub fn waiver_sites(analyses: &[FileAnalysis]) -> Vec<WaiverSite> {
     out
 }
 
-/// Scan statistics (reported on stderr for cache observability).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScanStats {
-    /// Files whose phase-1 analysis was reused from the cache.
-    pub cache_hits: usize,
-    /// Files that were (re-)lexed this run.
-    pub cache_misses: usize,
-}
-
-/// A full scan result: report, waiver sites, and cache statistics.
+/// A full scan result: the report and the waiver sites.
 #[derive(Debug)]
 pub struct ScanOutput {
     /// The violation report.
     pub report: Report,
     /// Every waiver site in the scanned tree.
     pub waivers: Vec<WaiverSite>,
-    /// Cache hit/miss counts for this run.
-    pub stats: ScanStats,
 }
 
-/// Scans the given files, optionally through an incremental cache.
-///
-/// With `cache_path`, phase-1 analyses are reused for files whose content
-/// hash matches and the cache is rewritten afterwards; the cross-file pass
-/// always runs, so the report is byte-identical with or without a cache.
-///
-/// # Errors
-///
-/// Fails if a source file cannot be read or the cache cannot be written.
-pub fn scan_files_cached(
-    root: &Path,
-    files: &[PathBuf],
-    cache_path: Option<&Path>,
-) -> io::Result<ScanOutput> {
-    let cached = cache_path.map(cache::load).unwrap_or_default();
-    let mut analyses = Vec::with_capacity(files.len());
-    let mut sources = BTreeMap::new();
-    let mut stats = ScanStats::default();
-    for path in files {
-        let source = fs::read_to_string(path)?;
-        let label = workspace::display_path(root, path);
-        let hash = cache::content_hash(&source);
-        let analysis = match cached.lookup(&label, &hash) {
-            Some(hit) => {
-                stats.cache_hits += 1;
-                hit
-            }
-            None => {
-                stats.cache_misses += 1;
-                analyze_source(&label, &source)
-            }
-        };
-        sources.insert(label, source);
-        analyses.push(analysis);
-    }
-    let report = finalize(&analyses, &sources);
-    let waivers = waiver_sites(&analyses);
-    if let Some(path) = cache_path {
-        cache::save(path, &analyses)?;
-    }
-    Ok(ScanOutput {
-        report,
-        waivers,
-        stats,
-    })
-}
-
-/// Scans the given files (as read from disk) and builds a [`Report`].
+/// Scans the given files (as read from disk).
 ///
 /// `root` is only used to shorten paths in diagnostics.
 ///
 /// # Errors
 ///
 /// Fails if a file cannot be read.
-pub fn scan_files(root: &Path, files: &[PathBuf]) -> io::Result<Report> {
-    scan_files_cached(root, files, None).map(|o| o.report)
+pub fn scan_files(root: &Path, files: &[PathBuf]) -> io::Result<ScanOutput> {
+    let mut analyses = Vec::with_capacity(files.len());
+    let mut sources = BTreeMap::new();
+    for path in files {
+        let source = fs::read_to_string(path)?;
+        let label = workspace::display_path(root, path);
+        analyses.push(analyze_source(&label, &source));
+        sources.insert(label, source);
+    }
+    Ok(ScanOutput {
+        report: finalize(&analyses, &sources),
+        waivers: waiver_sites(&analyses),
+    })
 }
 
 /// Scans the audited crates of the workspace rooted at `root` (the
@@ -399,19 +347,9 @@ pub fn scan_files(root: &Path, files: &[PathBuf]) -> io::Result<Report> {
 ///
 /// Fails if the workspace layout is missing an audited crate or a file
 /// cannot be read.
-pub fn scan_workspace(root: &Path) -> io::Result<Report> {
-    scan_workspace_cached(root, None).map(|o| o.report)
-}
-
-/// [`scan_workspace`] with waiver accounting and an optional cache.
-///
-/// # Errors
-///
-/// Fails if the workspace layout is missing an audited crate, a file cannot
-/// be read, or the cache cannot be written.
-pub fn scan_workspace_cached(root: &Path, cache_path: Option<&Path>) -> io::Result<ScanOutput> {
+pub fn scan_workspace(root: &Path) -> io::Result<ScanOutput> {
     let files = workspace::audited_source_files(root)?;
-    scan_files_cached(root, &files, cache_path)
+    scan_files(root, &files)
 }
 
 /// Checks a single file's source: phase 1 plus a single-file phase 2/3.

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! comfase-lint --workspace [--format text|json|sarif] [--out FILE] [--root DIR]
-//!              [--cache FILE] [--baseline FILE] [--write-baseline FILE]
-//!              [--waiver-report]
+//!              [--baseline FILE] [--write-baseline FILE] [--waiver-report]
 //! comfase-lint PATH...     [same flags]
 //! comfase-lint --list-rules
 //! ```
@@ -23,7 +22,6 @@ struct Options {
     format: Format,
     out: Option<PathBuf>,
     root: Option<PathBuf>,
-    cache: Option<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
     waiver_report: bool,
@@ -39,7 +37,7 @@ enum Format {
 
 const USAGE: &str = "usage: comfase-lint (--workspace | PATH...) \
                      [--format text|json|sarif] [--out FILE] [--root DIR] \
-                     [--cache FILE] [--baseline FILE] [--write-baseline FILE] \
+                     [--baseline FILE] [--write-baseline FILE] \
                      [--waiver-report] [--list-rules]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -49,7 +47,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         format: Format::Text,
         out: None,
         root: None,
-        cache: None,
         baseline: None,
         write_baseline: None,
         waiver_report: false,
@@ -79,10 +76,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 Some(path) => opts.root = Some(PathBuf::from(path)),
                 None => return Err("--root expects a directory".to_string()),
             },
-            "--cache" => match it.next() {
-                Some(path) => opts.cache = Some(PathBuf::from(path)),
-                None => return Err("--cache expects a file path".to_string()),
-            },
             "--baseline" => match it.next() {
                 Some(path) => opts.baseline = Some(PathBuf::from(path)),
                 None => return Err("--baseline expects a file path".to_string()),
@@ -109,9 +102,8 @@ fn run(opts: &Options) -> Result<ScanOutput, String> {
         None => workspace::find_workspace_root(&cwd)
             .ok_or("no workspace root found above the current directory (try --root)")?,
     };
-    let cache = opts.cache.as_deref();
     if opts.workspace {
-        comfase_lint::scan_workspace_cached(&root, cache).map_err(|e| e.to_string())
+        comfase_lint::scan_workspace(&root).map_err(|e| e.to_string())
     } else {
         let mut files = Vec::new();
         for path in &opts.paths {
@@ -122,7 +114,7 @@ fn run(opts: &Options) -> Result<ScanOutput, String> {
             }
         }
         files.sort();
-        comfase_lint::scan_files_cached(&root, &files, cache).map_err(|e| e.to_string())
+        comfase_lint::scan_files(&root, &files).map_err(|e| e.to_string())
     }
 }
 
@@ -161,12 +153,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if opts.cache.is_some() {
-        eprintln!(
-            "comfase-lint: cache: {} reused, {} linted",
-            output.stats.cache_hits, output.stats.cache_misses
-        );
-    }
 
     let rendered = match opts.format {
         Format::Json => output.report.render_json(),

@@ -105,19 +105,6 @@ pub fn is_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
-/// Looks up a rule by id.
-pub fn rule(id: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| r.id == id)
-}
-
-/// Maps a rule name back to its `'static` id (for cache deserialization).
-pub fn static_rule_id(name: &str) -> Option<&'static str> {
-    if name == BAD_ANNOTATION {
-        return Some(BAD_ANNOTATION);
-    }
-    rule(name).map(|r| r.id)
-}
-
 /// One raw textual finding, before suppression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFinding {

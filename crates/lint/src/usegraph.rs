@@ -11,7 +11,7 @@
 //! struct S { m: Map<u32, u32> }               // …to a per-file scan
 //! ```
 //!
-//! This pass closes that hole. Phase 1 (per file, cacheable) extracts a
+//! This pass closes that hole. Phase 1 (per file) extracts a
 //! symbol summary: `use` bindings (including `as` renames, `pub use`
 //! re-exports and grouped trees), `type` aliases, locally defined item
 //! names, and every *candidate usage site* (qualified paths and bare uses
@@ -564,7 +564,7 @@ pub struct UseSite {
     pub line: u32,
 }
 
-/// The per-file symbol summary (phase-1 output, cacheable).
+/// The per-file symbol summary (phase-1 output).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileSymbols {
     /// Name bindings declared in this file.

@@ -388,13 +388,15 @@ fn usage_errors_exit_two() {
     assert_eq!(none.code, 2);
     assert!(none.stderr.contains("usage:"), "{}", none.stderr);
 
-    let unknown = lint(&["--frobnicate"]);
-    assert_eq!(unknown.code, 2);
-    assert!(
-        unknown.stderr.contains("unknown flag"),
-        "{}",
-        unknown.stderr
-    );
+    for flag in ["--frobnicate", "--cache"] {
+        let unknown = lint(&[flag, "x"]);
+        assert_eq!(unknown.code, 2, "{flag}");
+        assert!(
+            unknown.stderr.contains("unknown flag"),
+            "{}",
+            unknown.stderr
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -652,121 +654,4 @@ fn sarif_output_is_valid_json_with_rules_and_results() {
             .expect("physicalLocation");
         assert!(region.get("artifactLocation").is_some());
     }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache
-// ---------------------------------------------------------------------------
-
-fn stat_line(stderr: &str) -> &str {
-    stderr
-        .lines()
-        .find(|l| l.contains("cache:"))
-        .unwrap_or_else(|| panic!("no cache stat line in: {stderr}"))
-}
-
-/// Cold → warm → edit: the cache reuses unchanged files, re-lints only the
-/// edited one, and the report stays byte-identical when findings don't
-/// change.
-#[test]
-fn cache_relints_only_changed_files_with_identical_report() {
-    let dir = scratch("cache-edit");
-    for name in ["d1_hash_fires.rs", "clean.rs"] {
-        std::fs::copy(fixture(name), dir.join(name)).expect("copy fixture");
-    }
-    let cache = dir.join(".lint-cache.json");
-    let cache_arg = cache.to_str().expect("cache").to_string();
-    let dir_arg = dir.to_str().expect("dir").to_string();
-
-    let cold = lint(&["--cache", &cache_arg, &dir_arg]);
-    assert_eq!(cold.code, 1, "{}", cold.stdout);
-    assert!(
-        stat_line(&cold.stderr).contains("0 reused, 2 linted"),
-        "{}",
-        cold.stderr
-    );
-
-    let warm = lint(&["--cache", &cache_arg, &dir_arg]);
-    assert_eq!(warm.code, 1);
-    assert!(
-        stat_line(&warm.stderr).contains("2 reused, 0 linted"),
-        "{}",
-        warm.stderr
-    );
-    assert_eq!(
-        cold.stdout, warm.stdout,
-        "warm report must be byte-identical"
-    );
-
-    // Append a trailing comment to one file: its hash changes, findings
-    // don't, so exactly one file re-lints and the report stays identical.
-    let clean = dir.join("clean.rs");
-    let mut text = std::fs::read_to_string(&clean).expect("clean.rs");
-    text.push_str("// trailing comment\n");
-    std::fs::write(&clean, text).expect("edit clean.rs");
-
-    let edited = lint(&["--cache", &cache_arg, &dir_arg]);
-    assert_eq!(edited.code, 1);
-    assert!(
-        stat_line(&edited.stderr).contains("1 reused, 1 linted"),
-        "{}",
-        edited.stderr
-    );
-    assert_eq!(cold.stdout, edited.stdout);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The warm whole-workspace audit finishes in <100 ms with a report
-/// byte-identical to the cold run (the ISSUE's speed acceptance bar).
-#[test]
-fn warm_workspace_lint_is_fast_and_identical() {
-    let dir = scratch("cache-warm");
-    let cache = dir.join(".lint-cache.json");
-    let cache_arg = cache.to_str().expect("cache").to_string();
-
-    let cold = lint(&["--workspace", "--cache", &cache_arg]);
-    assert_eq!(cold.code, 0, "{}", cold.stdout);
-
-    let started = std::time::Instant::now();
-    let warm = lint(&["--workspace", "--cache", &cache_arg]);
-    let elapsed = started.elapsed();
-    assert_eq!(warm.code, 0, "{}", warm.stdout);
-    assert!(
-        stat_line(&warm.stderr).ends_with("0 linted"),
-        "{}",
-        warm.stderr
-    );
-    assert_eq!(
-        cold.stdout, warm.stdout,
-        "warm report must be byte-identical"
-    );
-    assert!(
-        elapsed.as_millis() < 100,
-        "warm workspace lint took {elapsed:?} (must be <100 ms)"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A corrupt cache file is ignored, not fatal — the scan falls back to a
-/// cold lint and rewrites the cache.
-#[test]
-fn corrupt_cache_is_ignored() {
-    let dir = scratch("cache-corrupt");
-    let cache = dir.join(".lint-cache.json");
-    std::fs::write(&cache, "{definitely not json").expect("corrupt cache");
-    let path = fixture("clean.rs");
-    let out = lint(&[
-        "--cache",
-        cache.to_str().expect("cache"),
-        path.to_str().expect("fixture"),
-    ]);
-    assert_eq!(out.code, 0, "{}\n{}", out.stdout, out.stderr);
-    assert!(
-        stat_line(&out.stderr).contains("0 reused, 1 linted"),
-        "{}",
-        out.stderr
-    );
-    let rewritten = std::fs::read_to_string(&cache).expect("cache rewritten");
-    assert!(rewritten.starts_with('{'), "{rewritten}");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -110,9 +110,10 @@ pub struct ObsConfig {
     /// reallocates; events past the cap only bump `dropped_events`.
     pub trace_capacity: usize,
     /// Capture per-frame/per-step dataset rows (see [`crate::dataset`]).
-    /// Folded into campaign fingerprints and cache config hashes: a
-    /// capture-on run is a different campaign identity than a capture-off
-    /// run, because its run logs carry extra state.
+    /// Folded into campaign fingerprints: a capture-on run is a different
+    /// campaign identity than a capture-off run, because its run logs
+    /// carry extra state. Left out of result-cache keys, whose entries
+    /// hold only verdicts and metrics rows, which capture does not change.
     pub dataset: bool,
 }
 

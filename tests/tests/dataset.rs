@@ -1,12 +1,13 @@
 //! Streaming attack-labeled dataset export: byte-identity of the merged
 //! corpus across execution modes, thread counts, worker topologies,
-//! steal recovery and cache replay.
+//! steal recovery and a warm result cache.
 //!
 //! The invariant under test everywhere: however a campaign with dataset
 //! export is executed — one process or many, claimed or stolen units,
-//! simulated or cache-served — merging the exported
-//! `exp-*.jsonl` shards produces a **byte-identical** `corpus.jsonl`.
+//! over a cold or a warm cache — merging the exported `exp-*.jsonl`
+//! shards produces a **byte-identical** `corpus.jsonl`.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -234,50 +235,152 @@ fn stolen_units_reexport_bit_equal_shards_and_the_corpus_is_unchanged() {
     let _ = std::fs::remove_dir_all(&shared_dir);
 }
 
-/// Cache replay: a warm re-run performs zero simulations yet re-exports
-/// every shard — byte-identical to the simulated export.
+/// Opens a result cache rooted at `dir`.
+fn disk_cache(dir: &Path) -> Option<Arc<dyn ExperimentCache>> {
+    Some(Arc::new(DiskCache::create(dir).expect("cache dir opens")) as Arc<dyn ExperimentCache>)
+}
+
+/// Experiments a run simulated rather than took from the cache.
+fn simulated(result: &CampaignResult) -> usize {
+    result.stats.forked_runs + result.stats.scratch_runs + result.stats.chain_forked_runs
+}
+
+/// Every file under `dir`, keyed by its path relative to `dir`.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(next) = dirs.pop() {
+        for entry in std::fs::read_dir(&next).expect("directory lists") {
+            let path = entry.expect("directory entry reads").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("file reads");
+                let name = path.strip_prefix(dir).expect("path under dir");
+                files.insert(name.to_path_buf(), bytes);
+            }
+        }
+    }
+    files
+}
+
+/// Cache entries hold verdicts only, so a warm cache serves a dataset run
+/// nothing but the golden run: every experiment simulates, and the corpus
+/// is byte-identical to the cold run's.
 #[test]
-fn warm_cache_replay_reexports_a_byte_identical_corpus() {
+fn a_warm_cache_does_not_serve_a_dataset_run() {
     let cache_dir = tmp_path("cache");
-    let cache =
-        || Some(Arc::new(DiskCache::create(&cache_dir).unwrap()) as Arc<dyn ExperimentCache>);
+    let run = |shards: &Path| {
+        campaign()
+            .run(
+                4,
+                &RunConfig {
+                    cache: disk_cache(&cache_dir),
+                    ..export_config(shards, ExecutionMode::SnapshotDag)
+                },
+                &NullObserver,
+            )
+            .unwrap()
+    };
 
     let cold_dir = tmp_path("cold-shards");
-    let cold = campaign()
-        .run(
-            4,
-            &RunConfig {
-                cache: cache(),
-                ..export_config(&cold_dir, ExecutionMode::PrefixFork)
-            },
-            &NullObserver,
-        )
-        .unwrap();
-    assert_eq!(cold.stats.cache_hits, 0);
-    let reference_corpus = merged_corpus(&[cold_dir.clone()], "cold");
+    let cold = run(&cold_dir);
+    let total = cold.records.len();
+    assert_eq!(simulated(&cold), total);
+    assert_eq!((cold.stats.cache_hits, cold.stats.cache_misses), (0, 1));
+    let reference_corpus = merged_corpus(std::slice::from_ref(&cold_dir), "cold");
 
     let warm_dir = tmp_path("warm-shards");
-    let warm = campaign()
+    let warm = run(&warm_dir);
+    assert_eq!(
+        simulated(&warm),
+        total,
+        "a dataset run simulates everything"
+    );
+    // Only the golden run is looked up, and it hits.
+    assert_eq!(
+        (
+            warm.stats.cache_hits,
+            warm.stats.cache_misses,
+            warm.stats.cache_stale
+        ),
+        (1, 0, 0)
+    );
+    assert_eq!(
+        merged_corpus(std::slice::from_ref(&warm_dir), "warm"),
+        reference_corpus,
+        "corpus diverged over a warm cache"
+    );
+    for dir in [&cache_dir, &cold_dir, &warm_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// The dataset capture flag is not part of the cache key and entries hold
+/// no capture: a dataset run writes byte for byte the cache a plain run
+/// writes, and a plain run over it simulates nothing.
+#[test]
+fn dataset_runs_write_the_cache_a_plain_run_writes() {
+    let plain = || campaign().with_obs(ObsConfig::metrics_only());
+    let plain_cache = tmp_path("plain-cache");
+    let plain_run = plain()
         .run(
             4,
             &RunConfig {
-                cache: cache(),
-                ..export_config(&warm_dir, ExecutionMode::PrefixFork)
+                cache: disk_cache(&plain_cache),
+                ..RunConfig::default()
+            },
+            &NullObserver,
+        )
+        .unwrap();
+    let plain_metrics = plain_run.metrics.as_ref().unwrap().to_json_bytes();
+
+    let dataset_cache = tmp_path("dataset-cache");
+    let shards = tmp_path("dataset-cache-shards");
+    let dataset_run = campaign()
+        .run(
+            4,
+            &RunConfig {
+                cache: disk_cache(&dataset_cache),
+                ..export_config(&shards, ExecutionMode::SnapshotDag)
             },
             &NullObserver,
         )
         .unwrap();
     assert_eq!(
-        warm.stats.forked_runs + warm.stats.scratch_runs + warm.stats.chain_forked_runs,
-        0,
-        "a fully warm cache performs zero simulations"
+        dataset_run.metrics.as_ref().unwrap().to_json_bytes(),
+        plain_metrics,
+        "capture must not move a metrics byte"
     );
+    let (written, plain_written) = (tree(&dataset_cache), tree(&plain_cache));
+    assert_eq!(written.len(), plain_run.records.len() + 1);
     assert_eq!(
-        merged_corpus(&[warm_dir.clone()], "warm"),
-        reference_corpus,
-        "cache-served corpus diverged from the simulated one"
+        written.keys().collect::<Vec<_>>(),
+        plain_written.keys().collect::<Vec<_>>()
     );
-    for dir in [&cache_dir, &cold_dir, &warm_dir] {
+    let differing: Vec<_> = written
+        .iter()
+        .filter(|(name, bytes)| plain_written[*name] != **bytes)
+        .map(|(name, _)| name)
+        .collect();
+    assert!(differing.is_empty(), "entries differ: {differing:?}");
+
+    let warm = plain()
+        .run(
+            4,
+            &RunConfig {
+                cache: disk_cache(&dataset_cache),
+                ..RunConfig::default()
+            },
+            &NullObserver,
+        )
+        .unwrap();
+    assert_eq!(simulated(&warm), 0, "a plain run is fully served");
+    assert_eq!(
+        warm.metrics.as_ref().unwrap().to_json_bytes(),
+        plain_metrics
+    );
+    for dir in [&plain_cache, &dataset_cache, &shards] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -10,9 +10,9 @@
 //! 2. **Mutation sweep.** A deterministic mutator (every truncation plus
 //!    seeded byte flips and splices, seeded by `comfase_des::rng`) runs
 //!    over one sample of each format: a journal line, a cache file, a
-//!    lease, a ledger meta, a dataset shard header and a lint cache.
-//!    Nothing may panic, every strict truncation is rejected, and the
-//!    ledger accepts only canonical bytes.
+//!    lease, a ledger meta and a dataset shard header. Nothing may panic,
+//!    every strict truncation is rejected, and the ledger accepts only
+//!    canonical bytes.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -140,7 +140,6 @@ fn sample_entry() -> CacheEntry {
             counters: BTreeMap::from([("phy.rx.ok".to_string(), 12), ("mac.sent".to_string(), 7)]),
             ..ExperimentMetrics::default()
         }),
-        dataset: None,
     }
 }
 
@@ -356,31 +355,4 @@ fn mutated_dataset_headers_never_panic_and_truncations_are_refused() {
     for bytes in damaged(&shard, &other, &mut rng) {
         let _ = parse_header(&bytes);
     }
-}
-
-#[test]
-fn mutated_lint_caches_never_panic_and_truncations_load_empty() {
-    let mut rng = RngStream::new(0x6c69_6e74);
-    let source = "// comfase-lint: host-region(reason = \"journal \\\"writer\\\"\")\n\
-                  use std::collections::HashMap as Map;\n\
-                  fn host() { let t = Instant::now(); }\n";
-    let analysis = comfase_lint::analyze_source("crates/des/src/a.rs", source);
-    let path = tmp("lint-cache.json");
-    comfase_lint::cache::save(&path, std::slice::from_ref(&analysis)).unwrap();
-    let doc = fs::read(&path).unwrap();
-    assert_eq!(comfase_lint::cache::load(&path).len(), 1);
-    for cut in truncations(&doc) {
-        fs::write(&path, cut).unwrap();
-        assert!(
-            comfase_lint::cache::load(&path).is_empty(),
-            "cut at {}",
-            cut.len()
-        );
-    }
-    let other = doc.iter().rev().copied().collect::<Vec<u8>>();
-    for bytes in damaged(&doc, &other, &mut rng) {
-        fs::write(&path, bytes).unwrap();
-        let _ = comfase_lint::cache::load(&path).lookup("crates/des/src/a.rs", &analysis.hash);
-    }
-    fs::remove_file(&path).unwrap();
 }

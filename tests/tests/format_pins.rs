@@ -1,12 +1,13 @@
 //! Byte pins of the canonical formats.
 //!
-//! Journals, result-cache keys and claim ledgers are identified by the
-//! campaign fingerprint, which hashes canonical JSON bytes. A change to
-//! those bytes — a float spelling, a field order, an enum tag — silently
-//! orphans every journal, cache entry and ledger written before it. These
-//! constants were committed from the current codec; a deliberate format
-//! change must bump `FINGERPRINT_DOMAIN` (or the schema version) and then
-//! update them here, once.
+//! Journals and claim ledgers are identified by the campaign fingerprint,
+//! and result-cache entries by a cache config hash; both hash canonical
+//! JSON bytes. A change to those bytes — a float spelling, a field order,
+//! an enum tag — silently orphans every journal, cache entry and ledger
+//! written before it. These constants were committed from the current
+//! codec; a deliberate format change must bump `FINGERPRINT_DOMAIN`, the
+//! cache config domain or the schema version it touches, and then update
+//! them here, once.
 
 use comfase::fingerprint::fnv1a64;
 use comfase::prelude::*;
@@ -15,6 +16,10 @@ use comfase_des::time::SimTime;
 /// `Campaign::fingerprint()` of the Table II delay campaign exactly as
 /// `repro` builds it (`comfase_bench::delay_campaign(1)`).
 const TABLE2_DELAY_FINGERPRINT: u64 = 0x46c2_4c12_4ca6_ad3d;
+
+/// `comfase::cache::config_hash` of the paper scenario and communication
+/// model, an unlimited event budget and telemetry on.
+const PAPER_CACHE_CONFIG_HASH: u64 = 0xde39_aabf_7af4_0df5;
 
 /// FNV-1a 64 of `metrics.json` for [`end_to_end_campaign`].
 const END_TO_END_METRICS_FNV: u64 = 0x5495_f39c_26e2_494e;
@@ -53,6 +58,21 @@ fn table2_delay_campaign_fingerprint_is_pinned() {
         fingerprint, TABLE2_DELAY_FINGERPRINT,
         "fingerprint {fingerprint:#018x}"
     );
+}
+
+#[test]
+fn cache_config_hash_is_pinned_and_ignores_dataset_capture() {
+    let config_hash = |obs| {
+        comfase::cache::config_hash(
+            &TrafficScenario::paper_default(),
+            &CommModel::paper_default(),
+            EventBudget::UNLIMITED,
+            obs,
+        )
+    };
+    let hash = config_hash(ObsConfig::metrics_only());
+    assert_eq!(hash, PAPER_CACHE_CONFIG_HASH, "config_hash {hash:#018x}");
+    assert_eq!(config_hash(ObsConfig::metrics_only().with_dataset()), hash);
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! Every constant here is a committed seed-42 reference of the campaign
 //! benchmark's correctness gate (`campaign-bench/src/gate.rs`), re-pinned
 //! rather than invented: the golden run's maximum deceleration, the
-//! paper's Table II DoS campaign, a subset of the Table II delay campaign,
-//! and a 16-car drop campaign with telemetry on. All run in
+//! paper's Table II DoS campaign, a subset of the Table II delay campaign
+//! (the full grid is an ignored test, run in release), and a 16-car drop
+//! campaign with telemetry on. All run in
 //! [`ExecutionMode::SnapshotDag`] on two threads. The path-loss ablation
 //! pins one golden run and one experiment per model, run directly on the
 //! engine.
@@ -116,6 +117,19 @@ fn table2_delay_subset_is_pinned() {
         setup,
         [0, 0, 168, 102],
         0xbef7_6232_560b_b3de,
+    );
+}
+
+/// The full Table II delay grid, 11 250 experiments: the counts
+/// EXPERIMENTS.md records.
+#[test]
+#[ignore = "full grid: run in release with --ignored"]
+fn table2_full_delay_campaign_is_pinned() {
+    assert_campaign(
+        Engine::paper_default(SEED).unwrap(),
+        AttackCampaignSetup::paper_delay_campaign(),
+        [0, 21, 6262, 4967],
+        0xa74e_15e4_c404_d14a,
     );
 }
 
