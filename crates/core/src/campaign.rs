@@ -50,10 +50,10 @@
 //! classifies every failure into a structured [`ExperimentFailure`], and
 //! — under [`FailurePolicy::Quarantine`] — completes the campaign with
 //! the surviving records plus a failure summary instead of discarding
-//! hours of work on the first bad experiment. Transient host failures can
-//! be retried ([`RetryPolicy`]); sim-deterministic failures (budget,
-//! divergence, panics) never are, because a retry would deterministically
-//! fail the same way.
+//! hours of work on the first bad experiment. Each experiment runs exactly
+//! once: every failure it can produce (budget, divergence, panic, invalid
+//! configuration) is a deterministic property of the simulation, so a
+//! second attempt would fail the same way.
 //!
 //! With a journal path configured, every finished experiment is
 //! checkpointed to an append-only fsync'd journal
@@ -74,7 +74,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use comfase_des::sim::EventBudget;
 use comfase_des::time::SimTime;
@@ -187,8 +186,8 @@ pub enum LeaseState {
 /// between plan units, and mark the unit complete. The source decides
 /// *which* units this process runs — `comfase-dist` implements it as a
 /// shared-filesystem lease ledger with work stealing — while everything
-/// about *how* an experiment runs (modes, chaos, retries, journaling,
-/// caching) stays identical to in-process execution.
+/// about *how* an experiment runs (modes, chaos, journaling, caching)
+/// stays identical to in-process execution.
 ///
 /// Implementations must be safe to call concurrently from many worker
 /// threads of one process, and from many processes sharing the
@@ -267,10 +266,9 @@ pub trait CampaignObserver: Sync {
         let _ = (done, total);
     }
 
-    /// An experiment failed terminally (after any retries). Under
-    /// [`FailurePolicy::Quarantine`] the campaign continues past this
-    /// call; under [`FailurePolicy::Abort`] it is about to stop. Called
-    /// from worker threads, possibly concurrently.
+    /// An experiment failed. Under [`FailurePolicy::Quarantine`] the
+    /// campaign continues past this call; under [`FailurePolicy::Abort`] it
+    /// is about to stop. Called from worker threads, possibly concurrently.
     fn experiment_failed(&self, failure: &ExperimentFailure) {
         let _ = failure;
     }
@@ -435,10 +433,10 @@ fn chain_key(spec: &AttackSpec) -> (SimTime, u8, u8, u64, Vec<u32>) {
 }
 
 impl DagPlan {
-    /// Plans the pending experiments of a campaign: groups them by
-    /// [`chain_key`], chains every seed-invariant group of ≥ 2 leaves
-    /// (sorted by end time), and leaves everything else as solo prefix
-    /// forks.
+    /// Plans the pending experiments of a campaign: groups them by every
+    /// attack coordinate except the end time, chains every seed-invariant
+    /// group of ≥ 2 leaves (sorted by end time), and leaves everything else
+    /// as solo prefix forks.
     pub fn build(specs: &[AttackSpec], pending: &[usize]) -> DagPlan {
         let mut groups: BTreeMap<(SimTime, u8, u8, u64, Vec<u32>), Vec<usize>> = BTreeMap::new();
         for &i in pending {
@@ -569,7 +567,8 @@ pub struct ExperimentFailure {
     pub seed: u64,
     /// The attack spec of the failed experiment.
     pub spec: AttackSpec,
-    /// Executions attempted, including retries (≥ 1).
+    /// Executions attempted. Always 1: experiments are never retried. The
+    /// field stays so journals keep their `failed` entry format.
     pub attempts: u32,
 }
 comfase_json::record!(ToJson, FromJson for ExperimentFailure {
@@ -603,22 +602,6 @@ impl FailurePolicy {
     }
 }
 
-/// Retry policy for **host-transient** failures (I/O errors). Failures
-/// that are deterministic properties of the simulation — panics, budget
-/// breaches, numeric divergence, invalid configuration — are never
-/// retried: re-running them would fail identically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum retries per experiment (0 = no retries, the default).
-    pub max_retries: u32,
-    /// Base backoff slept before retry `n` as `backoff * n` (linear).
-    pub backoff: Duration,
-}
-
-fn is_host_transient(e: &ComfaseError) -> bool {
-    matches!(e, ComfaseError::Io(_))
-}
-
 /// Full configuration of a campaign run.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
@@ -626,8 +609,6 @@ pub struct RunConfig {
     pub mode: ExecutionMode,
     /// What to do when an experiment fails.
     pub failure_policy: FailurePolicy,
-    /// Retry policy for host-transient failures.
-    pub retry: RetryPolicy,
     /// Checkpoint journal path. When set, every finished experiment is
     /// appended (fsync'd) to this file; see [`crate::journal`].
     pub journal: Option<PathBuf>,
@@ -673,17 +654,13 @@ pub struct RunConfig {
 /// Chaos hooks fire by experiment index before the experiment simulates
 /// anything, so they are exact and thread-count independent. They exist
 /// to test the campaign supervisor itself (panic isolation, quarantine,
-/// retry, journaling) — production campaigns leave this at `default()`.
+/// journaling) — production campaigns leave this at `default()`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Experiments that panic when executed.
     pub panic_on: Vec<usize>,
     /// Experiments that fail with a synthetic deterministic error.
     pub fail_on: Vec<usize>,
-    /// `(index, n)`: experiment `index` fails with a transient host error
-    /// on its first `n` attempts, then succeeds. Attempt counts are
-    /// shared across clones of the campaign.
-    pub transient: Vec<(usize, u32)>,
     /// Host-I/O fault injection for the distribution layer (claim
     /// ledger, result cache). Unlike the per-experiment hooks above,
     /// these fire on *infrastructure* operations, so claim-protocol
@@ -697,10 +674,9 @@ pub struct ChaosConfig {
 /// synthetic [`ComfaseError::Io`], then the operation behaves normally.
 ///
 /// Cache-store injection is consumed inside the campaign runner (the
-/// injected counter is shared across clones of the [`Campaign`], like
-/// [`ChaosConfig::transient`] attempts). Lease-acquire and heartbeat
-/// injection are consumed by the claim ledger — `comfase-dist` wires
-/// them into its `ClaimSource`.
+/// injected counter is shared across clones of the [`Campaign`]).
+/// Lease-acquire and heartbeat injection are consumed by the claim ledger
+/// — `comfase-dist` wires them into its `ClaimSource`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoChaosConfig {
     /// Fail the first `n` lease acquisitions (including steals).
@@ -715,7 +691,7 @@ pub struct IoChaosConfig {
 
 impl ChaosConfig {
     fn is_active(&self) -> bool {
-        !(self.panic_on.is_empty() && self.fail_on.is_empty() && self.transient.is_empty())
+        !(self.panic_on.is_empty() && self.fail_on.is_empty())
     }
 }
 
@@ -783,9 +759,6 @@ pub struct Campaign {
     engine: Engine,
     setup: AttackCampaignSetup,
     chaos: ChaosConfig,
-    /// Attempt counters for [`ChaosConfig::transient`], shared across
-    /// clones so retries observe previous attempts.
-    chaos_attempts: Arc<Mutex<BTreeMap<usize, u32>>>,
     /// Injected-failure counter for [`IoChaosConfig::fail_cache_store`],
     /// shared across clones so a re-run observes the consumed budget.
     chaos_store_used: Arc<AtomicU32>,
@@ -805,7 +778,6 @@ impl Campaign {
             engine,
             setup,
             chaos: ChaosConfig::default(),
-            chaos_attempts: Arc::new(Mutex::new(BTreeMap::new())),
             chaos_store_used: Arc::new(AtomicU32::new(0)),
         })
     }
@@ -911,11 +883,11 @@ impl Campaign {
 
     /// Runs the campaign on `threads` worker threads under full
     /// supervision: per-experiment panic isolation, failure
-    /// classification, the configured failure policy, retries for
-    /// host-transient failures, host-side observer hooks (phase
-    /// boundaries, experiment completions — e.g. a [`HostProfiler`] or a
-    /// progress reporter) and — when [`RunConfig::journal`] is set —
-    /// checkpointing to an append-only journal, or resuming from it.
+    /// classification, the configured failure policy, host-side observer
+    /// hooks (phase boundaries, experiment completions — e.g. a
+    /// [`HostProfiler`] or a progress reporter) and — when
+    /// [`RunConfig::journal`] is set — checkpointing to an append-only
+    /// journal, or resuming from it.
     ///
     /// # Errors
     ///
@@ -1192,7 +1164,6 @@ impl Campaign {
             specs: &specs,
             starts: &starts,
             prefixes: &prefixes,
-            config,
             golden: &golden,
             params: &params,
             sink: ResultSink {
@@ -1366,70 +1337,58 @@ impl Campaign {
         }
     }
 
-    /// The per-experiment supervision loop shared by every unit: runs
-    /// `run` behind a panic boundary, classifies the result, retries
-    /// host-transient failures, and wraps anything terminal into an
-    /// [`ExperimentFailure`].
+    /// The per-experiment supervision shared by every unit: runs `run`
+    /// once behind a panic boundary, classifies the result, and wraps a
+    /// failure into an [`ExperimentFailure`].
     // The Err side is deliberately rich (full spec + failure detail for the
     // journal and the quarantine report); it is built at most once per
     // failed experiment, so its size is irrelevant to the hot path.
     #[allow(clippy::result_large_err)]
-    fn supervise<F>(&self, sweep: &Sweep<'_>, index: usize, mut run: F) -> ExperimentOutcome
+    fn supervise<F>(&self, sweep: &Sweep<'_>, index: usize, run: F) -> ExperimentOutcome
     where
-        F: FnMut() -> Result<RunLog, ComfaseError>,
+        F: FnOnce() -> Result<RunLog, ComfaseError>,
     {
         let spec = &sweep.specs[index];
         let collect_metrics = self.engine.obs().metrics;
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            // The campaign shares no mutable state with the experiment (the
-            // engine builds or clones a fresh `World` per run; a chain world
-            // is only mutated *between* supervised calls), so observing the
-            // closure across the unwind boundary is sound: a caught panic
-            // leaves no half-mutated campaign state behind.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let mut log = run()?;
-                let verdict = classify(&sweep.golden.trace, &log.trace, sweep.params);
-                let row = collect_metrics
-                    .then(|| log.experiment_metrics(index, verdict.class.to_string()));
-                // Move the capture out of the (about-to-be-dropped) log;
-                // `None` unless the run recorded with dataset capture on.
-                let dataset = log.obs.take_dataset();
-                Ok::<_, ComfaseError>((
-                    ExperimentRecord {
-                        index,
-                        spec: spec.clone(),
-                        verdict,
-                    },
-                    row,
-                    dataset,
-                ))
-            }));
-            let (kind, payload, original) = match attempt {
-                Ok(Ok(success)) => return Ok(success),
-                Ok(Err(e)) => {
-                    let retry = sweep.config.retry;
-                    if is_host_transient(&e) && attempts <= retry.max_retries {
-                        std::thread::sleep(retry.backoff * attempts);
-                        continue;
-                    }
-                    (FailureKind::from_error(&e), e.to_string(), Some(e))
-                }
-                Err(panic) => (FailureKind::Panicked, panic_message(panic.as_ref()), None),
-            };
-            return Err((
-                ExperimentFailure {
+        // The campaign shares no mutable state with the experiment (the
+        // engine builds or clones a fresh `World` per run; a chain world is
+        // only mutated *between* supervised calls), so observing the closure
+        // across the unwind boundary is sound: a caught panic leaves no
+        // half-mutated campaign state behind.
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut log = run()?;
+            let verdict = classify(&sweep.golden.trace, &log.trace, sweep.params);
+            let row =
+                collect_metrics.then(|| log.experiment_metrics(index, verdict.class.to_string()));
+            // Move the capture out of the (about-to-be-dropped) log; `None`
+            // unless the run recorded with dataset capture on.
+            let dataset = log.obs.take_dataset();
+            Ok::<_, ComfaseError>((
+                ExperimentRecord {
                     index,
-                    kind,
-                    payload,
-                    seed: self.engine.seed(),
                     spec: spec.clone(),
-                    attempts,
+                    verdict,
                 },
-                original,
-            ));
-        }
+                row,
+                dataset,
+            ))
+        }));
+        let (kind, payload, original) = match attempt {
+            Ok(Ok(success)) => return Ok(success),
+            Ok(Err(e)) => (FailureKind::from_error(&e), e.to_string(), Some(e)),
+            Err(panic) => (FailureKind::Panicked, panic_message(panic.as_ref()), None),
+        };
+        Err((
+            ExperimentFailure {
+                index,
+                kind,
+                payload,
+                seed: self.engine.seed(),
+                spec: spec.clone(),
+                attempts: 1,
+            },
+            original,
+        ))
     }
 
     /// Executes one [`DagUnit::Chain`]: simulates the shared attack
@@ -1446,9 +1405,7 @@ impl Campaign {
     /// - a *panic* while advancing the chain poisons it: each remaining
     ///   leaf re-raises the panic message under its own supervision (after
     ///   its chaos hook, which fires first in every mode), producing the
-    ///   same per-leaf `Panicked` failures as the other modes;
-    /// - host-transient retries re-fork the leaf from the still-positioned
-    ///   chain world.
+    ///   same per-leaf `Panicked` failures as the other modes.
     fn run_chain(&self, sweep: &Sweep<'_>, leaves: &[usize]) -> bool {
         let first_spec = &sweep.specs[leaves[0]];
         debug_assert!(first_spec.model.seed_invariant());
@@ -1538,16 +1495,6 @@ impl Campaign {
                 "injected failure at experiment {index}"
             )));
         }
-        if let Some(&(_, n)) = self.chaos.transient.iter().find(|(i, _)| *i == index) {
-            let mut attempts = lock(&self.chaos_attempts);
-            let seen = attempts.entry(index).or_insert(0);
-            if *seen < n {
-                *seen += 1;
-                return Err(ComfaseError::Io(format!(
-                    "injected transient failure at experiment {index} (attempt {seen})"
-                )));
-            }
-        }
         Ok(())
     }
 }
@@ -1605,7 +1552,6 @@ struct Sweep<'a> {
     /// Attack-free prefix snapshots; empty under
     /// [`ExecutionMode::FromScratch`].
     prefixes: &'a [World],
-    config: &'a RunConfig,
     golden: &'a RunLog,
     params: &'a ClassificationParams,
     sink: ResultSink<'a>,
@@ -2106,68 +2052,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_are_retried_to_success() {
-        let c = small_campaign().with_chaos(ChaosConfig {
-            transient: vec![(4, 2)],
-            ..ChaosConfig::default()
-        });
-        let config = RunConfig {
-            retry: RetryPolicy {
-                max_retries: 2,
-                backoff: Duration::from_millis(0),
-            },
-            ..RunConfig::default()
-        };
-        let result = c.run(2, &config, &NullObserver).unwrap();
-        assert_eq!(result.len(), 8);
-        assert!(result.failures.is_empty());
-    }
-
-    #[test]
-    fn transient_failures_exhaust_retries_into_a_failure() {
-        let c = small_campaign().with_chaos(ChaosConfig {
-            transient: vec![(4, 5)],
-            ..ChaosConfig::default()
-        });
-        let config = RunConfig {
-            failure_policy: FailurePolicy::quarantine(),
-            retry: RetryPolicy {
-                max_retries: 1,
-                backoff: Duration::from_millis(0),
-            },
-            ..RunConfig::default()
-        };
-        let result = c.run(2, &config, &NullObserver).unwrap();
-        assert_eq!(result.failures.len(), 1);
-        let f = &result.failures[0];
-        assert_eq!(f.index, 4);
-        assert_eq!(f.kind, FailureKind::HostError);
-        assert_eq!(f.attempts, 2, "one initial attempt plus one retry");
-    }
-
-    #[test]
-    fn deterministic_failures_are_not_retried() {
-        let c = small_campaign().with_chaos(ChaosConfig {
-            fail_on: vec![6],
-            ..ChaosConfig::default()
-        });
-        let config = RunConfig {
-            failure_policy: FailurePolicy::quarantine(),
-            retry: RetryPolicy {
-                max_retries: 3,
-                backoff: Duration::from_millis(0),
-            },
-            ..RunConfig::default()
-        };
-        let result = c.run(1, &config, &NullObserver).unwrap();
-        assert_eq!(result.failures.len(), 1);
-        assert_eq!(
-            result.failures[0].attempts, 1,
-            "a deterministic failure must not burn retries"
-        );
-    }
-
-    #[test]
     fn long_strong_attacks_classified_severe() {
         let c = small_campaign();
         let result = run(&c, 4, ExecutionMode::default()).unwrap();
@@ -2314,26 +2198,11 @@ mod tests {
         assert_eq!(result.failures[0].kind, FailureKind::Panicked);
         assert_eq!(result.failures[1].index, 5);
         assert_eq!(result.failures[1].kind, FailureKind::HostError);
+        // Chain leaves run once, like solo units.
+        for f in &result.failures {
+            assert_eq!(f.attempts, 1, "leaf {}", f.index);
+        }
         let run_indices: Vec<usize> = result.records.iter().map(|r| r.index).collect();
         assert_eq!(run_indices, vec![0, 1, 2, 4, 6, 7]);
-    }
-
-    #[test]
-    fn snapshot_dag_retries_transient_leaf_failures() {
-        let c = small_campaign().with_chaos(ChaosConfig {
-            transient: vec![(4, 2)],
-            ..ChaosConfig::default()
-        });
-        let config = RunConfig {
-            mode: ExecutionMode::SnapshotDag,
-            retry: RetryPolicy {
-                max_retries: 2,
-                backoff: Duration::from_millis(0),
-            },
-            ..RunConfig::default()
-        };
-        let result = c.run(2, &config, &NullObserver).unwrap();
-        assert_eq!(result.len(), 8);
-        assert!(result.failures.is_empty());
     }
 }

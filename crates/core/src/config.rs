@@ -108,12 +108,6 @@ impl TrafficScenario {
         }
     }
 
-    /// Enables the follower safety monitor.
-    pub fn with_safety_monitor(mut self, cfg: SafetyMonitorConfig) -> Self {
-        self.safety_monitor = Some(cfg);
-        self
-    }
-
     /// Number of vehicles in the scenario (`nrVehicles`).
     pub fn nr_vehicles(&self) -> usize {
         self.platoon.len()

@@ -106,7 +106,7 @@ pub enum JournalEntry {
         /// byte-identically.
         metrics: Option<ExperimentMetrics>,
     },
-    /// An experiment failed terminally (after any retries).
+    /// An experiment failed.
     Failed {
         /// The structured failure description.
         failure: ExperimentFailure,

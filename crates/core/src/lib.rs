@@ -70,8 +70,8 @@ pub mod prelude {
     pub use crate::campaign::{
         plan_units, Campaign, CampaignObserver, CampaignPhase, CampaignResult, CampaignStats,
         ChaosConfig, DagPlan, DagUnit, ExecutionMode, ExperimentFailure, ExperimentRecord,
-        FailureKind, FailurePolicy, IoChaosConfig, LeaseState, NullObserver, RetryPolicy,
-        RunConfig, WorkSource, WorkUnit,
+        FailureKind, FailurePolicy, IoChaosConfig, LeaseState, NullObserver, RunConfig, WorkSource,
+        WorkUnit,
     };
     pub use crate::classify::{Classification, ClassificationParams, Verdict};
     pub use crate::config::{

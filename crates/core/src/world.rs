@@ -5,8 +5,8 @@
 //!
 //! - the **DES kernel** (`comfase-des`) owns time and the event queue;
 //! - the **traffic simulation** (`comfase-traffic`) advances vehicle
-//!   kinematics in 0.01 s steps, driven by a recurring kernel event (the
-//!   TraCI coupling loop);
+//!   kinematics in 0.01 s steps, called directly from a recurring kernel
+//!   event where ComFASE runs SUMO's TraCI loop;
 //! - the **wireless medium** (`comfase-wireless`) fans transmissions out
 //!   with path loss and propagation delay, and hosts the attack
 //!   interceptor;
@@ -24,8 +24,7 @@ use comfase_des::sim::{BreachKind, EventBudget, Simulator};
 use comfase_des::time::{SimDuration, SimTime};
 use comfase_obs::trace::TRACK_KERNEL;
 use comfase_obs::{
-    FrameFate, FrameRecord, HistSpec, KernelCounters, ObsConfig, Recorder, SimRecorder, StepRecord,
-    TraceKind,
+    FrameFate, FrameRecord, HistSpec, KernelCounters, ObsConfig, SimRecorder, StepRecord, TraceKind,
 };
 use comfase_platoon::app::PlatoonApp;
 use comfase_platoon::beacon::PlatoonBeacon;
@@ -146,7 +145,7 @@ impl RunFault {
 /// Events flowing through the world's kernel.
 #[derive(Debug, Clone)]
 enum WorldEvent {
-    /// Advance the traffic simulation by one step (TraCI loop).
+    /// Advance the traffic simulation by one step.
     TrafficStep,
     /// Generate and enqueue the next beacon of a vehicle.
     Beacon { vehicle: u32 },
@@ -402,7 +401,7 @@ impl World {
             world.add_jammer(spec);
         }
 
-        // Kick off the recurring events: the TraCI step loop and one
+        // Kick off the recurring events: the traffic step loop and one
         // beacon timer per vehicle, staggered by 1 ms to avoid perfectly
         // synchronised channel access at t = 0.
         world.sim.schedule_at_with_priority(

@@ -15,9 +15,8 @@
 //!   RNG streams, driven by the owner via [`sim::Simulator::pop_due`];
 //! - [`rng::RngStream`] — per-component deterministic random streams
 //!   (xoshiro256++ seeded via SplitMix64), platform-independent;
-//! - [`stats`] — OMNeT++-style result recording (scalars, output vectors,
-//!   histograms) used for vehicle traces and experiment logs;
-//! - [`log::EventLog`] — a bounded in-memory event log for debugging runs;
+//! - [`stats`] — OMNeT++-style result primitives (running scalars, output
+//!   vectors, histograms) used for vehicle traces and experiment logs;
 //! - [`wire`] — big-endian helpers for the on-air message codecs.
 //!
 //! # Example
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod log;
 pub mod queue;
 pub mod rng;
 pub mod sim;
@@ -62,5 +60,5 @@ pub mod wire;
 pub use queue::{EventId, EventQueue};
 pub use rng::{RngStream, StreamId};
 pub use sim::{BreachKind, BudgetBreach, EventBudget, Simulator};
-pub use stats::{Recorder, RunningStats, TimeSeries};
+pub use stats::{RunningStats, TimeSeries};
 pub use time::{SimDuration, SimTime};

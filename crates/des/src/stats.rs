@@ -2,10 +2,9 @@
 //!
 //! Simulations record two kinds of results: **scalars** (summary statistics
 //! of a stream of observations, via [`RunningStats`]) and **vectors** (full
-//! time series, via [`TimeSeries`]). A [`Recorder`] groups named metrics for
-//! one simulation run, playing the role of OMNeT++'s `.sca`/`.vec` output.
+//! time series, via [`TimeSeries`]), plus fixed-bucket [`Histogram`]s. The
+//! traffic trace and the observability recorder hold them.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use comfase_json::{Error as JsonError, Fields, FromJson, ToJson, Value, Writer};
@@ -154,10 +153,10 @@ struct Chunk {
 /// A recorded `(time, value)` series — an OMNeT++ output vector.
 ///
 /// Samples must be appended in non-decreasing time order. Internally the
-/// series is a list of sealed [`Arc`]-shared chunks plus a mutable tail:
-/// `clone()` is O(chunks), not O(samples), and a clone never mutates
-/// through shared storage (appends only touch the private tail). The
-/// serialized form stays the flat `{times, values}` pair.
+/// series is a list of sealed [`Arc`](std::sync::Arc)-shared chunks plus a
+/// mutable tail: `clone()` is O(chunks), not O(samples), and a clone never
+/// mutates through shared storage (appends only touch the private tail).
+/// The serialized form stays the flat `{times, values}` pair.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     sealed: Vec<std::sync::Arc<Chunk>>,
@@ -463,59 +462,6 @@ impl Histogram {
     }
 }
 
-/// Named metric store for one simulation run.
-///
-/// Plays the role of OMNeT++'s result files: modules record scalars and
-/// vectors under hierarchical string names (e.g. `"veh.1.speed"`).
-#[derive(Debug, Clone, Default)]
-pub struct Recorder {
-    scalars: BTreeMap<String, RunningStats>,
-    vectors: BTreeMap<String, TimeSeries>,
-}
-
-impl Recorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observation to the named scalar statistic.
-    pub fn record_scalar(&mut self, name: &str, value: f64) {
-        self.scalars
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
-    }
-
-    /// Appends a sample to the named output vector.
-    pub fn record_vector(&mut self, name: &str, time: SimTime, value: f64) {
-        self.vectors
-            .entry(name.to_owned())
-            .or_default()
-            .record(time, value);
-    }
-
-    /// Looks up a scalar statistic.
-    pub fn scalar(&self, name: &str) -> Option<&RunningStats> {
-        self.scalars.get(name)
-    }
-
-    /// Looks up an output vector.
-    pub fn vector(&self, name: &str) -> Option<&TimeSeries> {
-        self.vectors.get(name)
-    }
-
-    /// Iterates over all scalar statistics in name order.
-    pub fn scalars(&self) -> impl Iterator<Item = (&str, &RunningStats)> {
-        self.scalars.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates over all output vectors in name order.
-    pub fn vectors(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
-        self.vectors.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,18 +643,5 @@ mod tests {
         assert_eq!(h.total(), 8);
         assert_eq!(h.bin_edges(0), (0.0, 2.0));
         assert_eq!(h.bin_edges(4), (8.0, 10.0));
-    }
-
-    #[test]
-    fn recorder_scalars_and_vectors() {
-        let mut r = Recorder::new();
-        r.record_scalar("veh.0.decel", 1.0);
-        r.record_scalar("veh.0.decel", 3.0);
-        r.record_vector("veh.0.speed", SimTime::from_secs(1), 30.0);
-        assert_eq!(r.scalar("veh.0.decel").unwrap().count(), 2);
-        assert_eq!(r.vector("veh.0.speed").unwrap().len(), 1);
-        assert!(r.scalar("missing").is_none());
-        assert_eq!(r.scalars().count(), 1);
-        assert_eq!(r.vectors().count(), 1);
     }
 }

@@ -277,12 +277,25 @@ pub fn merge_dataset_dirs(
     };
     let mut manifest = comfase_json::to_string(&manifest);
     manifest.push('\n');
+    // fsync'd before the rename like the corpus, so a crash can never leave
+    // an empty manifest under its final name.
     let tmp = out_dir.join(format!(".tmp-manifest-{}", std::process::id()));
-    fs::write(&tmp, manifest.as_bytes()).map_err(|e| io_err(&tmp, &e))?;
-    fs::rename(&tmp, &manifest_path).map_err(|e| {
+    let published = (|| {
+        let mut file = fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)
+            .map_err(|e| io_err(&tmp, &e))?;
+        file.write_all(manifest.as_bytes())
+            .map_err(|e| io_err(&tmp, &e))?;
+        file.sync_data().map_err(|e| io_err(&tmp, &e))?;
+        drop(file);
+        fs::rename(&tmp, &manifest_path).map_err(|e| io_err(&manifest_path, &e))
+    })();
+    if published.is_err() {
         let _ = fs::remove_file(&tmp);
-        io_err(&manifest_path, &e)
-    })?;
+    }
+    published?;
 
     Ok(DatasetMergeReport {
         header,

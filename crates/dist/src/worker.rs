@@ -1,9 +1,8 @@
 // comfase-lint: host-region(reason = "claim-driven worker: scan/steal scheduling over the lease ledger is host-side work distribution; it decides which worker runs a unit, never what the unit computes, and uses sleeps (not clock reads) to pace scan rounds")
 
 //! The claim-driven work source: a [`ClaimSource`] plugs a
-//! [`ClaimLedger`] into the campaign runner's
-//! [`WorkSource`](comfase::campaign::WorkSource) seam — dynamic,
-//! crash-tolerant work stealing across worker processes.
+//! [`ClaimLedger`] into the campaign runner's [`WorkSource`] seam —
+//! dynamic, crash-tolerant work stealing across worker processes.
 //!
 //! # The scan loop
 //!

@@ -4,8 +4,8 @@
 //! Campaign execution is a data factory: every PHY frame decision and every
 //! control step is a labeled training example for downstream ML pipelines
 //! (Iqbal et al., "Simulating Malicious Attacks on VANETs"). This module
-//! turns the existing [`Recorder`](crate::recorder::Recorder) frame-fate
-//! instrumentation into that dataset:
+//! turns the existing [`SimRecorder`](crate::recorder::SimRecorder)
+//! frame-fate instrumentation into that dataset:
 //!
 //! - **Sim-side capture** — [`FrameRecord`] / [`StepRecord`] rows collected
 //!   into a bounded [`DatasetCapture`] carried inside the recorder. Capture

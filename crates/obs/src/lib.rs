@@ -15,13 +15,12 @@
 //!   explicit per-site `wall-clock` waivers each carrying its reason, and
 //!   its output is kept out of the deterministic `metrics.json` artifact.
 //!
-//! The central abstraction is the [`Recorder`](recorder::Recorder) trait
-//! with two implementations: [`MemRecorder`](recorder::MemRecorder)
-//! (counters + fixed-bucket histograms + a bounded trace-event buffer) and
-//! the zero-cost [`NullRecorder`](recorder::NullRecorder). Simulation state
-//! holds the `Clone`-able [`SimRecorder`](recorder::SimRecorder) handle so
-//! snapshot/fork execution carries recorded telemetry along with the rest of
-//! the world state.
+//! Simulation state records through the `Clone`-able [`SimRecorder`]
+//! handle: [`SimRecorder::Null`] when telemetry is off, so the disabled path
+//! costs one branch, and otherwise a boxed [`MemRecorder`] (counters +
+//! fixed-bucket histograms + a bounded trace-event buffer). Snapshot/fork
+//! execution carries recorded telemetry along with the rest of the world
+//! state.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,7 +40,5 @@ pub use metrics::{
     AggregateMetrics, CampaignMetrics, ExperimentMetrics, FrameBreakdown, KernelCounters,
     SUBSTRATE_COUNTER_PREFIXES,
 };
-pub use recorder::{
-    HistSpec, MemRecorder, MetricsSnapshot, NullRecorder, ObsConfig, Recorder, SimRecorder,
-};
+pub use recorder::{HistSpec, MemRecorder, MetricsSnapshot, ObsConfig, SimRecorder};
 pub use trace::{chrome_trace_json, TraceEvent, TraceKind};

@@ -1,4 +1,5 @@
-//! The [`Recorder`] trait and its implementations.
+//! The telemetry recorders: [`SimRecorder`], the handle simulation state
+//! owns, and the [`MemRecorder`] it wraps.
 //!
 //! Instrumentation points in the simulation stack talk to a recorder
 //! through three primitives:
@@ -44,61 +45,6 @@ impl HistSpec {
         Histogram::new(self.lo, self.hi, self.bins)
     }
 }
-
-/// Telemetry sink for one simulation run.
-///
-/// Object-safe so worlds can hold `&mut dyn Recorder` where convenient;
-/// the concrete [`SimRecorder`] enum is what simulation state stores (it
-/// stays `Clone` for snapshot/fork execution).
-pub trait Recorder {
-    /// `true` if counters/histograms are being kept. Callers may use this
-    /// to skip building expensive observation values.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// `true` if trace events are being kept.
-    fn trace_enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds `n` to the named counter.
-    fn add(&mut self, _key: &'static str, _n: u64) {}
-
-    /// Increments the named counter by one.
-    fn inc(&mut self, key: &'static str) {
-        self.add(key, 1);
-    }
-
-    /// Records one observation into the named fixed-bucket histogram.
-    /// The first observation of a key fixes its layout from `spec`.
-    fn observe(&mut self, _key: &'static str, _spec: HistSpec, _value: f64) {}
-
-    /// Records a timeline event (kept only while the bounded buffer has
-    /// room; see [`MemRecorder::dropped_events`]).
-    fn trace_event(&mut self, _time: SimTime, _track: u32, _name: &'static str, _kind: TraceKind) {}
-
-    /// `true` if dataset rows are being captured. Instrumentation sites
-    /// guard on this before assembling a record, so disabled runs pay one
-    /// branch and zero allocation on the frame path.
-    fn dataset_enabled(&self) -> bool {
-        false
-    }
-
-    /// Captures one per-frame dataset row (bounded; see
-    /// [`crate::dataset::FRAMES_CAP`]).
-    fn record_frame(&mut self, _f: FrameRecord) {}
-
-    /// Captures one per-control-step dataset row (bounded; see
-    /// [`crate::dataset::STEPS_CAP`]).
-    fn record_step(&mut self, _s: StepRecord) {}
-}
-
-/// The zero-cost recorder: every method is a no-op the optimiser removes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {}
 
 /// Observability configuration of one world/engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,24 +175,33 @@ impl MemRecorder {
             dataset: self.dataset.map(|b| *b),
         }
     }
-}
 
-impl Recorder for MemRecorder {
-    fn enabled(&self) -> bool {
+    /// `true` if counters/histograms are being kept. Callers may use this
+    /// to skip building expensive observation values.
+    pub fn enabled(&self) -> bool {
         self.metrics
     }
 
-    fn trace_enabled(&self) -> bool {
+    /// `true` if trace events are being kept.
+    pub fn trace_enabled(&self) -> bool {
         self.trace_capacity > 0
     }
 
-    fn add(&mut self, key: &'static str, n: u64) {
+    /// Adds `n` to the named counter.
+    pub fn add(&mut self, key: &'static str, n: u64) {
         if self.metrics {
             *self.counters.entry(key).or_insert(0) += n;
         }
     }
 
-    fn observe(&mut self, key: &'static str, spec: HistSpec, value: f64) {
+    /// Increments the named counter by one.
+    pub fn inc(&mut self, key: &'static str) {
+        self.add(key, 1);
+    }
+
+    /// Records one observation into the named fixed-bucket histogram.
+    /// The first observation of a key fixes its layout from `spec`.
+    pub fn observe(&mut self, key: &'static str, spec: HistSpec, value: f64) {
         if !self.metrics {
             return;
         }
@@ -269,7 +224,9 @@ impl Recorder for MemRecorder {
         hist.record(value);
     }
 
-    fn trace_event(&mut self, time: SimTime, track: u32, name: &'static str, kind: TraceKind) {
+    /// Records a timeline event (kept only while the bounded buffer has
+    /// room; see [`MemRecorder::dropped_events`]).
+    pub fn trace_event(&mut self, time: SimTime, track: u32, name: &'static str, kind: TraceKind) {
         if self.trace_capacity == 0 {
             return;
         }
@@ -285,17 +242,24 @@ impl Recorder for MemRecorder {
         });
     }
 
-    fn dataset_enabled(&self) -> bool {
+    /// `true` if dataset rows are being captured. Instrumentation sites
+    /// guard on this before assembling a record, so disabled runs pay one
+    /// branch and zero allocation on the frame path.
+    pub fn dataset_enabled(&self) -> bool {
         self.dataset.is_some()
     }
 
-    fn record_frame(&mut self, f: FrameRecord) {
+    /// Captures one per-frame dataset row (bounded; see
+    /// [`crate::dataset::FRAMES_CAP`]).
+    pub fn record_frame(&mut self, f: FrameRecord) {
         if let Some(capture) = &mut self.dataset {
             capture.push_frame(f);
         }
     }
 
-    fn record_step(&mut self, s: StepRecord) {
+    /// Captures one per-control-step dataset row (bounded; see
+    /// [`crate::dataset::STEPS_CAP`]).
+    pub fn record_step(&mut self, s: StepRecord) {
         if let Some(capture) = &mut self.dataset {
             capture.push_step(s);
         }
@@ -338,63 +302,77 @@ impl SimRecorder {
             SimRecorder::Mem(m) => m.into_snapshot(),
         }
     }
-}
 
-impl Recorder for SimRecorder {
+    /// `true` if counters/histograms are being kept (see
+    /// [`MemRecorder::enabled`]).
     #[inline]
-    fn enabled(&self) -> bool {
+    pub fn enabled(&self) -> bool {
         match self {
             SimRecorder::Null => false,
             SimRecorder::Mem(m) => m.enabled(),
         }
     }
 
+    /// `true` if trace events are being kept.
     #[inline]
-    fn trace_enabled(&self) -> bool {
+    pub fn trace_enabled(&self) -> bool {
         match self {
             SimRecorder::Null => false,
             SimRecorder::Mem(m) => m.trace_enabled(),
         }
     }
 
+    /// Adds `n` to the named counter.
     #[inline]
-    fn add(&mut self, key: &'static str, n: u64) {
+    pub fn add(&mut self, key: &'static str, n: u64) {
         if let SimRecorder::Mem(m) = self {
             m.add(key, n);
         }
     }
 
+    /// Increments the named counter by one.
     #[inline]
-    fn observe(&mut self, key: &'static str, spec: HistSpec, value: f64) {
+    pub fn inc(&mut self, key: &'static str) {
+        self.add(key, 1);
+    }
+
+    /// Records one observation into the named fixed-bucket histogram (see
+    /// [`MemRecorder::observe`]).
+    #[inline]
+    pub fn observe(&mut self, key: &'static str, spec: HistSpec, value: f64) {
         if let SimRecorder::Mem(m) = self {
             m.observe(key, spec, value);
         }
     }
 
+    /// Records a timeline event (see [`MemRecorder::trace_event`]).
     #[inline]
-    fn trace_event(&mut self, time: SimTime, track: u32, name: &'static str, kind: TraceKind) {
+    pub fn trace_event(&mut self, time: SimTime, track: u32, name: &'static str, kind: TraceKind) {
         if let SimRecorder::Mem(m) = self {
             m.trace_event(time, track, name, kind);
         }
     }
 
+    /// `true` if dataset rows are being captured.
     #[inline]
-    fn dataset_enabled(&self) -> bool {
+    pub fn dataset_enabled(&self) -> bool {
         match self {
             SimRecorder::Null => false,
             SimRecorder::Mem(m) => m.dataset_enabled(),
         }
     }
 
+    /// Captures one per-frame dataset row.
     #[inline]
-    fn record_frame(&mut self, f: FrameRecord) {
+    pub fn record_frame(&mut self, f: FrameRecord) {
         if let SimRecorder::Mem(m) = self {
             m.record_frame(f);
         }
     }
 
+    /// Captures one per-control-step dataset row.
     #[inline]
-    fn record_step(&mut self, s: StepRecord) {
+    pub fn record_step(&mut self, s: StepRecord) {
         if let SimRecorder::Mem(m) = self {
             m.record_step(s);
         }
@@ -447,13 +425,13 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    fn mark(r: &mut impl Recorder, ns: i64) {
+    fn mark(r: &mut MemRecorder, ns: i64) {
         r.trace_event(SimTime::from_nanos(ns), 1, "e", TraceKind::Mark);
     }
 
     #[test]
     fn null_recorder_records_nothing() {
-        let mut r = NullRecorder;
+        let mut r = SimRecorder::new(ObsConfig::disabled());
         assert!(!r.enabled());
         assert!(!r.trace_enabled());
         r.inc("x");
@@ -466,7 +444,8 @@ mod tests {
             },
             0.5,
         );
-        mark(&mut r, 1);
+        r.trace_event(SimTime::from_nanos(1), 1, "e", TraceKind::Mark);
+        assert!(r.into_snapshot().is_empty());
     }
 
     #[test]

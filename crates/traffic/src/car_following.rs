@@ -1,14 +1,10 @@
-//! Car-following models for background traffic and non-platooning baselines.
+//! The car-following model for background traffic: [`Krauss`], SUMO's
+//! default stochastic safe-speed model (we default its driver imperfection
+//! σ to 0 for deterministic experiments).
 //!
-//! Two classic models are provided:
-//!
-//! - [`Krauss`] — SUMO's default stochastic safe-speed model (we default its
-//!   driver imperfection σ to 0 for deterministic experiments);
-//! - [`Idm`] — the Intelligent Driver Model, a common research baseline.
-//!
-//! Both produce a commanded acceleration from the ego state and the gap to
-//! the leader; the commanded value is then subject to the vehicle dynamics in
-//! [`crate::dynamics`].
+//! It produces a commanded acceleration from the ego state and the gap to
+//! the leader; the commanded value is then subject to the vehicle dynamics
+//! in [`crate::dynamics`].
 
 /// What a car-following model sees each step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,26 +25,6 @@ pub struct CfInput {
     pub dt_s: f64,
     /// Uniform random draw in `[0, 1)` for stochastic models.
     pub noise: f64,
-}
-
-/// A longitudinal car-following model.
-pub trait CarFollowingModel: std::fmt::Debug + Send + Sync {
-    /// Commanded acceleration for this step, m/s² (may exceed vehicle
-    /// limits; dynamics clamp it).
-    fn accel(&self, input: &CfInput) -> f64;
-
-    /// Model name for logs and reports.
-    fn name(&self) -> &'static str;
-
-    /// Clones the model into a new box (needed to snapshot a running
-    /// simulation that owns its model as a trait object).
-    fn clone_box(&self) -> Box<dyn CarFollowingModel>;
-}
-
-impl Clone for Box<dyn CarFollowingModel> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// SUMO's Krauss model (Krauß 1998): drive as fast as allowed while always
@@ -78,10 +54,10 @@ impl Krauss {
         let term = tb * tb + leader_speed_mps * leader_speed_mps + 2.0 * decel * gap_m.max(0.0);
         (-tb + term.sqrt()).max(0.0)
     }
-}
 
-impl CarFollowingModel for Krauss {
-    fn accel(&self, input: &CfInput) -> f64 {
+    /// Commanded acceleration for this step, m/s² (may exceed vehicle
+    /// limits; dynamics clamp it).
+    pub fn accel(&self, input: &CfInput) -> f64 {
         let v = input.speed_mps;
         let v_free = (v + input.max_accel_mps2 * input.dt_s).min(input.speed_limit_mps);
         let v_des = match input.gap_m {
@@ -95,64 +71,6 @@ impl CarFollowingModel for Krauss {
         let dawdle = self.sigma * input.max_accel_mps2 * input.dt_s * input.noise;
         let v_next = (v_des - dawdle).max(0.0);
         (v_next - v) / input.dt_s
-    }
-
-    fn name(&self) -> &'static str {
-        "Krauss"
-    }
-
-    fn clone_box(&self) -> Box<dyn CarFollowingModel> {
-        Box::new(self.clone())
-    }
-}
-
-/// Intelligent Driver Model (Treiber et al. 2000).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Idm {
-    /// Minimum standstill gap s₀, metres.
-    pub min_gap_m: f64,
-    /// Desired time headway T, seconds.
-    pub time_headway_s: f64,
-    /// Acceleration exponent δ (4 in the original paper).
-    pub delta: f64,
-}
-
-impl Default for Idm {
-    fn default() -> Self {
-        Idm {
-            min_gap_m: 2.0,
-            time_headway_s: 1.2,
-            delta: 4.0,
-        }
-    }
-}
-
-impl CarFollowingModel for Idm {
-    fn accel(&self, input: &CfInput) -> f64 {
-        let v = input.speed_mps;
-        let v0 = input.speed_limit_mps.max(0.1);
-        let a = input.max_accel_mps2;
-        let b = input.service_decel_mps2;
-        let free_term = 1.0 - (v / v0).powf(self.delta);
-        let interaction = match input.gap_m {
-            Some(gap) => {
-                let dv = v - input.leader_speed_mps;
-                let s_star = self.min_gap_m
-                    + (v * self.time_headway_s + v * dv / (2.0 * (a * b).sqrt())).max(0.0);
-                let s = gap.max(0.01);
-                (s_star / s).powi(2)
-            }
-            None => 0.0,
-        };
-        a * (free_term - interaction)
-    }
-
-    fn name(&self) -> &'static str {
-        "IDM"
-    }
-
-    fn clone_box(&self) -> Box<dyn CarFollowingModel> {
-        Box::new(self.clone())
     }
 }
 
@@ -272,49 +190,5 @@ mod tests {
             pos += speed * dt;
             assert!(gap > -1e-9, "Krauss collided at step {step}, gap {gap}");
         }
-    }
-
-    #[test]
-    fn idm_free_road_approaches_limit() {
-        let idm = Idm::default();
-        let mut v: f64 = 0.0;
-        for _ in 0..2000 {
-            let a = idm.accel(&CfInput {
-                speed_mps: v,
-                ..free_input(v)
-            });
-            v = (v + a * 0.1).max(0.0);
-        }
-        assert!((v - 30.0).abs() < 0.5, "IDM equilibrium speed {v}");
-    }
-
-    #[test]
-    fn idm_brakes_when_too_close() {
-        let idm = Idm::default();
-        let mut input = free_input(20.0);
-        input.gap_m = Some(3.0);
-        input.leader_speed_mps = 20.0;
-        assert!(idm.accel(&input) < 0.0);
-    }
-
-    #[test]
-    fn idm_equilibrium_gap_near_headway() {
-        let idm = Idm::default();
-        // At constant speed v with equal leader speed, a=0 when
-        // gap = s* / sqrt(1-(v/v0)^delta).
-        let v = 20.0;
-        let mut input = free_input(v);
-        let s_star = idm.min_gap_m + v * idm.time_headway_s;
-        let expect = s_star / (1.0f64 - (v / 30.0f64).powf(4.0)).sqrt();
-        input.gap_m = Some(expect);
-        input.leader_speed_mps = v;
-        let a = idm.accel(&input);
-        assert!(a.abs() < 0.01, "IDM accel at equilibrium gap: {a}");
-    }
-
-    #[test]
-    fn model_names() {
-        assert_eq!(Krauss::default().name(), "Krauss");
-        assert_eq!(Idm::default().name(), "IDM");
     }
 }

@@ -34,26 +34,11 @@ comfase_json::record!(ToJson, FromJson for Collision {
     time, collider, victim, lane, pos_m, collider_speed_mps, victim_speed_mps, overlap_m,
 });
 
-/// What the simulation does with the collider after an incident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollisionPolicy {
-    /// Record the incident and deactivate (remove) the collider — SUMO's
-    /// default "teleport" behaviour. The platoon behind keeps driving.
-    #[default]
-    RemoveCollider,
-    /// Record the incident and stop both vehicles in place.
-    StopBoth,
-    /// Record the incident only; vehicles continue (may overlap). Useful
-    /// for analysis runs that want every subsequent incident too.
-    RegisterOnly,
-}
-
 /// Scans vehicles (any order) and returns all new rear-end collisions.
 ///
 /// Only active vehicles are considered. At most one collision is reported
-/// per (collider, victim) pair per call; the caller deactivates or stops
-/// vehicles according to policy, which prevents duplicate reports on
-/// subsequent steps for `RemoveCollider`/`StopBoth`.
+/// per (collider, victim) pair per call; the caller removes the collider
+/// (SUMO's default), which prevents duplicate reports on subsequent steps.
 pub fn detect_collisions(time: SimTime, vehicles: &[Vehicle]) -> Vec<Collision> {
     // Sort indices per lane by front position, rear to front.
     let mut idx: Vec<usize> = (0..vehicles.len())

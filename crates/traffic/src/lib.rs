@@ -10,13 +10,13 @@
 //!   paper's platooning car as a preset) and dynamic state;
 //! - [`dynamics`] — commanded-to-realised acceleration with first-order
 //!   actuation lag, speed/position integration (SUMO ballistic update);
-//! - [`car_following`] — Krauss (SUMO default) and IDM models for background
-//!   traffic and baselines;
+//! - [`car_following`] — SUMO's default Krauss model for background
+//!   traffic;
 //! - [`collision`] — SUMO-style rear-end collision detection with collider
 //!   attribution, the basis of the paper's severity analysis;
-//! - [`simulation`] — the per-0.01 s step loop, [`simulation::TrafficSim`];
-//! - [`traci`] — a TraCI-style command layer, the explicit coupling surface
-//!   used by the vehicular network simulation;
+//! - [`simulation`] — the per-0.01 s step loop, [`simulation::TrafficSim`].
+//!   Where ComFASE drives SUMO over TraCI, the vehicular network
+//!   simulation here calls `TrafficSim` directly from its step event;
 //! - [`trace`] — per-vehicle trajectory logs (speed, acceleration, position)
 //!   used by ComFASE's result classification.
 //!
@@ -53,10 +53,9 @@ pub mod lane_index;
 pub mod network;
 pub mod simulation;
 pub mod trace;
-pub mod traci;
 pub mod vehicle;
 
-pub use collision::{Collision, CollisionPolicy};
+pub use collision::Collision;
 pub use lane_index::{LaneEntry, LaneOrder};
 pub use network::{Lane, LaneIndex, Road};
 pub use simulation::{LeaderLookup, TrafficError, TrafficSim, TrafficStats, HARD_DECEL_MPS2};

@@ -1,17 +1,17 @@
 //! The microscopic traffic simulation loop.
 //!
-//! [`TrafficSim`] advances all vehicles in fixed steps (SUMO/Plexe use
-//! 0.01 s; so do we by default): commands are computed from a synchronous
-//! snapshot of the previous state, dynamics are integrated, collisions are
-//! detected and the policy applied, and the trajectory log is updated.
+//! [`TrafficSim`] advances all vehicles in fixed 0.01 s steps (as SUMO/Plexe
+//! do): commands are computed from a synchronous snapshot of the previous
+//! state, dynamics are integrated, collisions are detected and each
+//! collider removed, and the trajectory log is updated.
 
 use std::fmt;
 
 use comfase_des::rng::RngStream;
 use comfase_des::time::{SimDuration, SimTime};
 
-use crate::car_following::{CarFollowingModel, CfInput, Krauss};
-use crate::collision::{detect_collisions, Collision, CollisionPolicy};
+use crate::car_following::{CfInput, Krauss};
+use crate::collision::{detect_collisions, Collision};
 use crate::dynamics::step_vehicle;
 use crate::lane_index::LaneOrder;
 use crate::network::Road;
@@ -84,6 +84,11 @@ pub struct TrafficStats {
 }
 comfase_json::record!(ToJson, FromJson for TrafficStats { steps, collisions, hard_decel_samples });
 
+/// The step length, SUMO/Plexe's 0.01 s.
+const STEP_LEN: SimDuration = SimDuration::from_millis(10);
+/// [`STEP_LEN`] in seconds.
+const STEP_LEN_S: f64 = 0.01;
+
 /// A microscopic traffic simulation on one road.
 ///
 /// `TrafficSim` is `Clone`: a clone is a full snapshot (vehicles, RNG state,
@@ -95,11 +100,8 @@ pub struct TrafficSim {
     /// copying lane geometry.
     road: std::sync::Arc<Road>,
     vehicles: Vec<Vehicle>,
-    /// Immutable model parameters (`accel` is `&self`), shared by forks.
-    cf_model: std::sync::Arc<dyn CarFollowingModel>,
-    policy: CollisionPolicy,
-    step_len: SimDuration,
-    step_len_s: f64,
+    /// The model `CarFollowing` vehicles drive by.
+    cf_model: Krauss,
     time: SimTime,
     steps: u64,
     trace: TrafficTrace,
@@ -113,16 +115,13 @@ pub struct TrafficSim {
 }
 
 impl TrafficSim {
-    /// Creates a simulation with the SUMO-like defaults: 0.01 s steps,
-    /// Krauss car-following, `RemoveCollider` collision policy.
+    /// Creates a simulation with SUMO's defaults: 0.01 s steps, Krauss
+    /// car-following, and a collider removed from the road on impact.
     pub fn new(road: Road, rng: RngStream) -> Self {
         TrafficSim {
             road: std::sync::Arc::new(road),
             vehicles: Vec::new(),
-            cf_model: std::sync::Arc::new(Krauss::default()),
-            policy: CollisionPolicy::default(),
-            step_len: SimDuration::from_millis(10),
-            step_len_s: 0.01,
+            cf_model: Krauss::default(),
             time: SimTime::ZERO,
             steps: 0,
             trace: TrafficTrace::new(),
@@ -139,11 +138,6 @@ impl TrafficSim {
     /// Selects how `leader_of` finds the vehicle ahead.
     pub fn set_leader_lookup(&mut self, lookup: LeaderLookup) {
         self.lookup = lookup;
-    }
-
-    /// The active leader-lookup strategy.
-    pub fn leader_lookup(&self) -> LeaderLookup {
-        self.lookup
     }
 
     /// Full lane-index rebuilds performed so far (structural
@@ -174,27 +168,6 @@ impl TrafficSim {
         }
     }
 
-    /// Replaces the car-following model used for `CarFollowing` vehicles.
-    pub fn set_car_following_model(&mut self, model: Box<dyn CarFollowingModel>) {
-        self.cf_model = model.into();
-    }
-
-    /// Sets the collision handling policy.
-    pub fn set_collision_policy(&mut self, policy: CollisionPolicy) {
-        self.policy = policy;
-    }
-
-    /// Sets the step length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not positive.
-    pub fn set_step_len(&mut self, step: SimDuration) {
-        assert!(step > SimDuration::ZERO, "step length must be positive");
-        self.step_len = step;
-        self.step_len_s = step.as_secs_f64();
-    }
-
     /// Sets trajectory log decimation.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         self.trace_cfg = cfg;
@@ -217,9 +190,9 @@ impl TrafficSim {
         self.time
     }
 
-    /// Configured step length.
+    /// The step length (0.01 s).
     pub fn step_len(&self) -> SimDuration {
-        self.step_len
+        STEP_LEN
     }
 
     /// Inserts a vehicle.
@@ -281,7 +254,7 @@ impl TrafficSim {
         self.vehicles.iter_mut().find(|v| v.id == id)
     }
 
-    /// Switches a vehicle to external acceleration control (TraCI-style).
+    /// Switches a vehicle to external acceleration control.
     ///
     /// # Errors
     ///
@@ -402,7 +375,7 @@ impl TrafficSim {
                     .min(v.spec.max_speed_mps),
                 max_accel_mps2: v.spec.max_accel_mps2,
                 service_decel_mps2: v.spec.max_decel_mps2.min(4.5),
-                dt_s: self.step_len_s,
+                dt_s: STEP_LEN_S,
                 noise: self.rng.uniform(),
             };
             commands.push((i, self.cf_model.accel(&input)));
@@ -413,7 +386,7 @@ impl TrafficSim {
 
         // Phase 2: integrate dynamics.
         for v in self.vehicles.iter_mut().filter(|v| v.active) {
-            let out = step_vehicle(v, self.step_len_s);
+            let out = step_vehicle(v, STEP_LEN_S);
             // Numeric guard (active in release builds): NaN propagates
             // through the clamp chain, so any non-finite command or state
             // surfaces here. First fault wins; later steps keep the original
@@ -433,15 +406,16 @@ impl TrafficSim {
             }
         }
         self.lane_index.invalidate_positions();
-        self.time += self.step_len;
+        self.time += STEP_LEN;
         self.steps += 1;
         self.stats.steps += 1;
 
         // Phase 3: collisions.
         let mut collisions = detect_collisions(self.time, &self.vehicles);
         collisions.retain(|c| {
-            // Unordered pair: with `RegisterOnly` a vehicle may pass through
-            // another, which must not count as a second incident.
+            // Each unordered pair counts once. The collider is removed
+            // below, so a pair recurs only if a caller re-activates a
+            // vehicle through `vehicle_mut`.
             let pair = (c.collider.min(c.victim), c.collider.max(c.victim));
             if self.reported_pairs.contains(&pair) {
                 false
@@ -450,23 +424,11 @@ impl TrafficSim {
                 true
             }
         });
+        // SUMO's default "teleport": the collider leaves the road and the
+        // platoon behind keeps driving.
         for c in &collisions {
-            match self.policy {
-                CollisionPolicy::RemoveCollider => {
-                    if let Some(v) = self.vehicle_mut(c.collider) {
-                        v.active = false;
-                    }
-                }
-                CollisionPolicy::StopBoth => {
-                    for id in [c.collider, c.victim] {
-                        if let Some(v) = self.vehicle_mut(id) {
-                            v.state.speed_mps = 0.0;
-                            v.state.accel_mps2 = 0.0;
-                            v.command_accel(0.0);
-                        }
-                    }
-                }
-                CollisionPolicy::RegisterOnly => {}
+            if let Some(v) = self.vehicle_mut(c.collider) {
+                v.active = false;
             }
         }
         self.stats.collisions += collisions.len() as u64;
@@ -658,35 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_both_policy_freezes_vehicles() {
-        let mut s = sim();
-        s.set_collision_policy(CollisionPolicy::StopBoth);
-        s.add_vehicle(car(1, 100.0, 5.0)).unwrap();
-        s.add_vehicle(car(2, 90.0, 30.0)).unwrap();
-        s.set_external_control(VehicleId(1)).unwrap();
-        s.set_external_control(VehicleId(2)).unwrap();
-        for _ in 0..200 {
-            s.step();
-        }
-        assert_eq!(s.vehicle(VehicleId(2)).unwrap().state.speed_mps, 0.0);
-        assert!(s.vehicle(VehicleId(2)).unwrap().active);
-    }
-
-    #[test]
-    fn register_only_reports_pair_once() {
-        let mut s = sim();
-        s.set_collision_policy(CollisionPolicy::RegisterOnly);
-        s.add_vehicle(car(1, 100.0, 0.0)).unwrap();
-        s.add_vehicle(car(2, 94.0, 30.0)).unwrap();
-        s.set_external_control(VehicleId(1)).unwrap();
-        s.set_external_control(VehicleId(2)).unwrap();
-        for _ in 0..300 {
-            s.step();
-        }
-        assert_eq!(s.trace().collisions.len(), 1, "same pair reported once");
-    }
-
-    #[test]
     fn trace_decimation() {
         let mut s = sim();
         s.set_trace_config(TraceConfig { sample_every: 10 });
@@ -820,10 +753,10 @@ mod tests {
     fn deterministic_given_equal_seeds() {
         let run = |seed: u64| {
             let mut s = TrafficSim::new(Road::paper_highway(), RngStream::new(seed));
-            s.set_car_following_model(Box::new(Krauss {
+            s.cf_model = Krauss {
                 sigma: 0.5,
                 ..Krauss::default()
-            }));
+            };
             s.add_vehicle(car(1, 200.0, 20.0)).unwrap();
             s.add_vehicle(car(2, 150.0, 25.0)).unwrap();
             s.run_steps(2000);

@@ -120,8 +120,8 @@ impl VehicleSpec {
 pub enum ControlMode {
     /// The built-in car-following model drives the vehicle.
     CarFollowing,
-    /// An external controller (e.g. the platooning CACC, via the TraCI
-    /// coupling) sets the commanded acceleration.
+    /// An external controller (e.g. the platooning CACC, through the
+    /// world's step event) sets the commanded acceleration.
     External,
 }
 
@@ -201,7 +201,7 @@ impl Vehicle {
         leader.rear_pos_m() - self.state.pos_m
     }
 
-    /// Switches the vehicle to external (TraCI) acceleration control.
+    /// Switches the vehicle to external acceleration control.
     pub fn set_external_control(&mut self) {
         self.control_mode = ControlMode::External;
     }

@@ -6,7 +6,7 @@
 
 use comfase_des::rng::{RngStream, StreamId};
 use comfase_des::time::SimTime;
-use comfase_traffic::car_following::{CarFollowingModel, CfInput, Idm, Krauss};
+use comfase_traffic::car_following::{CfInput, Krauss};
 use comfase_traffic::collision::detect_collisions;
 use comfase_traffic::dynamics::integrate;
 use comfase_traffic::network::{LaneIndex, Road};
@@ -100,37 +100,6 @@ fn krauss_is_collision_free() {
             speed = (speed + a * dt).max(0.0);
             pos += speed * dt;
         }
-    }
-}
-
-/// IDM acceleration is bounded by the configured maximum and brakes
-/// grow with closing speed.
-#[test]
-fn idm_bounded_and_monotone() {
-    for case in 0..CASES {
-        let mut g = RngStream::derive(SEED, StreamId(case));
-        let speed = g.uniform_range(0.0, 35.0);
-        let gap = g.uniform_range(1.0, 100.0);
-        let closing = g.uniform_range(0.0, 10.0);
-        let idm = Idm::default();
-        let input = |dv: f64| CfInput {
-            speed_mps: speed,
-            gap_m: Some(gap),
-            leader_speed_mps: (speed - dv).max(0.0),
-            speed_limit_mps: 30.0,
-            max_accel_mps2: 2.0,
-            service_decel_mps2: 4.5,
-            dt_s: 0.1,
-            noise: 0.0,
-        };
-        let a0 = idm.accel(&input(0.0));
-        let a1 = idm.accel(&input(closing));
-        let inputs = format!("case {case}: speed {speed} gap {gap} closing {closing}");
-        assert!(a0 <= 2.0 + 1e-9, "{inputs}");
-        assert!(
-            a1 <= a0 + 1e-9,
-            "{inputs}: closing faster must not accelerate more"
-        );
     }
 }
 

@@ -1,12 +1,9 @@
-//! WAVE frames: WSMs at the application/MAC boundary and air frames on the
-//! channel.
+//! WAVE frames: WSMs at the application/MAC boundary.
 
 use std::sync::Arc;
 
-use comfase_des::time::{SimDuration, SimTime};
+use comfase_des::time::SimTime;
 use comfase_des::wire::take;
-
-use crate::units::Milliwatts;
 
 /// Identifies a radio node (one NIC per vehicle in our scenarios).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,19 +113,6 @@ impl Wsm {
             payload: payload.into(),
         })
     }
-}
-
-/// A frame in flight on the analogue channel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AirFrame {
-    /// The carried message.
-    pub wsm: Wsm,
-    /// Transmit power at the sender.
-    pub tx_power: Milliwatts,
-    /// Time the first bit left the antenna.
-    pub tx_start: SimTime,
-    /// On-air duration of the frame.
-    pub duration: SimDuration,
 }
 
 #[cfg(test)]

@@ -141,7 +141,7 @@ fn drop_causes_sum_to_frames_not_delivered() {
     );
 }
 
-/// Telemetry is opt-in: the default (`NullRecorder`) path records nothing
+/// Telemetry is opt-in: the default (`SimRecorder::Null`) path records nothing
 /// and the campaign result carries no metrics block.
 #[test]
 fn telemetry_disabled_by_default() {
