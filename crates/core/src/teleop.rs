@@ -29,7 +29,7 @@ use comfase_des::sim::Simulator;
 use comfase_des::time::{SimDuration, SimTime};
 use comfase_des::wire::take;
 use comfase_traffic::network::{LaneIndex, Road};
-use comfase_traffic::simulation::TrafficSim;
+use comfase_traffic::simulation::{TrafficSim, STEP_LEN};
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
 use comfase_wireless::channel::{ChannelInterceptor, Medium, PlannedReception};
 use comfase_wireless::frame::{AccessCategory, NodeId, WaveChannel, Wsm};
@@ -365,7 +365,7 @@ impl TeleopWorld {
             cell_lost: 0,
         };
         world.sim.schedule_at_with_priority(
-            SimTime::ZERO + SimDuration::from_millis(10),
+            SimTime::ZERO + STEP_LEN,
             PRIO_TRAFFIC,
             TeleopEvent::TrafficStep,
         );
@@ -475,15 +475,15 @@ impl TeleopWorld {
             TeleopEvent::OperatorDownlink => self.on_operator_downlink(),
             TeleopEvent::MacTimer { node, token } => {
                 let now = self.sim.now();
-                let actions = self.mac_mut(node).handle_timer(token, now);
-                self.apply_mac_actions(node, actions);
+                let action = self.mac_mut(node).handle_timer(token, now);
+                self.apply_mac_action(node, action);
             }
             TeleopEvent::TxEnd { node } => {
                 let now = self.sim.now();
-                let actions = self.mac_mut(node).tx_finished(now);
-                self.apply_mac_actions(node, actions);
+                let action = self.mac_mut(node).tx_finished(now);
+                self.apply_mac_action(node, action);
             }
-            TeleopEvent::RxStart(reception) => self.medium.reception_started(&reception),
+            TeleopEvent::RxStart(reception) => self.on_rx_start(&reception),
             TeleopEvent::RxEnd(reception) => self.on_rx_end(&reception),
             TeleopEvent::CellularDeliver { rx, wsm } => self.deliver(rx, &wsm),
         }
@@ -494,8 +494,8 @@ impl TeleopWorld {
         let now = self.sim.now();
         match self.scenario.link {
             TeleopLink::Wave => {
-                let actions = self.mac_mut(from).enqueue(wsm, AccessCategory::Vo, now);
-                self.apply_mac_actions(from, actions);
+                let action = self.mac_mut(from).enqueue(wsm, AccessCategory::Vo, now);
+                self.apply_mac_action(from, action);
             }
             TeleopLink::Cellular {
                 latency,
@@ -594,7 +594,7 @@ impl TeleopWorld {
                 self.medium.remove_node(NodeId(TELEOP_VEHICLE));
             }
         }
-        let next = now + SimDuration::from_millis(10);
+        let next = now + STEP_LEN;
         if next <= self.scenario.total_sim_time {
             self.sim
                 .schedule_at_with_priority(next, PRIO_TRAFFIC, TeleopEvent::TrafficStep);
@@ -668,41 +668,55 @@ impl TeleopWorld {
         }
     }
 
-    fn apply_mac_actions(&mut self, node: u32, actions: Vec<MacAction>) {
+    fn apply_mac_action(&mut self, node: u32, action: Option<MacAction>) {
         let now = self.sim.now();
-        for action in actions {
-            match action {
-                MacAction::SetTimer { at, token } => {
-                    self.sim.schedule_at_with_priority(
-                        at.max(now),
-                        PRIO_RADIO,
-                        TeleopEvent::MacTimer { node, token },
-                    );
-                }
-                MacAction::StartTx(wsm) => {
-                    let out = self.medium.transmit(NodeId(node), wsm, now);
-                    self.sim.schedule_at_with_priority(
-                        now + out.duration,
-                        PRIO_RADIO,
-                        TeleopEvent::TxEnd { node },
-                    );
-                    schedule_receptions(
-                        &mut self.sim,
-                        PRIO_RADIO,
-                        out.receptions,
-                        TeleopEvent::RxStart,
-                        TeleopEvent::RxEnd,
-                    );
-                }
-                MacAction::Drop { .. } => {}
+        match action {
+            Some(MacAction::SetTimer { at, token }) => {
+                self.sim.schedule_at_with_priority(
+                    at.max(now),
+                    PRIO_RADIO,
+                    TeleopEvent::MacTimer { node, token },
+                );
             }
+            Some(MacAction::StartTx(wsm)) => {
+                let out = self.medium.transmit(NodeId(node), wsm, now);
+                self.sim.schedule_at_with_priority(
+                    now + out.duration,
+                    PRIO_RADIO,
+                    TeleopEvent::TxEnd { node },
+                );
+                schedule_receptions(
+                    &mut self.sim,
+                    PRIO_RADIO,
+                    out.receptions,
+                    TeleopEvent::RxStart,
+                    TeleopEvent::RxEnd,
+                );
+            }
+            Some(MacAction::Drop { .. }) | None => {}
+        }
+    }
+
+    /// Carrier sense as in `World`: a frame above the threshold makes the
+    /// receiver's MAC defer.
+    fn on_rx_start(&mut self, reception: &PlannedReception) {
+        let now = self.sim.now();
+        self.medium.reception_started(reception);
+        if reception.above_cs {
+            self.mac_mut(reception.rx.0).medium_busy(now);
         }
     }
 
     fn on_rx_end(&mut self, reception: &PlannedReception) {
+        let now = self.sim.now();
+        let rx = reception.rx.0;
         let result = self.medium.reception_finished(reception);
         if result.is_received() {
-            self.deliver(reception.rx.0, &reception.wsm);
+            self.deliver(rx, &reception.wsm);
+        }
+        if !self.medium.is_busy(reception.rx, now) {
+            let action = self.mac_mut(rx).medium_idle(now);
+            self.apply_mac_action(rx, action);
         }
     }
 }
@@ -814,6 +828,27 @@ mod tests {
             "1 s of command delay must eat into the margin: {delayed_margin} vs {clean_margin}"
         );
         assert!(log.channel.links_delay_modified > 0);
+    }
+
+    #[test]
+    fn overlapping_transmissions_defer_on_carrier_sense() {
+        // With a 50 ms period the vehicle's uplink and the operator's
+        // downlink are due at the same instants. After the first exchange
+        // both contend with a random backoff, so the later one hears the
+        // earlier one's frame mid-contention and defers — while the
+        // vehicle passes within carrier-sense range (~30 m) of the mast at
+        // 500 m, around t = 20 s.
+        let mut scenario = scenario();
+        scenario.command_period = SimDuration::from_millis(50);
+        scenario.total_sim_time = SimTime::from_secs(30);
+        let mut w = TeleopWorld::new(&scenario, 1).unwrap();
+        w.run_to_end();
+        let log = w.into_log();
+        let deferrals =
+            log.comm[&TELEOP_VEHICLE].mac.deferrals + log.comm[&OPERATOR_NODE].mac.deferrals;
+        assert!(deferrals > 0, "carrier sense never deferred a contention");
+        // Carrier sense must not cost the link: both directions flow.
+        assert!(log.channel.received > 300, "{:?}", log.channel);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use comfase_platoon::controller::{EgoState, RadarReading};
 use comfase_platoon::maneuver::{Braking, ConstantSpeed, Maneuver, Sinusoidal};
 use comfase_platoon::monitor::{MonitorDecision, SafetyMonitor};
 use comfase_traffic::network::LaneIndex;
-use comfase_traffic::simulation::{LeaderLookup, TrafficSim};
+use comfase_traffic::simulation::{LeaderLookup, TrafficSim, STEP_LEN, STEP_LEN_S};
 use comfase_traffic::trace::TraceConfig;
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
 use comfase_wireless::channel::{ChannelInterceptor, FanoutStrategy, Medium, PlannedReception};
@@ -245,8 +245,6 @@ pub struct World {
     traffic: TrafficSim,
     medium: Medium,
     nodes: BTreeMap<u32, Node>,
-    step_len: SimDuration,
-    step_len_s: f64,
     beacon_interval: SimDuration,
     min_payload_bytes: usize,
     total_time: SimTime,
@@ -294,8 +292,7 @@ impl World {
         traffic.set_trace_config(TraceConfig { sample_every: 1 });
         // The run length is known up front: size the per-step trace buffers
         // once instead of growing them across thousands of steps.
-        let planned_steps =
-            scenario.total_sim_time.as_nanos() / SimDuration::from_millis(10).as_nanos();
+        let planned_steps = scenario.total_sim_time.as_nanos() / STEP_LEN.as_nanos();
         traffic.reserve_trace_capacity(planned_steps as usize + 1);
         let medium = Medium::with_models(
             build_pathloss(comm.wireless_model),
@@ -386,8 +383,6 @@ impl World {
             traffic,
             medium,
             nodes,
-            step_len: SimDuration::from_millis(10),
-            step_len_s: 0.01,
             beacon_interval: comm.beaconing_time,
             min_payload_bytes,
             total_time: scenario.total_sim_time,
@@ -405,7 +400,7 @@ impl World {
         // beacon timer per vehicle, staggered by 1 ms to avoid perfectly
         // synchronised channel access at t = 0.
         world.sim.schedule_at_with_priority(
-            SimTime::ZERO + world.step_len,
+            SimTime::ZERO + STEP_LEN,
             PRIO_TRAFFIC,
             WorldEvent::TrafficStep,
         );
@@ -663,15 +658,15 @@ impl World {
             WorldEvent::MacTimer { vehicle, token } => {
                 let now = self.sim.now();
                 if let Some(node) = self.nodes.get_mut(&vehicle) {
-                    let actions = node.mac.handle_timer(token, now);
-                    self.apply_mac_actions(vehicle, actions);
+                    let action = node.mac.handle_timer(token, now);
+                    self.apply_mac_action(vehicle, action);
                 }
             }
             WorldEvent::TxEnd { vehicle } => {
                 let now = self.sim.now();
                 if let Some(node) = self.nodes.get_mut(&vehicle) {
-                    let actions = node.mac.tx_finished(now);
-                    self.apply_mac_actions(vehicle, actions);
+                    let action = node.mac.tx_finished(now);
+                    self.apply_mac_action(vehicle, action);
                 }
             }
             WorldEvent::RxStart(reception) => self.on_rx_start(&reception),
@@ -719,14 +714,14 @@ impl World {
         // iteration order is BTreeMap order, so rows are deterministic.
         let mut step_rows: Vec<StepRecord> = Vec::new();
         // Control phase: every active platoon member computes its command
-        // from its current knowledge.
-        let vehicles: Vec<u32> = self.nodes.keys().copied().collect();
-        for v in vehicles {
-            let node = self.nodes.get_mut(&v).expect("node exists");
+        // from its current knowledge. `nodes` and `traffic` are disjoint
+        // fields, so the loop walks the node map once, in key order.
+        let World { nodes, traffic, .. } = self;
+        for (&v, node) in nodes.iter_mut() {
             if !node.active {
                 continue;
             }
-            let Some(veh) = self.traffic.vehicle(VehicleId(v)) else {
+            let Some(veh) = traffic.vehicle(VehicleId(v)) else {
                 continue;
             };
             if !veh.active {
@@ -737,13 +732,9 @@ impl World {
                 accel_mps2: veh.state.accel_mps2,
             };
             let pos_m = veh.state.pos_m;
-            let lead_gap = self
-                .traffic
-                .leader_of(VehicleId(v))
-                .expect("vehicle exists");
+            let lead_gap = traffic.leader_of(VehicleId(v)).expect("vehicle exists");
             let radar = lead_gap.map(|(lead, gap)| {
-                let lead_speed = self
-                    .traffic
+                let lead_speed = traffic
                     .vehicle(lead)
                     .map_or(ego.speed_mps, |l| l.state.speed_mps);
                 RadarReading {
@@ -751,8 +742,7 @@ impl World {
                     closing_speed_mps: ego.speed_mps - lead_speed,
                 }
             });
-            let node = self.nodes.get_mut(&v).expect("node exists");
-            let mut accel = node.app.control(now, ego, radar, self.step_len_s);
+            let mut accel = node.app.control(now, ego, radar, STEP_LEN_S);
             let mut monitor_brake = false;
             if let Some(monitor) = node.monitor.as_mut() {
                 if let MonitorDecision::EmergencyBrake(brake) = monitor.check(radar.as_ref()) {
@@ -776,7 +766,7 @@ impl World {
                     attack_active,
                 });
             }
-            self.traffic
+            traffic
                 .command_accel(VehicleId(v), accel)
                 .expect("vehicle exists");
         }
@@ -799,7 +789,7 @@ impl World {
         }
         self.sync_positions();
 
-        let next = now + self.step_len;
+        let next = now + STEP_LEN;
         if next <= self.total_time {
             self.sim
                 .schedule_at_with_priority(next, PRIO_TRAFFIC, WorldEvent::TrafficStep);
@@ -834,8 +824,8 @@ impl World {
             channel: WaveChannel::Cch,
             payload: payload.into(),
         };
-        let actions = node.mac.enqueue(wsm, AccessCategory::Vo, now);
-        self.apply_mac_actions(vehicle, actions);
+        let action = node.mac.enqueue(wsm, AccessCategory::Vo, now);
+        self.apply_mac_action(vehicle, action);
 
         let next = now + self.beacon_interval;
         if next <= self.total_time {
@@ -844,42 +834,39 @@ impl World {
         }
     }
 
-    fn apply_mac_actions(&mut self, vehicle: u32, actions: Vec<MacAction>) {
+    fn apply_mac_action(&mut self, vehicle: u32, action: Option<MacAction>) {
         let now = self.sim.now();
-        for action in actions {
-            match action {
-                MacAction::SetTimer { at, token } => {
-                    self.sim.schedule_at_with_priority(
-                        at.max(now),
-                        PRIO_RADIO,
-                        WorldEvent::MacTimer { vehicle, token },
-                    );
-                }
-                MacAction::StartTx(wsm) => {
-                    let out = self.medium.transmit(NodeId(vehicle), wsm, now);
-                    if self.obs.enabled() {
-                        self.obs.inc("phy.tx.frames");
-                        self.obs.trace_event(now, vehicle, "tx", TraceKind::Begin);
-                        self.obs
-                            .trace_event(now + out.duration, vehicle, "tx", TraceKind::End);
-                    }
-                    self.sim.schedule_at_with_priority(
-                        now + out.duration,
-                        PRIO_RADIO,
-                        WorldEvent::TxEnd { vehicle },
-                    );
-                    schedule_receptions(
-                        &mut self.sim,
-                        PRIO_RADIO,
-                        out.receptions,
-                        WorldEvent::RxStart,
-                        WorldEvent::RxEnd,
-                    );
-                }
-                MacAction::Drop { .. } => {
-                    // Queue overflow: counted in MAC stats, nothing to do.
-                }
+        match action {
+            Some(MacAction::SetTimer { at, token }) => {
+                self.sim.schedule_at_with_priority(
+                    at.max(now),
+                    PRIO_RADIO,
+                    WorldEvent::MacTimer { vehicle, token },
+                );
             }
+            Some(MacAction::StartTx(wsm)) => {
+                let out = self.medium.transmit(NodeId(vehicle), wsm, now);
+                if self.obs.enabled() {
+                    self.obs.inc("phy.tx.frames");
+                    self.obs.trace_event(now, vehicle, "tx", TraceKind::Begin);
+                    self.obs
+                        .trace_event(now + out.duration, vehicle, "tx", TraceKind::End);
+                }
+                self.sim.schedule_at_with_priority(
+                    now + out.duration,
+                    PRIO_RADIO,
+                    WorldEvent::TxEnd { vehicle },
+                );
+                schedule_receptions(
+                    &mut self.sim,
+                    PRIO_RADIO,
+                    out.receptions,
+                    WorldEvent::RxStart,
+                    WorldEvent::RxEnd,
+                );
+            }
+            // Queue overflow: counted in MAC stats, nothing to do.
+            Some(MacAction::Drop { .. }) | None => {}
         }
     }
 
@@ -918,8 +905,7 @@ impl World {
         }
         self.medium.reception_started(reception);
         if reception.above_cs {
-            let actions = node.mac.medium_busy(now);
-            self.apply_mac_actions(rx, actions);
+            node.mac.medium_busy(now);
         }
     }
 
@@ -962,11 +948,8 @@ impl World {
             });
         }
         if self.obs.enabled() {
-            self.obs.observe(
-                "phy.rx.power_dbm",
-                RX_POWER_HIST,
-                reception.power.to_dbm().0,
-            );
+            self.obs
+                .observe("phy.rx.power_dbm", RX_POWER_HIST, reception.power_dbm);
             if result.is_received() {
                 self.obs.inc("phy.rx.ok");
                 self.obs.trace_event(now, rx, "rx", TraceKind::Mark);
@@ -981,9 +964,8 @@ impl World {
             }
         }
         if !self.medium.is_busy(reception.rx, now) {
-            let node = self.nodes.get_mut(&rx).expect("checked above");
-            let actions = node.mac.medium_idle(now);
-            self.apply_mac_actions(rx, actions);
+            let action = node.mac.medium_idle(now);
+            self.apply_mac_action(rx, action);
         }
     }
 }

@@ -8,14 +8,15 @@
 //! the echoed key is verified on load, so a renamed or corrupted file
 //! degrades to [`CacheLookup::Stale`] — never to a wrong result.
 //!
-//! Writes are atomic: the entry is serialized to a unique temp file in
-//! the final directory, fsync'd, then renamed over the destination.
+//! Writes are atomic (`publish`, the crate's one write path): the entry
+//! is serialized to a unique temp file in the final directory, fsync'd,
+//! then renamed over the destination, and the directory is fsync'd.
 //! Concurrent writers (campaign worker threads, or whole worker
 //! processes sharing one cache directory) therefore never expose a torn
 //! entry; the last complete write wins, and equal keys imply equal
 //! payloads by construction.
 
-use std::fs::{self, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,11 +40,54 @@ pub struct DiskCache {
     root: PathBuf,
 }
 
-/// Per-process temp-file sequence, shared by every [`DiskCache`] of the
-/// process; combined with the process id so concurrent writers (threads,
-/// caches over one root, or worker processes) never collide on a temp
-/// name.
+/// Per-process temp-file sequence of [`publish`]; combined with the
+/// process id so concurrent writers (threads, caches or ledgers over one
+/// directory, or worker processes) never collide on a temp name.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Publishes `dest` atomically, the one write path of this crate (cache
+/// entries, claim-ledger files, the dataset corpus and manifest).
+///
+/// `write` fills a unique `.tmp-*` file in `dest`'s directory, which is
+/// fsync'd and renamed over `dest`; the directory is then fsync'd too, so
+/// a crash can lose neither the bytes nor the rename. Readers see the old
+/// file or the complete new one, never a torn one. On any error the temp
+/// file is removed. Errors name the temp file, `dest` (for the rename) or
+/// the directory through `io_err`, so each caller keeps its own prefix.
+pub(crate) fn publish(
+    dest: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<()>,
+    io_err: fn(&Path, &std::io::Error) -> ComfaseError,
+) -> Result<(), ComfaseError> {
+    let dir = match dest.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let tmp = dir.join(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let renamed = (|| {
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)
+            .map_err(|e| io_err(&tmp, &e))?;
+        write(&mut file).map_err(|e| io_err(&tmp, &e))?;
+        file.sync_data().map_err(|e| io_err(&tmp, &e))?;
+        drop(file);
+        fs::rename(&tmp, dest).map_err(|e| io_err(dest, &e))
+    })();
+    if renamed.is_err() {
+        // Best-effort cleanup; the original error is what matters.
+        let _ = fs::remove_file(&tmp);
+        return renamed;
+    }
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, &e))
+}
 
 impl DiskCache {
     /// Opens (creating if needed) a cache rooted at `root`.
@@ -239,31 +283,8 @@ impl ExperimentCache for DiskCache {
             entry: entry.clone(),
         };
         let bytes = comfase_json::to_string(&file).into_bytes();
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = write_atomically(&tmp, &path, &bytes);
-        if result.is_err() {
-            // Best-effort cleanup; the original error is what matters.
-            let _ = fs::remove_file(&tmp);
-        }
-        result
+        publish(&path, |f| f.write_all(&bytes), io_err)
     }
-}
-
-/// Writes `bytes` to `tmp`, fsyncs, and renames over `dest`.
-fn write_atomically(tmp: &Path, dest: &Path, bytes: &[u8]) -> Result<(), ComfaseError> {
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(tmp)
-        .map_err(|e| io_err(tmp, &e))?;
-    file.write_all(bytes).map_err(|e| io_err(tmp, &e))?;
-    file.sync_data().map_err(|e| io_err(tmp, &e))?;
-    drop(file);
-    fs::rename(tmp, dest).map_err(|e| io_err(dest, &e))
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> ComfaseError {

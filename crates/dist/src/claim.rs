@@ -40,8 +40,8 @@
 //! ([`crate::merge_states`]).
 
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use comfase::campaign::plan_units;
 use comfase::prelude::{ComfaseError, LeaseState, WorkUnit};
@@ -155,12 +155,6 @@ pub struct ClaimLedger {
     units: Vec<WorkUnit>,
 }
 
-/// Per-process temp-file sequence, shared by every [`ClaimLedger`] of the
-/// process (combined with the pid) so concurrent publishers — threads,
-/// ledgers over one directory, or worker processes — never collide on a
-/// temp name.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl ClaimLedger {
     /// Opens (creating if needed) the ledger at `dir` for a campaign of
     /// `total` experiments with fingerprint `campaign_fingerprint`,
@@ -197,7 +191,7 @@ impl ClaimLedger {
             // our check and our rename — harmless, since equal
             // parameters produce equal bytes and unequal ones fail the
             // verify below.
-            ledger.write_atomically(&meta_path, &meta.to_bytes())?;
+            write_atomically(&meta_path, &meta.to_bytes())?;
         }
         let bytes = fs::read(&meta_path).map_err(|e| io_err(&meta_path, &e))?;
         let found = LedgerMeta::parse(&bytes).ok_or_else(|| {
@@ -303,7 +297,7 @@ impl ClaimLedger {
             campaign_fingerprint: self.meta.campaign_fingerprint,
             heartbeat_seq,
         };
-        self.write_atomically(&self.lease_path(unit.id), &lease.to_bytes())?;
+        write_atomically(&self.lease_path(unit.id), &lease.to_bytes())?;
         match self.lease_view(unit.id)? {
             LeaseView::Held(found) => Ok(found.worker_id == worker_id),
             // Deleted or clobbered between our rename and the read-back.
@@ -374,36 +368,16 @@ impl ClaimLedger {
             unit: *unit,
             worker_id: worker_id.to_string(),
         };
-        self.write_atomically(&self.done_path(unit.id), &canonical_line(&done))?;
+        write_atomically(&self.done_path(unit.id), &canonical_line(&done))?;
         let _ = fs::remove_file(self.lease_path(unit.id));
         Ok(())
     }
+}
 
-    /// Writes `bytes` to a unique temp file in the ledger directory,
-    /// fsyncs, and renames over `dest`.
-    fn write_atomically(&self, dest: &Path, bytes: &[u8]) -> Result<(), ComfaseError> {
-        use std::io::Write;
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = (|| {
-            let mut file = fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&tmp)
-                .map_err(|e| io_err(&tmp, &e))?;
-            file.write_all(bytes).map_err(|e| io_err(&tmp, &e))?;
-            file.sync_data().map_err(|e| io_err(&tmp, &e))?;
-            drop(file);
-            fs::rename(&tmp, dest).map_err(|e| io_err(dest, &e))
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        result
-    }
+/// Publishes `bytes` as `dest`, a file in the ledger directory (see
+/// `crate::cache::publish`).
+fn write_atomically(dest: &Path, bytes: &[u8]) -> Result<(), ComfaseError> {
+    crate::cache::publish(dest, |f| f.write_all(bytes), io_err)
 }
 
 /// Default unit size for a campaign of `total` experiments: about 32

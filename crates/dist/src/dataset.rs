@@ -35,6 +35,7 @@ use comfase::fingerprint::{fnv1a64, fnv1a64_extend, FNV_OFFSET};
 use comfase::prelude::ComfaseError;
 use comfase_obs::dataset::{parse_header, split_line, DatasetHeader, DATASET_SCHEMA_VERSION};
 
+use crate::cache::publish;
 use crate::merge::{index_ranges, IndexRange};
 
 /// Result of a successful corpus merge.
@@ -236,17 +237,16 @@ pub fn merge_dataset_dirs(
     let corpus_path = out_dir.join("corpus.jsonl");
     let manifest_path = out_dir.join("manifest.json");
 
-    // Concatenate in index order, hashing incrementally; publish via the
-    // same atomic temp+rename the shards themselves use.
-    let tmp = out_dir.join(format!(".tmp-corpus-{}", std::process::id()));
+    // Concatenate in index order, hashing incrementally; published
+    // atomically like every file this crate writes.
     let mut corpus_hash = FNV_OFFSET;
     let mut corpus_bytes: u64 = 0;
     let mut entries = Vec::with_capacity(shards.len());
-    {
-        let mut out = fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-        let result = (|| -> Result<(), ComfaseError> {
+    publish(
+        &corpus_path,
+        |out| {
             for (&index, shard) in &shards {
-                out.write_all(&shard.bytes).map_err(|e| io_err(&tmp, &e))?;
+                out.write_all(&shard.bytes)?;
                 corpus_hash = fnv1a64_extend(corpus_hash, &shard.bytes);
                 corpus_bytes += shard.bytes.len() as u64;
                 entries.push(ManifestShard {
@@ -255,17 +255,10 @@ pub fn merge_dataset_dirs(
                     fnv1a64: format!("{:016x}", fnv1a64(&shard.bytes)),
                 });
             }
-            out.sync_data().map_err(|e| io_err(&tmp, &e))
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-            return Err(result.unwrap_err());
-        }
-    }
-    fs::rename(&tmp, &corpus_path).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        io_err(&corpus_path, &e)
-    })?;
+            Ok(())
+        },
+        io_err,
+    )?;
     let manifest = Manifest {
         dataset_schema_version: header.dataset_schema_version,
         fingerprint: format!("{:016x}", header.fingerprint),
@@ -277,25 +270,9 @@ pub fn merge_dataset_dirs(
     };
     let mut manifest = comfase_json::to_string(&manifest);
     manifest.push('\n');
-    // fsync'd before the rename like the corpus, so a crash can never leave
-    // an empty manifest under its final name.
-    let tmp = out_dir.join(format!(".tmp-manifest-{}", std::process::id()));
-    let published = (|| {
-        let mut file = fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&tmp)
-            .map_err(|e| io_err(&tmp, &e))?;
-        file.write_all(manifest.as_bytes())
-            .map_err(|e| io_err(&tmp, &e))?;
-        file.sync_data().map_err(|e| io_err(&tmp, &e))?;
-        drop(file);
-        fs::rename(&tmp, &manifest_path).map_err(|e| io_err(&manifest_path, &e))
-    })();
-    if published.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    published?;
+    // Published after the corpus, so a manifest never names a corpus that
+    // is not in place.
+    publish(&manifest_path, |f| f.write_all(manifest.as_bytes()), io_err)?;
 
     Ok(DatasetMergeReport {
         header,

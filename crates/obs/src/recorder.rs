@@ -114,10 +114,18 @@ impl ObsConfig {
 }
 
 /// In-memory recorder: counters, histograms, and a bounded event buffer.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Counters and histograms sit in small `Vec`s keyed by `&'static str`, in
+/// first-use order. A run touches a few dozen names, so finding a key is a
+/// short scan that compares addresses before contents, instead of a
+/// string-comparing tree walk on every update;
+/// [`MemRecorder::into_snapshot`] sorts them by name.
+/// Equality is logical: two recorders holding the same values under the
+/// same names are equal whatever order the names were first used in.
+#[derive(Debug, Clone)]
 pub struct MemRecorder {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, (HistSpec, Histogram)>,
+    counters: Vec<(&'static str, u64)>,
+    histograms: Vec<(&'static str, (HistSpec, Histogram))>,
     events: Vec<TraceEvent>,
     trace_capacity: usize,
     dropped_events: u64,
@@ -130,8 +138,8 @@ impl MemRecorder {
     /// allocated once, up front, at the configured cap.
     pub fn new(config: ObsConfig) -> Self {
         MemRecorder {
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
+            counters: Vec::new(),
+            histograms: Vec::new(),
             events: Vec::with_capacity(config.trace_capacity.min(PRESIZE_CLAMP)),
             trace_capacity: config.trace_capacity,
             dropped_events: 0,
@@ -142,7 +150,7 @@ impl MemRecorder {
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        slot(&self.counters, key).map_or(0, |i| self.counters[i].1)
     }
 
     /// The recorded events, oldest first (the buffer keeps the *first*
@@ -190,7 +198,7 @@ impl MemRecorder {
     /// Adds `n` to the named counter.
     pub fn add(&mut self, key: &'static str, n: u64) {
         if self.metrics {
-            *self.counters.entry(key).or_insert(0) += n;
+            *entry(&mut self.counters, key, || 0) += n;
         }
     }
 
@@ -205,10 +213,7 @@ impl MemRecorder {
         if !self.metrics {
             return;
         }
-        let (stored, hist) = self
-            .histograms
-            .entry(key)
-            .or_insert_with(|| (spec, spec.build()));
+        let (stored, hist) = entry(&mut self.histograms, key, || (spec, spec.build()));
         if *stored != spec {
             // A histogram's layout is fixed by its first observation. A
             // later observation arriving with a different spec would be
@@ -219,7 +224,7 @@ impl MemRecorder {
                 false,
                 "histogram {key:?} observed with conflicting spec {spec:?} (layout fixed as {stored:?})"
             );
-            *self.counters.entry(SPEC_CONFLICTS).or_insert(0) += 1;
+            *entry(&mut self.counters, SPEC_CONFLICTS, || 0) += 1;
         }
         hist.record(value);
     }
@@ -264,6 +269,54 @@ impl MemRecorder {
             capture.push_step(s);
         }
     }
+}
+
+impl PartialEq for MemRecorder {
+    fn eq(&self, other: &Self) -> bool {
+        same_slots(&self.counters, &other.counters)
+            && same_slots(&self.histograms, &other.histograms)
+            && self.events == other.events
+            && self.trace_capacity == other.trace_capacity
+            && self.dropped_events == other.dropped_events
+            && self.metrics == other.metrics
+            && self.dataset == other.dataset
+    }
+}
+
+/// Position of `key` in `slots`. The first pass compares addresses only
+/// (`std::ptr::eq` on the fat pointers), which finds every key recorded
+/// through the same literal; the second compares contents, so equal names
+/// at different addresses still share one slot.
+fn slot<T>(slots: &[(&'static str, T)], key: &str) -> Option<usize> {
+    slots
+        .iter()
+        .position(|(k, _)| std::ptr::eq(*k, key))
+        .or_else(|| slots.iter().position(|(k, _)| *k == key))
+}
+
+/// The value stored under `key`, inserted from `init` on first use.
+fn entry<'a, T>(
+    slots: &'a mut Vec<(&'static str, T)>,
+    key: &'static str,
+    init: impl FnOnce() -> T,
+) -> &'a mut T {
+    let i = match slot(slots, key) {
+        Some(i) => i,
+        None => {
+            slots.push((key, init()));
+            slots.len() - 1
+        }
+    };
+    &mut slots[i].1
+}
+
+/// `true` if `a` and `b` hold equal values under the same names, in any
+/// order. Names are unique within each, so equal lengths and every entry
+/// of `a` found in `b` suffice.
+fn same_slots<T: PartialEq>(a: &[(&'static str, T)], b: &[(&'static str, T)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .all(|(k, v)| slot(b, k).is_some_and(|i| b[i].1 == *v))
 }
 
 /// The recorder handle simulation state owns.
@@ -468,6 +521,51 @@ mod tests {
         assert_eq!(snap.counter("a.b"), 3);
         assert_eq!(snap.counter("z"), 1);
         assert_eq!(snap.histograms["h"].total(), 2);
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_one_slot() {
+        let counter: &'static str = Box::leak(String::from("phy.rx.ok").into_boxed_str());
+        let hist: &'static str = Box::leak(String::from("h").into_boxed_str());
+        assert!(!std::ptr::eq(counter, "phy.rx.ok"));
+        assert!(!std::ptr::eq(hist, "h"));
+        let spec = HistSpec {
+            lo: 0.0,
+            hi: 10.0,
+            bins: 5,
+        };
+        let mut r = MemRecorder::new(ObsConfig::metrics_only());
+        r.inc("z.last");
+        r.inc("phy.rx.ok");
+        r.add(counter, 2);
+        r.inc("a.first");
+        r.observe("h", spec, 3.0);
+        r.observe(hist, spec, 7.0);
+        assert_eq!(r.counter("phy.rx.ok"), 3);
+        assert_eq!(r.counter(counter), 3);
+        assert_eq!(r.counters.len(), 3, "one slot per name");
+        assert_eq!(r.histograms.len(), 1, "one slot per name");
+        // Equality is logical: first-use order does not matter.
+        let mut other = MemRecorder::new(ObsConfig::metrics_only());
+        other.inc("a.first");
+        other.add(counter, 3);
+        other.inc("z.last");
+        other.observe(hist, spec, 7.0);
+        other.observe("h", spec, 3.0);
+        assert_eq!(r, other);
+        other.inc("a.first");
+        assert_ne!(r, other);
+        // The snapshot is the sorted map a string-keyed tree would hold.
+        let snap = r.into_snapshot();
+        let want: BTreeMap<String, u64> = [("a.first", 1), ("phy.rx.ok", 3), ("z.last", 1)]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(snap.counters, want);
+        let mut h = spec.build();
+        h.record(3.0);
+        h.record(7.0);
+        assert_eq!(snap.histograms, BTreeMap::from([("h".to_string(), h)]));
     }
 
     #[test]

@@ -34,30 +34,39 @@ comfase_json::record!(ToJson, FromJson for Collision {
     time, collider, victim, lane, pos_m, collider_speed_mps, victim_speed_mps, overlap_m,
 });
 
+/// Sort key of one active vehicle: its lane, front position and slot in
+/// the vehicle array.
+pub type CollisionKey = (LaneIndex, f64, usize);
+
 /// Scans vehicles (any order) and returns all new rear-end collisions.
 ///
 /// Only active vehicles are considered. At most one collision is reported
 /// per (collider, victim) pair per call; the caller removes the collider
 /// (SUMO's default), which prevents duplicate reports on subsequent steps.
-pub fn detect_collisions(time: SimTime, vehicles: &[Vehicle]) -> Vec<Collision> {
-    // Sort indices per lane by front position, rear to front.
-    let mut idx: Vec<usize> = (0..vehicles.len())
-        .filter(|&i| vehicles[i].active)
-        .collect();
-    idx.sort_by(|&a, &b| {
-        let va = &vehicles[a];
-        let vb = &vehicles[b];
-        // total_cmp: deterministic total order even if a position ever goes
-        // NaN (a panic here would differ between fork and scratch runs).
-        va.state
-            .lane
-            .cmp(&vb.state.lane)
-            .then(va.state.pos_m.total_cmp(&vb.state.pos_m))
-    });
+/// `keys` is the caller's sort buffer, reused across calls; it is left
+/// empty.
+pub fn detect_collisions(
+    time: SimTime,
+    vehicles: &[Vehicle],
+    keys: &mut Vec<CollisionKey>,
+) -> Vec<Collision> {
+    // Sort per lane by front position, rear to front. The sort is stable
+    // over slot order, so equal positions keep ordering by slot.
+    keys.clear();
+    keys.extend(
+        vehicles
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.active)
+            .map(|(slot, v)| (v.state.lane, v.state.pos_m, slot)),
+    );
+    // total_cmp: deterministic total order even if a position ever goes
+    // NaN (a panic here would differ between fork and scratch runs).
+    keys.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let mut out = Vec::new();
-    for pair in idx.windows(2) {
-        let follower = &vehicles[pair[0]];
-        let leader = &vehicles[pair[1]];
+    for pair in keys.windows(2) {
+        let follower = &vehicles[pair[0].2];
+        let leader = &vehicles[pair[1].2];
         if follower.state.lane != leader.state.lane {
             continue;
         }
@@ -75,6 +84,7 @@ pub fn detect_collisions(time: SimTime, vehicles: &[Vehicle]) -> Vec<Collision> 
             });
         }
     }
+    keys.clear();
     out
 }
 
@@ -82,6 +92,11 @@ pub fn detect_collisions(time: SimTime, vehicles: &[Vehicle]) -> Vec<Collision> 
 mod tests {
     use super::*;
     use crate::vehicle::VehicleSpec;
+
+    /// [`detect_collisions`] with a fresh key buffer.
+    fn detect_collisions(time: SimTime, vehicles: &[Vehicle]) -> Vec<Collision> {
+        super::detect_collisions(time, vehicles, &mut Vec::new())
+    }
 
     fn veh(id: u32, pos: f64, lane: u8, speed: f64) -> Vehicle {
         Vehicle::new(
@@ -141,6 +156,22 @@ mod tests {
         assert_eq!(cs[0].victim, VehicleId(2));
         assert_eq!(cs[1].collider, VehicleId(2));
         assert_eq!(cs[1].victim, VehicleId(1));
+    }
+
+    #[test]
+    fn equal_positions_pair_up_in_slot_order() {
+        // Co-located vehicles sort stably: ties keep their slot order, so
+        // each slot collides into the next one.
+        let vehicles = vec![
+            veh(7, 50.0, 0, 10.0),
+            veh(3, 50.0, 0, 10.0),
+            veh(5, 50.0, 0, 10.0),
+        ];
+        let mut keys = vec![(LaneIndex(9), 1.0, 99)];
+        let cs = super::detect_collisions(SimTime::ZERO, &vehicles, &mut keys);
+        let pairs: Vec<(u32, u32)> = cs.iter().map(|c| (c.collider.0, c.victim.0)).collect();
+        assert_eq!(pairs, [(7, 3), (3, 5)]);
+        assert!(keys.is_empty(), "the reused buffer is left empty");
     }
 
     #[test]

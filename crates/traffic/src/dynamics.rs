@@ -45,22 +45,34 @@ pub fn clamp_command(spec: &VehicleSpec, accel_cmd: f64) -> f64 {
     accel_cmd.clamp(-spec.max_decel_mps2, spec.max_accel_mps2)
 }
 
+/// The actuation lag's decay over one step of `dt_s` seconds,
+/// `exp(-dt_s / lag_s)`: the exact solution of `a' = (cmd - a) / lag`
+/// keeps this share of the gap between the realised and the commanded
+/// acceleration. It depends on the lag and the step only, so a simulation
+/// computes it once per distinct lag and step, not per vehicle. Only
+/// meaningful for `lag_s > 0`.
+pub fn lag_decay(lag_s: f64, dt_s: f64) -> f64 {
+    (-dt_s / lag_s).exp()
+}
+
 /// Applies the first-order actuation lag to move the realised acceleration
-/// toward the (already clamped) commanded one over `dt_s` seconds.
+/// toward the (already clamped) commanded one over one step whose decay is
+/// `decay` ([`lag_decay`] of the spec's lag and the step length).
 ///
-/// With `lag = 0` the command takes effect immediately.
-pub fn apply_actuation_lag(spec: &VehicleSpec, current: f64, commanded: f64, dt_s: f64) -> f64 {
+/// With `lag = 0` the command takes effect immediately and `decay` is not
+/// read.
+pub fn apply_actuation_lag(spec: &VehicleSpec, current: f64, commanded: f64, decay: f64) -> f64 {
     if spec.actuation_lag_s <= 0.0 {
         commanded
     } else {
-        // Exact solution of  a' = (cmd - a)/tau  over dt.
-        let alpha = (-dt_s / spec.actuation_lag_s).exp();
-        commanded + (current - commanded) * alpha
+        commanded + (current - commanded) * decay
     }
 }
 
 /// Integrates one vehicle over one step of `dt_s` seconds and returns what
-/// happened. Does not mutate the vehicle; see [`step_vehicle`].
+/// happened. `decay` is [`lag_decay`]`(spec.actuation_lag_s, dt_s)` (not
+/// read for a lag-free spec). Does not mutate the vehicle; see
+/// [`step_vehicle`].
 ///
 /// # Panics
 ///
@@ -71,6 +83,7 @@ pub fn integrate(
     accel: f64,
     commanded: f64,
     dt_s: f64,
+    decay: f64,
 ) -> StepOutcome {
     assert!(dt_s > 0.0, "step size must be positive");
     // Sim sanitizer: a NaN/infinite kinematic input poisons every downstream
@@ -80,7 +93,7 @@ pub fn integrate(
     // [`StepOutcome::is_finite`] after every step (in release builds too)
     // and reports divergence through the structured failure path.
     let cmd = clamp_command(spec, commanded);
-    let mut a = apply_actuation_lag(spec, accel, cmd, dt_s);
+    let mut a = apply_actuation_lag(spec, accel, cmd, decay);
     a = clamp_command(spec, a);
     let raw_speed = speed + a * dt_s;
     let new_speed = raw_speed.clamp(0.0, spec.max_speed_mps);
@@ -96,14 +109,15 @@ pub fn integrate(
 }
 
 /// Integrates a [`Vehicle`] in place over `dt_s` seconds using its current
-/// commanded acceleration.
-pub fn step_vehicle(vehicle: &mut Vehicle, dt_s: f64) -> StepOutcome {
+/// commanded acceleration; `decay` as for [`integrate`].
+pub fn step_vehicle(vehicle: &mut Vehicle, dt_s: f64, decay: f64) -> StepOutcome {
     let out = integrate(
         &vehicle.spec,
         vehicle.state.speed_mps,
         vehicle.state.accel_mps2,
         vehicle.commanded_accel_mps2,
         dt_s,
+        decay,
     );
     vehicle.state.speed_mps = out.speed_mps;
     vehicle.state.accel_mps2 = out.accel_mps2;
@@ -116,6 +130,24 @@ mod tests {
     use super::*;
     use crate::network::LaneIndex;
     use crate::vehicle::VehicleId;
+
+    /// [`integrate`] with the decay its lag implies.
+    fn integrate(
+        spec: &VehicleSpec,
+        speed: f64,
+        accel: f64,
+        commanded: f64,
+        dt_s: f64,
+    ) -> StepOutcome {
+        super::integrate(
+            spec,
+            speed,
+            accel,
+            commanded,
+            dt_s,
+            lag_decay(spec.actuation_lag_s, dt_s),
+        )
+    }
 
     fn lagless_spec() -> VehicleSpec {
         VehicleSpec {
@@ -162,7 +194,7 @@ mod tests {
     #[test]
     fn actuation_lag_filters_command() {
         let s = VehicleSpec::paper_platooning_car(); // lag 0.5 s
-        let a1 = apply_actuation_lag(&s, 0.0, 2.0, 0.1);
+        let a1 = apply_actuation_lag(&s, 0.0, 2.0, lag_decay(s.actuation_lag_s, 0.1));
         // One 0.1 s step toward 2.0 with tau 0.5: 2*(1 - e^-0.2) ~ 0.3625
         assert!((a1 - 2.0 * (1.0 - (-0.2f64).exp())).abs() < 1e-12);
         assert!(a1 > 0.0 && a1 < 2.0);
@@ -171,9 +203,10 @@ mod tests {
     #[test]
     fn lag_converges_to_command() {
         let s = VehicleSpec::paper_platooning_car();
+        let decay = lag_decay(s.actuation_lag_s, 0.01);
         let mut a = 0.0;
         for _ in 0..1000 {
-            a = apply_actuation_lag(&s, a, 2.0, 0.01);
+            a = apply_actuation_lag(&s, a, 2.0, decay);
         }
         assert!((a - 2.0).abs() < 1e-6);
     }
@@ -181,14 +214,14 @@ mod tests {
     #[test]
     fn zero_lag_is_instant() {
         let s = lagless_spec();
-        assert_eq!(apply_actuation_lag(&s, 0.0, 2.0, 0.01), 2.0);
+        assert_eq!(apply_actuation_lag(&s, 0.0, 2.0, 0.5), 2.0);
     }
 
     #[test]
     fn step_vehicle_mutates_state() {
         let mut v = Vehicle::new(VehicleId(1), lagless_spec(), 100.0, LaneIndex(0), 20.0);
         v.command_accel(1.0);
-        let out = step_vehicle(&mut v, 0.01);
+        let out = step_vehicle(&mut v, 0.01, 0.0);
         assert_eq!(v.state.speed_mps, out.speed_mps);
         assert!((v.state.pos_m - 100.0 - out.distance_m).abs() < 1e-12);
         assert!(v.state.accel_mps2 > 0.0);

@@ -11,8 +11,8 @@ use comfase_des::rng::RngStream;
 use comfase_des::time::{SimDuration, SimTime};
 
 use crate::car_following::{CfInput, Krauss};
-use crate::collision::{detect_collisions, Collision};
-use crate::dynamics::step_vehicle;
+use crate::collision::{detect_collisions, Collision, CollisionKey};
+use crate::dynamics::{lag_decay, step_vehicle};
 use crate::lane_index::LaneOrder;
 use crate::network::Road;
 use crate::trace::{TraceConfig, TrafficTrace};
@@ -84,10 +84,11 @@ pub struct TrafficStats {
 }
 comfase_json::record!(ToJson, FromJson for TrafficStats { steps, collisions, hard_decel_samples });
 
-/// The step length, SUMO/Plexe's 0.01 s.
-const STEP_LEN: SimDuration = SimDuration::from_millis(10);
+/// The step length, SUMO/Plexe's 0.01 s. Whatever drives a
+/// [`TrafficSim`] schedules its steps and sizes its control loops with it.
+pub const STEP_LEN: SimDuration = SimDuration::from_millis(10);
 /// [`STEP_LEN`] in seconds.
-const STEP_LEN_S: f64 = 0.01;
+pub const STEP_LEN_S: f64 = 0.01;
 
 /// A microscopic traffic simulation on one road.
 ///
@@ -112,6 +113,8 @@ pub struct TrafficSim {
     numeric_fault: Option<String>,
     lookup: LeaderLookup,
     lane_index: LaneOrder,
+    /// Sort buffer of the collision scan, empty between steps.
+    collision_keys: Vec<CollisionKey>,
 }
 
 impl TrafficSim {
@@ -132,6 +135,7 @@ impl TrafficSim {
             numeric_fault: None,
             lookup: LeaderLookup::default(),
             lane_index: LaneOrder::default(),
+            collision_keys: Vec::new(),
         }
     }
 
@@ -384,9 +388,23 @@ impl TrafficSim {
             self.vehicles[i].command_accel(a);
         }
 
-        // Phase 2: integrate dynamics.
+        // Phase 2: integrate dynamics. The lag decay depends on the lag
+        // alone, so it is recomputed only when a vehicle's lag differs from
+        // the last one seen: once per step for a fleet sharing one spec,
+        // and never for lag-free vehicles, which do not read it.
+        let mut decay_of: Option<(f64, f64)> = None;
         for v in self.vehicles.iter_mut().filter(|v| v.active) {
-            let out = step_vehicle(v, STEP_LEN_S);
+            let lag = v.spec.actuation_lag_s;
+            let decay = match decay_of {
+                _ if lag <= 0.0 => 0.0,
+                Some((seen, decay)) if seen.to_bits() == lag.to_bits() => decay,
+                _ => {
+                    let decay = lag_decay(lag, STEP_LEN_S);
+                    decay_of = Some((lag, decay));
+                    decay
+                }
+            };
+            let out = step_vehicle(v, STEP_LEN_S, decay);
             // Numeric guard (active in release builds): NaN propagates
             // through the clamp chain, so any non-finite command or state
             // surfaces here. First fault wins; later steps keep the original
@@ -411,7 +429,7 @@ impl TrafficSim {
         self.stats.steps += 1;
 
         // Phase 3: collisions.
-        let mut collisions = detect_collisions(self.time, &self.vehicles);
+        let mut collisions = detect_collisions(self.time, &self.vehicles, &mut self.collision_keys);
         collisions.retain(|c| {
             // Each unordered pair counts once. The collider is removed
             // below, so a pair recurs only if a caller re-activates a

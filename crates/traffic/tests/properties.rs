@@ -8,7 +8,7 @@ use comfase_des::rng::{RngStream, StreamId};
 use comfase_des::time::SimTime;
 use comfase_traffic::car_following::{CfInput, Krauss};
 use comfase_traffic::collision::detect_collisions;
-use comfase_traffic::dynamics::integrate;
+use comfase_traffic::dynamics::{integrate, lag_decay};
 use comfase_traffic::network::{LaneIndex, Road};
 use comfase_traffic::simulation::TrafficSim;
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
@@ -32,7 +32,7 @@ fn dynamics_invariants() {
         let dt = g.uniform_range(0.001, 0.5);
         let inputs = format!("case {case}: speed {speed} accel {accel} cmd {cmd} dt {dt}");
         let s = spec();
-        let out = integrate(&s, speed, accel, cmd, dt);
+        let out = integrate(&s, speed, accel, cmd, dt, lag_decay(s.actuation_lag_s, dt));
         assert!((0.0..=s.max_speed_mps).contains(&out.speed_mps), "{inputs}");
         let expect = (speed + out.speed_mps) / 2.0 * dt;
         assert!((out.distance_m - expect).abs() < 1e-9, "{inputs}");
@@ -53,7 +53,8 @@ fn dynamics_respects_limits() {
         let cmd = g.uniform_range(-100.0, 100.0);
         let mut s = spec();
         s.actuation_lag_s = 0.0;
-        let out = integrate(&s, speed, 0.0, cmd, 0.01);
+        // Lag-free: the decay is not read.
+        let out = integrate(&s, speed, 0.0, cmd, 0.01, 0.0);
         let inputs = format!("case {case}: speed {speed} cmd {cmd} -> {}", out.accel_mps2);
         assert!(out.accel_mps2 <= s.max_accel_mps2 + 1e-9, "{inputs}");
         assert!(out.accel_mps2 >= -s.max_decel_mps2 - 1e-9, "{inputs}");
@@ -119,7 +120,7 @@ fn collision_detection_is_exact() {
                 Vehicle::new(VehicleId(i as u32 + 1), spec(), pos, LaneIndex(lane), 10.0)
             })
             .collect();
-        let collisions = detect_collisions(SimTime::ZERO, &vehicles);
+        let collisions = detect_collisions(SimTime::ZERO, &vehicles, &mut Vec::new());
         // Count expected overlaps by sorting per lane.
         let mut expected = 0;
         for lane in 0..3u8 {

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use comfase_des::time::{SimDuration, SimTime};
 
-use crate::decider::{decide, DeciderResult, Interferer, LossReason};
+use crate::decider::{Decider, DeciderResult, Interferer, LossReason};
 use crate::frame::{NodeId, Wsm};
 use crate::geom::Position;
 use crate::grid::NeighborGrid;
@@ -90,6 +90,10 @@ pub struct PlannedReception {
     pub end: SimTime,
     /// Received signal power.
     pub power: Milliwatts,
+    /// `power` in dBm, computed once when the link is planned: the prune
+    /// check, the carrier-sense flag, the decider and the received-power
+    /// histogram all read it.
+    pub power_dbm: f64,
     /// `true` if the power exceeds the receiver's carrier-sense threshold
     /// (the MAC must treat the medium as busy during the reception).
     pub above_cs: bool,
@@ -150,6 +154,9 @@ struct Ongoing {
     start: SimTime,
     end: SimTime,
     power: Milliwatts,
+    /// The reception's [`PlannedReception::above_cs`], so carrier sense
+    /// needs no dBm conversion.
+    above_cs: bool,
     /// Set once the reception decision was made; the entry then only
     /// serves as interference history for same-instant receptions.
     finished: bool,
@@ -169,6 +176,8 @@ pub struct Medium {
     pathloss: std::sync::Arc<dyn PathLossModel>,
     freq_hz: f64,
     phy: PhyConfig,
+    /// Built from `phy`, which never changes after construction.
+    decider: Decider,
     positions: BTreeMap<NodeId, Position>,
     ongoing: BTreeMap<NodeId, Vec<Ongoing>>,
     interceptor: Option<Box<dyn ChannelInterceptor>>,
@@ -179,6 +188,10 @@ pub struct Medium {
     /// Present iff `strategy == Grid` and the path-loss model admits a
     /// finite range bound at the pruning threshold.
     grid: Option<NeighborGrid>,
+    /// Scratch buffer for the grid's candidate query, kept so a
+    /// transmission allocates nothing but its receptions. Empty between
+    /// calls and not part of the snapshot.
+    candidates: Vec<NodeId>,
 }
 
 impl Clone for Medium {
@@ -199,6 +212,7 @@ impl Clone for Medium {
             pathloss: std::sync::Arc::clone(&self.pathloss),
             freq_hz: self.freq_hz,
             phy: self.phy,
+            decider: self.decider,
             positions: self.positions.clone(),
             ongoing: self.ongoing.clone(),
             interceptor: None,
@@ -207,6 +221,7 @@ impl Clone for Medium {
             numeric_fault: self.numeric_fault.clone(),
             strategy: self.strategy,
             grid: self.grid.clone(),
+            candidates: Vec::new(),
         }
     }
 }
@@ -229,6 +244,7 @@ impl Medium {
             pathloss: pathloss.into(),
             freq_hz,
             phy,
+            decider: Decider::new(&phy),
             positions: BTreeMap::new(),
             ongoing: BTreeMap::new(),
             interceptor: None,
@@ -237,6 +253,7 @@ impl Medium {
             numeric_fault: None,
             strategy: FanoutStrategy::default(),
             grid: None,
+            candidates: Vec::new(),
         };
         m.rebuild_grid();
         m
@@ -368,52 +385,49 @@ impl Medium {
             };
         };
         self.stats.transmissions += 1;
-        let mut receptions = Vec::new();
-        let rx_nodes: Vec<(NodeId, Position)> = match &self.grid {
+        let prune_dbm = self.prune_threshold().0;
+        let Medium {
+            pathloss,
+            freq_hz,
+            phy,
+            positions,
+            interceptor,
+            stats,
+            grid,
+            candidates,
+            ..
+        } = self;
+        let indexed = match grid {
             Some(grid) => {
                 // Candidates come back sorted by NodeId — a subset of the
                 // brute-force BTreeMap scan in the same relative order, so
                 // interceptor call sequences are bit-identical.
-                let cands: Vec<(NodeId, Position)> = grid
-                    .candidates(&tx_pos)
-                    .into_iter()
-                    .filter(|&id| id != tx)
-                    .map(|id| {
-                        let pos = self
-                            .positions
-                            .get(&id)
-                            .expect("grid tracks registered nodes");
-                        (id, *pos)
-                    })
-                    .collect();
+                grid.candidates(&tx_pos, candidates);
+                candidates.retain(|&id| id != tx);
                 // Everything outside the 3×3 neighborhood is guaranteed
                 // below the pruning threshold; account for those links
                 // exactly as the brute-force scan would have.
-                let pruned = (self.positions.len() - 1 - cands.len()) as u64;
-                self.stats.links_below_noise += pruned;
-                self.stats.links_pruned_by_grid += pruned;
-                cands
+                let pruned = (positions.len() - 1 - candidates.len()) as u64;
+                stats.links_below_noise += pruned;
+                stats.links_pruned_by_grid += pruned;
+                true
             }
-            None => self
-                .positions
-                .iter()
-                .filter(|(id, _)| **id != tx)
-                .map(|(id, p)| (*id, *p))
-                .collect(),
+            None => false,
         };
-        for (rx, rx_pos) in rx_nodes {
-            let power =
-                self.pathloss
-                    .received_power(self.phy.tx_power, self.freq_hz, &tx_pos, &rx_pos);
+        // One link: its power and dBm are computed once, here; everything
+        // downstream (carrier sense, the decider, telemetry) reads them.
+        let mut plan = |rx: NodeId, rx_pos: &Position| -> Option<PlannedReception> {
+            let power = pathloss.received_power(phy.tx_power, *freq_hz, &tx_pos, rx_pos);
+            let power_dbm = power.to_dbm().0;
             // Frames an order of magnitude below the noise floor can neither
             // be decoded nor meaningfully interfere; skip them.
-            if power.to_dbm().0 < self.prune_threshold().0 {
-                self.stats.links_below_noise += 1;
-                continue;
+            if power_dbm < prune_dbm {
+                stats.links_below_noise += 1;
+                return None;
             }
             let default_delay =
-                SimDuration::from_secs_f64(tx_pos.distance_to(&rx_pos) / SPEED_OF_LIGHT_MPS);
-            let fate = match self.interceptor.as_mut() {
+                SimDuration::from_secs_f64(tx_pos.distance_to(rx_pos) / SPEED_OF_LIGHT_MPS);
+            let fate = match interceptor.as_mut() {
                 Some(i) => i.intercept(tx, rx, now, default_delay, &wsm),
                 None => LinkFate::Deliver {
                     delay: default_delay,
@@ -422,7 +436,7 @@ impl Medium {
             let (delay, wsm_out) = match fate {
                 LinkFate::Deliver { delay } => {
                     if delay != default_delay {
-                        self.stats.links_delay_modified += 1;
+                        stats.links_delay_modified += 1;
                     }
                     (delay, wsm.clone())
                 }
@@ -431,28 +445,51 @@ impl Medium {
                     wsm: modified,
                 } => {
                     if delay != default_delay {
-                        self.stats.links_delay_modified += 1;
+                        stats.links_delay_modified += 1;
                     }
-                    self.stats.links_payload_modified += 1;
+                    stats.links_payload_modified += 1;
                     (delay, modified)
                 }
                 LinkFate::Drop => {
-                    self.stats.links_dropped_by_interceptor += 1;
-                    continue;
+                    stats.links_dropped_by_interceptor += 1;
+                    return None;
                 }
             };
             let start = now + delay;
-            self.stats.links_planned += 1;
-            receptions.push(PlannedReception {
+            stats.links_planned += 1;
+            Some(PlannedReception {
                 frame_id,
                 rx,
                 wsm: wsm_out,
                 start,
                 end: start + duration,
                 power,
-                above_cs: power.to_dbm().0 >= self.phy.cs_threshold.0,
-            });
-        }
+                power_dbm,
+                above_cs: power_dbm >= phy.cs_threshold.0,
+            })
+        };
+        let receptions = if indexed {
+            let mut receptions = Vec::with_capacity(candidates.len());
+            for &rx in candidates.iter() {
+                let rx_pos = positions.get(&rx).expect("grid tracks registered nodes");
+                if let Some(r) = plan(rx, rx_pos) {
+                    receptions.push(r);
+                }
+            }
+            candidates.clear();
+            receptions
+        } else {
+            let mut receptions = Vec::with_capacity(positions.len() - 1);
+            for (&rx, rx_pos) in positions.iter() {
+                if rx == tx {
+                    continue;
+                }
+                if let Some(r) = plan(rx, rx_pos) {
+                    receptions.push(r);
+                }
+            }
+            receptions
+        };
         TransmitOutcome {
             frame_id,
             duration,
@@ -468,6 +505,7 @@ impl Medium {
             start: planned.start,
             end: planned.end,
             power: planned.power,
+            above_cs: planned.above_cs,
             finished: false,
         });
     }
@@ -476,7 +514,10 @@ impl Medium {
     /// frame was decodable given everything that overlapped it.
     pub fn reception_finished(&mut self, planned: &PlannedReception) -> DeciderResult {
         let list = self.ongoing.entry(planned.rx).or_default();
-        let interferers: Vec<Interferer> = list
+        // Decided before the prune below, which only drops entries that no
+        // longer overlap an undecided reception: the decider sees every
+        // overlapping frame, in list order, without collecting them.
+        let interferers = list
             .iter()
             .filter(|o| o.frame_id != planned.frame_id)
             .filter(|o| o.start < planned.end && o.end > planned.start)
@@ -484,8 +525,14 @@ impl Medium {
                 power: o.power,
                 start: o.start,
                 end: o.end,
-            })
-            .collect();
+            });
+        let result = self.decider.decide(
+            planned.power,
+            planned.power_dbm,
+            planned.start,
+            planned.end,
+            interferers,
+        );
         // Mark this reception decided, then prune: an entry may be dropped
         // once it is decided AND no still-undecided overlapping reception
         // needs it as interference history. (The old `retain(o.end >= now)`
@@ -511,13 +558,6 @@ impl Medium {
                 list.remove(i);
             }
         }
-        let result = decide(
-            &self.phy,
-            planned.power,
-            planned.start,
-            planned.end,
-            &interferers,
-        );
         match result {
             DeciderResult::Received { .. } => self.stats.received += 1,
             DeciderResult::Lost(LossReason::BelowSensitivity) => self.stats.lost_sensitivity += 1,
@@ -558,12 +598,8 @@ impl Medium {
     /// the carrier-sense threshold).
     pub fn is_busy(&self, node: NodeId, now: SimTime) -> bool {
         self.ongoing.get(&node).is_some_and(|list| {
-            list.iter().any(|o| {
-                !o.finished
-                    && o.start <= now
-                    && now < o.end
-                    && o.power.to_dbm().0 >= self.phy.cs_threshold.0
-            })
+            list.iter()
+                .any(|o| o.above_cs && !o.finished && o.start <= now && now < o.end)
         })
     }
 }
@@ -805,6 +841,34 @@ mod tests {
             !m.is_busy(NodeId(2), mid),
             "finished receptions don't keep the medium busy"
         );
+    }
+
+    #[test]
+    fn carrier_sense_threshold_is_inclusive() {
+        // A reception exactly at the carrier-sense threshold keeps the
+        // medium busy; one just below it does not. The threshold is set to
+        // the planned dBm of a 40 m link, so the comparison is exact.
+        let probe = medium_with_two_nodes(40.0)
+            .transmit(NodeId(1), wsm(1), SimTime::ZERO)
+            .receptions[0]
+            .power_dbm;
+        for (threshold, busy) in [(probe, true), (probe.next_up(), false)] {
+            let phy = PhyConfig {
+                cs_threshold: Dbm(threshold),
+                ..PhyConfig::default()
+            };
+            let mut m = Medium::with_models(Box::new(FreeSpace::default()), CCH_FREQ_HZ, phy);
+            m.update_position(NodeId(1), Position::on_road(0.0, 0.0));
+            m.update_position(NodeId(2), Position::on_road(40.0, 0.0));
+            let out = m.transmit(NodeId(1), wsm(1), SimTime::ZERO);
+            let r = &out.receptions[0];
+            assert_eq!(r.power_dbm.to_bits(), probe.to_bits());
+            assert_eq!(r.power_dbm, r.power.to_dbm().0);
+            assert_eq!(r.above_cs, busy, "threshold {threshold}");
+            m.reception_started(r);
+            let mid = r.start + (r.end - r.start) / 2;
+            assert_eq!(m.is_busy(NodeId(2), mid), busy, "threshold {threshold}");
+        }
     }
 
     #[derive(Debug)]

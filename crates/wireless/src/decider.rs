@@ -53,53 +53,77 @@ impl DeciderResult {
     }
 }
 
-/// Decides whether a frame spanning `[start, end]` with `signal` power is
-/// decodable under `config`, given the overlapping `interferers`.
-pub fn decide(
-    config: &PhyConfig,
-    signal: Milliwatts,
-    start: SimTime,
-    end: SimTime,
-    interferers: &[Interferer],
-) -> DeciderResult {
-    if signal.to_dbm().0 < config.sensitivity.0 {
-        return DeciderResult::Lost(LossReason::BelowSensitivity);
+/// The SNIR-threshold decider of one [`PhyConfig`].
+///
+/// Built once per medium: the sensitivity, the noise floor in milliwatts
+/// (a `powf`) and the MCS threshold are per-configuration constants, so a
+/// decision costs one transcendental call, the SNIR `log10`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decider {
+    sensitivity_dbm: f64,
+    noise: Milliwatts,
+    snir_threshold_db: f64,
+}
+
+impl Decider {
+    /// Precomputes the decision constants of `config`.
+    pub fn new(config: &PhyConfig) -> Self {
+        Decider {
+            sensitivity_dbm: config.sensitivity.0,
+            noise: config.noise_floor.to_milliwatts(),
+            snir_threshold_db: config.mcs.snir_threshold_db(),
+        }
     }
-    let noise = config.noise_floor.to_milliwatts();
-    // Worst-case interference: the maximum simultaneous interferer power sum
-    // at any instant of the reception. Power sums change only at interferer
-    // boundaries, so evaluating at each boundary inside [start, end] (plus
-    // `start` itself) is exact.
-    let mut worst = Milliwatts::ZERO;
-    let mut check_instant = |t: SimTime| {
-        let mut sum = Milliwatts::ZERO;
-        for i in interferers {
-            if i.start <= t && t < i.end {
-                sum += i.power;
+
+    /// Decides whether a frame spanning `[start, end]` with `signal` power
+    /// is decodable, given the overlapping `interferers`. `signal_dbm` is
+    /// `signal.to_dbm().0`, computed once per link when it is planned.
+    pub fn decide(
+        &self,
+        signal: Milliwatts,
+        signal_dbm: f64,
+        start: SimTime,
+        end: SimTime,
+        interferers: impl Iterator<Item = Interferer> + Clone,
+    ) -> DeciderResult {
+        if signal_dbm < self.sensitivity_dbm {
+            return DeciderResult::Lost(LossReason::BelowSensitivity);
+        }
+        // Worst-case interference: the maximum simultaneous interferer power
+        // sum at any instant of the reception. Power sums change only at
+        // interferer boundaries, so evaluating at each boundary inside
+        // [start, end] (plus `start` itself) is exact.
+        let mut worst = Milliwatts::ZERO;
+        let mut check_instant = |t: SimTime| {
+            let mut sum = Milliwatts::ZERO;
+            for i in interferers.clone() {
+                if i.start <= t && t < i.end {
+                    sum += i.power;
+                }
+            }
+            if sum.0 > worst.0 {
+                worst = sum;
+            }
+        };
+        check_instant(start);
+        for i in interferers.clone() {
+            if i.start > start && i.start < end {
+                check_instant(i.start);
             }
         }
-        if sum.0 > worst.0 {
-            worst = sum;
+        let snir_db = ratio_db(signal, self.noise + worst);
+        // Sim sanitizer (release builds too): a NaN SNIR would fail the
+        // threshold comparison silently and lose the frame without a
+        // `LossReason` the stats can explain. Surface it as a structured
+        // numeric fault instead.
+        if snir_db.is_nan() {
+            return DeciderResult::Lost(LossReason::NumericFault);
         }
-    };
-    check_instant(start);
-    for i in interferers {
-        if i.start > start && i.start < end {
-            check_instant(i.start);
+        if snir_db >= self.snir_threshold_db {
+            DeciderResult::Received { snir_db }
+        } else {
+            DeciderResult::Lost(LossReason::Snir)
         }
-    }
-    let snir_db = ratio_db(signal, noise + worst);
-    // Sim sanitizer (release builds too): a NaN SNIR would fail the
-    // threshold comparison silently and lose the frame without a
-    // `LossReason` the stats can explain. Surface it as a structured
-    // numeric fault instead.
-    if snir_db.is_nan() {
-        return DeciderResult::Lost(LossReason::NumericFault);
-    }
-    if snir_db >= config.mcs.snir_threshold_db() {
-        DeciderResult::Received { snir_db }
-    } else {
-        DeciderResult::Lost(LossReason::Snir)
     }
 }
 
@@ -108,8 +132,20 @@ mod tests {
     use super::*;
     use crate::units::Dbm;
 
-    fn cfg() -> PhyConfig {
-        PhyConfig::default()
+    /// The default PHY's decider on a frame of `signal` power.
+    fn decide(
+        signal: Milliwatts,
+        start: SimTime,
+        end: SimTime,
+        interferers: &[Interferer],
+    ) -> DeciderResult {
+        Decider::new(&PhyConfig::default()).decide(
+            signal,
+            signal.to_dbm().0,
+            start,
+            end,
+            interferers.iter().copied(),
+        )
     }
 
     fn t(ms: i64) -> SimTime {
@@ -118,7 +154,7 @@ mod tests {
 
     #[test]
     fn clean_strong_frame_received() {
-        let r = decide(&cfg(), Dbm(-70.0).to_milliwatts(), t(0), t(1), &[]);
+        let r = decide(Dbm(-70.0).to_milliwatts(), t(0), t(1), &[]);
         match r {
             DeciderResult::Received { snir_db } => {
                 assert!((snir_db - 40.0).abs() < 1e-9, "snir {snir_db}");
@@ -129,7 +165,7 @@ mod tests {
 
     #[test]
     fn below_sensitivity_lost() {
-        let r = decide(&cfg(), Dbm(-95.0).to_milliwatts(), t(0), t(1), &[]);
+        let r = decide(Dbm(-95.0).to_milliwatts(), t(0), t(1), &[]);
         assert_eq!(r, DeciderResult::Lost(LossReason::BelowSensitivity));
     }
 
@@ -140,13 +176,7 @@ mod tests {
             start: t(0),
             end: t(1),
         };
-        let r = decide(
-            &cfg(),
-            Dbm(-70.0).to_milliwatts(),
-            t(0),
-            t(1),
-            &[interferer],
-        );
+        let r = decide(Dbm(-70.0).to_milliwatts(), t(0), t(1), &[interferer]);
         assert_eq!(r, DeciderResult::Lost(LossReason::Snir));
     }
 
@@ -157,13 +187,7 @@ mod tests {
             start: t(2),
             end: t(3),
         };
-        let r = decide(
-            &cfg(),
-            Dbm(-70.0).to_milliwatts(),
-            t(0),
-            t(1),
-            &[interferer],
-        );
+        let r = decide(Dbm(-70.0).to_milliwatts(), t(0), t(1), &[interferer]);
         assert!(r.is_received());
     }
 
@@ -176,7 +200,6 @@ mod tests {
         };
         // Reception [0.5ms, 1.5ms] overlaps the interferer's second half.
         let r = decide(
-            &cfg(),
             Dbm(-70.0).to_milliwatts(),
             SimTime::from_micros(500),
             SimTime::from_micros(1500),
@@ -192,13 +215,7 @@ mod tests {
             start: t(0),
             end: t(1),
         };
-        let r = decide(
-            &cfg(),
-            Dbm(-70.0).to_milliwatts(),
-            t(0),
-            t(1),
-            &[interferer],
-        );
+        let r = decide(Dbm(-70.0).to_milliwatts(), t(0), t(1), &[interferer]);
         assert!(r.is_received());
     }
 
@@ -213,16 +230,9 @@ mod tests {
             start: s,
             end: e,
         };
-        let one = decide(
-            &cfg(),
-            Dbm(-80.0).to_milliwatts(),
-            t(0),
-            t(1),
-            &[mk(t(0), t(1))],
-        );
+        let one = decide(Dbm(-80.0).to_milliwatts(), t(0), t(1), &[mk(t(0), t(1))]);
         assert!(one.is_received());
         let both = decide(
-            &cfg(),
             Dbm(-80.0).to_milliwatts(),
             t(0),
             t(1),
@@ -240,7 +250,7 @@ mod tests {
             start: t(0),
             end: t(1),
         };
-        let r = decide(&cfg(), inf, t(0), t(1), &[interferer]);
+        let r = decide(inf, t(0), t(1), &[interferer]);
         assert_eq!(r, DeciderResult::Lost(LossReason::NumericFault));
     }
 
@@ -253,7 +263,6 @@ mod tests {
             end: SimTime::from_micros(600),
         };
         let r = decide(
-            &cfg(),
             Dbm(-70.0).to_milliwatts(),
             t(0),
             SimTime::from_micros(1000),

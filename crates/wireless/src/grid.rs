@@ -106,12 +106,14 @@ impl NeighborGrid {
         }
     }
 
-    /// All nodes in the 3×3 cell neighborhood around `pos`, sorted by
-    /// `NodeId`. With the cell size at least the maximum transmission
-    /// range, this is a superset of every node within range of `pos`.
-    pub fn candidates(&self, pos: &Position) -> Vec<NodeId> {
+    /// Replaces the contents of `out` with all nodes in the 3×3 cell
+    /// neighborhood around `pos`, sorted by `NodeId`. With the cell size
+    /// at least the maximum transmission range, this is a superset of
+    /// every node within range of `pos`. The buffer is the caller's, so a
+    /// query reuses its capacity instead of allocating.
+    pub fn candidates(&self, pos: &Position, out: &mut Vec<NodeId>) {
         let (cx, cy) = self.cell_of(pos);
-        let mut out = Vec::new();
+        out.clear();
         for dx in -1i64..=1 {
             for dy in -1i64..=1 {
                 let cell = (cx.saturating_add(dx), cy.saturating_add(dy));
@@ -121,7 +123,6 @@ impl NeighborGrid {
             }
         }
         out.sort_unstable();
-        out
     }
 }
 
@@ -133,6 +134,13 @@ mod tests {
         Position::on_road(x, y)
     }
 
+    /// The candidates around `pos`, in a fresh buffer.
+    fn cands(g: &NeighborGrid, pos: &Position) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        g.candidates(pos, &mut out);
+        out
+    }
+
     #[test]
     fn candidates_cover_everything_within_cell_size() {
         let mut g = NeighborGrid::new(100.0);
@@ -140,13 +148,16 @@ mod tests {
             g.update_position(NodeId(i), &p(i as f64 * 13.0, (i % 7) as f64));
         }
         assert_eq!(g.len(), 50);
+        // One buffer for every query: each call replaces its contents.
+        let mut found = Vec::new();
         for i in 0..50u32 {
             let me = p(i as f64 * 13.0, (i % 7) as f64);
-            let cands = g.candidates(&me);
+            g.candidates(&me, &mut found);
+            assert_eq!(found, cands(&g, &me), "reused buffer for {i}");
             for j in 0..50u32 {
                 let other = p(j as f64 * 13.0, (j % 7) as f64);
                 if me.ground_distance_to(&other) <= 100.0 {
-                    assert!(cands.contains(&NodeId(j)), "{i} must see {j}");
+                    assert!(found.contains(&NodeId(j)), "{i} must see {j}");
                 }
             }
         }
@@ -158,22 +169,22 @@ mod tests {
         for i in [9u32, 3, 7, 1, 5] {
             g.update_position(NodeId(i), &p(i as f64, 0.0));
         }
-        let cands = g.candidates(&p(5.0, 0.0));
-        let mut sorted = cands.clone();
+        let found = cands(&g, &p(5.0, 0.0));
+        let mut sorted = found.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(cands, sorted);
-        assert_eq!(cands.len(), 5);
+        assert_eq!(found, sorted);
+        assert_eq!(found.len(), 5);
     }
 
     #[test]
     fn update_moves_between_cells() {
         let mut g = NeighborGrid::new(10.0);
         g.update_position(NodeId(1), &p(5.0, 0.0));
-        assert!(g.candidates(&p(5.0, 0.0)).contains(&NodeId(1)));
+        assert!(cands(&g, &p(5.0, 0.0)).contains(&NodeId(1)));
         g.update_position(NodeId(1), &p(500.0, 0.0));
-        assert!(!g.candidates(&p(5.0, 0.0)).contains(&NodeId(1)));
-        assert!(g.candidates(&p(500.0, 0.0)).contains(&NodeId(1)));
+        assert!(!cands(&g, &p(5.0, 0.0)).contains(&NodeId(1)));
+        assert!(cands(&g, &p(500.0, 0.0)).contains(&NodeId(1)));
         assert_eq!(g.len(), 1);
     }
 
@@ -184,7 +195,7 @@ mod tests {
         g.update_position(NodeId(2), &p(6.0, 0.0));
         g.remove(NodeId(1));
         assert_eq!(g.len(), 1);
-        assert_eq!(g.candidates(&p(5.0, 0.0)), vec![NodeId(2)]);
+        assert_eq!(cands(&g, &p(5.0, 0.0)), vec![NodeId(2)]);
         g.remove(NodeId(2));
         assert!(g.is_empty());
         assert!(g.cells.is_empty(), "empty cells are garbage-collected");
@@ -200,10 +211,7 @@ mod tests {
         }
         let fork = g.clone();
         assert_eq!(g, fork);
-        assert_eq!(
-            g.candidates(&p(100.0, 0.0)),
-            fork.candidates(&p(100.0, 0.0))
-        );
+        assert_eq!(cands(&g, &p(100.0, 0.0)), cands(&fork, &p(100.0, 0.0)));
     }
 
     #[test]
@@ -211,8 +219,8 @@ mod tests {
         let mut g = NeighborGrid::new(10.0);
         g.update_position(NodeId(1), &p(f64::NAN, 0.0));
         g.update_position(NodeId(2), &p(1e300, 0.0));
-        let a = g.candidates(&p(f64::NAN, 0.0));
-        let b = g.candidates(&p(f64::NAN, 0.0));
+        let a = cands(&g, &p(f64::NAN, 0.0));
+        let b = cands(&g, &p(f64::NAN, 0.0));
         assert_eq!(a, b);
         assert_eq!(g.len(), 2);
     }

@@ -2,9 +2,10 @@
 //!
 //! The MAC is a reactive state machine: the owner (the co-simulation world)
 //! feeds it events — frames to send, timer expiries, medium busy/idle
-//! transitions — and executes the [`MacAction`]s it returns (arming timers,
-//! starting transmissions). This keeps the MAC free of event-loop ownership
-//! and directly unit-testable.
+//! transitions — and executes the [`MacAction`] it returns, if any (arming
+//! a timer, starting a transmission). No event yields more than one
+//! action. This keeps the MAC free of event-loop ownership and directly
+//! unit-testable.
 //!
 //! Modelled behaviour, following Veins' `Mac1609_4`:
 //!
@@ -233,26 +234,26 @@ impl Mac {
     }
 
     /// Accepts a frame from the application.
-    pub fn enqueue(&mut self, wsm: Wsm, ac: AccessCategory, now: SimTime) -> Vec<MacAction> {
+    pub fn enqueue(&mut self, wsm: Wsm, ac: AccessCategory, now: SimTime) -> Option<MacAction> {
         let q = &mut self.queues[ac_index(ac)];
         if q.len() >= self.config.queue_capacity {
             self.stats.dropped_queue_full += 1;
-            return vec![MacAction::Drop {
+            return Some(MacAction::Drop {
                 wsm,
                 reason: DropReason::QueueFull,
-            }];
+            });
         }
         q.push_back(wsm);
         self.stats.enqueued += 1;
         if self.state == State::Idle {
             self.try_start_contention(now)
         } else {
-            Vec::new()
+            None
         }
     }
 
     /// A timer armed via [`MacAction::SetTimer`] expired.
-    pub fn handle_timer(&mut self, token: u64, now: SimTime) -> Vec<MacAction> {
+    pub fn handle_timer(&mut self, token: u64, now: SimTime) -> Option<MacAction> {
         match self.state {
             State::Contending {
                 token: t, deadline, ..
@@ -266,7 +267,7 @@ impl Mac {
                     Some(x) => x,
                     None => {
                         self.state = State::Idle;
-                        return Vec::new();
+                        return None;
                     }
                 };
                 let wsm = self.queues[ac_index(ac)]
@@ -284,19 +285,20 @@ impl Mac {
                     self.stats.deferrals += 1;
                     self.stats.deferrals_guard += 1;
                     let at = self.config.schedule.next_access(channel, now);
-                    return self.start_contention_at(at);
+                    return Some(self.start_contention_at(at));
                 }
                 let wsm = self.queues[ac_index(ac)].pop_front().expect("non-empty");
                 self.state = State::Transmitting;
                 self.stats.sent += 1;
-                vec![MacAction::StartTx(wsm)]
+                Some(MacAction::StartTx(wsm))
             }
-            _ => Vec::new(), // stale token
+            _ => None, // stale token
         }
     }
 
     /// The medium turned busy (carrier sensed or own transmission started).
-    pub fn medium_busy(&mut self, now: SimTime) -> Vec<MacAction> {
+    /// Freezing a contention never yields an action.
+    pub fn medium_busy(&mut self, now: SimTime) {
         self.medium_busy = true;
         if let State::Contending { aifs_end, .. } = self.state {
             // Freeze the backoff: bank the slots not yet counted down.
@@ -309,21 +311,20 @@ impl Mac {
             self.state = State::Deferred;
             self.stats.deferrals += 1;
         }
-        Vec::new()
     }
 
     /// The medium turned idle again.
-    pub fn medium_idle(&mut self, now: SimTime) -> Vec<MacAction> {
+    pub fn medium_idle(&mut self, now: SimTime) -> Option<MacAction> {
         self.medium_busy = false;
         if self.state == State::Deferred {
             self.try_start_contention(now)
         } else {
-            Vec::new()
+            None
         }
     }
 
     /// Our own transmission completed.
-    pub fn tx_finished(&mut self, now: SimTime) -> Vec<MacAction> {
+    pub fn tx_finished(&mut self, now: SimTime) -> Option<MacAction> {
         assert_eq!(
             self.state,
             State::Transmitting,
@@ -335,7 +336,7 @@ impl Mac {
         if self.queue_len() > 0 {
             self.try_start_contention(now)
         } else {
-            Vec::new()
+            None
         }
     }
 
@@ -346,20 +347,20 @@ impl Mac {
             .find(|(_, i)| !self.queues[*i].is_empty())
     }
 
-    fn try_start_contention(&mut self, now: SimTime) -> Vec<MacAction> {
+    fn try_start_contention(&mut self, now: SimTime) -> Option<MacAction> {
         if self.queue_len() == 0 {
             self.state = State::Idle;
-            return Vec::new();
+            return None;
         }
         if self.medium_busy {
             self.state = State::Deferred;
             self.backoff_required = true;
-            return Vec::new();
+            return None;
         }
-        self.start_contention_at(now)
+        Some(self.start_contention_at(now))
     }
 
-    fn start_contention_at(&mut self, start: SimTime) -> Vec<MacAction> {
+    fn start_contention_at(&mut self, start: SimTime) -> MacAction {
         let (ac, _) = self.best_nonempty().expect("queue non-empty");
         let params = EdcaParams::for_category(ac);
         if self.backoff_required && self.slots_left == 0 {
@@ -375,10 +376,10 @@ impl Mac {
             aifs_end,
             deadline,
         };
-        vec![MacAction::SetTimer {
+        MacAction::SetTimer {
             at: deadline,
             token,
-        }]
+        }
     }
 }
 
@@ -401,16 +402,16 @@ mod tests {
         Mac::new(MacConfig::default(), RngStream::new(7))
     }
 
-    fn fire_all(m: &mut Mac, actions: Vec<MacAction>) -> (Vec<Wsm>, SimTime) {
+    fn fire_all(m: &mut Mac, action: Option<MacAction>) -> (Vec<Wsm>, SimTime) {
         // Drive timers until a StartTx appears (or actions run dry).
-        let mut queue = actions;
+        let mut next = action;
         let mut sent = Vec::new();
         let mut last = SimTime::ZERO;
-        while let Some(a) = queue.pop() {
+        while let Some(a) = next.take() {
             match a {
                 MacAction::SetTimer { at, token } => {
                     last = at;
-                    queue.extend(m.handle_timer(token, at));
+                    next = m.handle_timer(token, at);
                 }
                 MacAction::StartTx(w) => sent.push(w),
                 MacAction::Drop { .. } => {}
@@ -423,8 +424,8 @@ mod tests {
     fn idle_medium_sends_after_aifs_without_backoff() {
         let mut m = mac();
         let actions = m.enqueue(wsm(0), AccessCategory::Vo, SimTime::ZERO);
-        match &actions[..] {
-            [MacAction::SetTimer { at, .. }] => {
+        match &actions {
+            Some(MacAction::SetTimer { at, .. }) => {
                 // AIFS(VO) = 32 + 2*13 = 58 us, no backoff on idle medium.
                 assert_eq!(*at, SimTime::from_micros(58));
             }
@@ -453,10 +454,10 @@ mod tests {
         let mut m = mac();
         m.medium_busy(SimTime::ZERO);
         let actions = m.enqueue(wsm(0), AccessCategory::Vo, SimTime::ZERO);
-        assert!(actions.is_empty(), "no timer while busy");
+        assert!(actions.is_none(), "no timer while busy");
         // Idle at 1 ms: contention starts, with a random backoff drawn.
         let actions = m.medium_idle(SimTime::from_millis(1));
-        assert_eq!(actions.len(), 1);
+        assert!(actions.is_some());
         let (sent, when) = fire_all(&mut m, actions);
         assert_eq!(sent.len(), 1);
         assert!(when >= SimTime::from_millis(1) + SimDuration::from_micros(58));
@@ -469,15 +470,15 @@ mod tests {
         m.medium_busy(SimTime::ZERO);
         m.enqueue(wsm(0), AccessCategory::Be, SimTime::ZERO);
         let actions = m.medium_idle(SimTime::from_millis(1));
-        let deadline1 = match &actions[..] {
-            [MacAction::SetTimer { at, .. }] => *at,
+        let deadline1 = match &actions {
+            Some(MacAction::SetTimer { at, .. }) => *at,
             other => panic!("{other:?}"),
         };
         // Medium busy again halfway through AIFS: freeze, nothing sent.
         m.medium_busy(SimTime::from_millis(1) + SimDuration::from_micros(10));
         // Stale timer must be ignored.
         let stale = m.handle_timer(0, deadline1);
-        assert!(stale.is_empty());
+        assert!(stale.is_none());
         // Idle again: a new timer is armed and eventually fires.
         let actions = m.medium_idle(SimTime::from_millis(2));
         let (sent, _) = fire_all(&mut m, actions);
@@ -498,11 +499,11 @@ mod tests {
         m.enqueue(wsm(1), AccessCategory::Vo, SimTime::ZERO);
         let actions = m.enqueue(wsm(2), AccessCategory::Vo, SimTime::ZERO);
         assert!(matches!(
-            actions[..],
-            [MacAction::Drop {
+            actions,
+            Some(MacAction::Drop {
                 reason: DropReason::QueueFull,
                 ..
-            }]
+            })
         ));
         assert_eq!(m.stats().dropped_queue_full, 1);
         assert_eq!(m.queue_len(), 2);
@@ -524,16 +525,13 @@ mod tests {
         let mut m = mac();
         m.enqueue(wsm(0), AccessCategory::Vo, SimTime::ZERO);
         m.enqueue(wsm(1), AccessCategory::Vo, SimTime::ZERO);
-        let actions: Vec<MacAction> = m
-            .enqueue(wsm(2), AccessCategory::Vo, SimTime::ZERO)
-            .into_iter()
-            .collect();
-        assert!(actions.is_empty(), "contention already running");
+        let actions = m.enqueue(wsm(2), AccessCategory::Vo, SimTime::ZERO);
+        assert!(actions.is_none(), "contention already running");
         let first = m.handle_timer(0, SimTime::from_micros(58));
-        assert!(matches!(first[..], [MacAction::StartTx(_)]));
+        assert!(matches!(first, Some(MacAction::StartTx(_))));
         // Finish the transmission; the MAC contends for the next frame.
         let next = m.tx_finished(SimTime::from_micros(138));
-        assert_eq!(next.len(), 1);
+        assert!(matches!(next, Some(MacAction::SetTimer { .. })));
         let (sent, _) = fire_all(&mut m, next);
         assert_eq!(sent.len(), 1);
         assert_eq!(m.queue_len(), 1);
@@ -551,8 +549,8 @@ mod tests {
             let mut m = Mac::new(MacConfig::default(), RngStream::new(seed));
             m.medium_busy(SimTime::ZERO);
             m.enqueue(wsm(0), AccessCategory::Be, SimTime::ZERO);
-            match m.medium_idle(SimTime::from_millis(1))[..] {
-                [MacAction::SetTimer { at, .. }] => at,
+            match m.medium_idle(SimTime::from_millis(1)) {
+                Some(MacAction::SetTimer { at, .. }) => at,
                 _ => panic!(),
             }
         };
@@ -567,18 +565,17 @@ mod tests {
         };
         let mut m = Mac::new(cfg, RngStream::new(1));
         // Enqueue during the SCH interval (60 ms).
-        let actions = m.enqueue(wsm(0), AccessCategory::Vo, SimTime::from_millis(60));
+        let mut next = m.enqueue(wsm(0), AccessCategory::Vo, SimTime::from_millis(60));
         // Contention timer fires in SCH interval; MAC defers to next CCH
         // access and re-arms.
-        let mut queue = actions;
         let mut sent = Vec::new();
         let mut hops = 0;
-        while let Some(a) = queue.pop() {
+        while let Some(a) = next.take() {
             match a {
                 MacAction::SetTimer { at, token } => {
                     hops += 1;
                     assert!(hops < 10, "must converge");
-                    queue.extend(m.handle_timer(token, at));
+                    next = m.handle_timer(token, at);
                 }
                 MacAction::StartTx(w) => sent.push(w),
                 MacAction::Drop { .. } => {}

@@ -7,7 +7,7 @@
 
 use comfase_des::rng::{RngStream, StreamId};
 use comfase_des::time::{SimDuration, SimTime};
-use comfase_wireless::decider::{decide, DeciderResult, Interferer};
+use comfase_wireless::decider::{Decider, DeciderResult, Interferer, LossReason};
 use comfase_wireless::frame::{AccessCategory, NodeId, WaveChannel, Wsm};
 use comfase_wireless::geom::Position;
 use comfase_wireless::mac::{Mac, MacAction, MacConfig};
@@ -117,17 +117,20 @@ fn interference_is_monotone() {
         let cfg = PhyConfig::default();
         let t0 = SimTime::ZERO;
         let t1 = SimTime::from_micros(100);
-        let clean = decide(&cfg, Dbm(signal_dbm).to_milliwatts(), t0, t1, &[]);
-        let noisy = decide(
-            &cfg,
-            Dbm(signal_dbm).to_milliwatts(),
+        let decider = Decider::new(&cfg);
+        let signal = Dbm(signal_dbm).to_milliwatts();
+        let dbm = signal.to_dbm().0;
+        let clean = decider.decide(signal, dbm, t0, t1, std::iter::empty());
+        let noisy = decider.decide(
+            signal,
+            dbm,
             t0,
             t1,
-            &[Interferer {
+            std::iter::once(Interferer {
                 power: Dbm(interferer_dbm).to_milliwatts(),
                 start: t0,
                 end: t1,
-            }],
+            }),
         );
         let inputs =
             format!("case {case}: signal {signal_dbm} dBm, interferer {interferer_dbm} dBm");
@@ -140,6 +143,112 @@ fn interference_is_monotone() {
         ) = (clean, noisy)
         {
             assert!(s_noisy <= s_clean + 1e-9, "{inputs}");
+        }
+    }
+}
+
+/// The decider as it was before its per-configuration constants were
+/// precomputed: every call converts the signal to dBm and the noise floor
+/// to milliwatts itself.
+fn reference_decide(
+    config: &PhyConfig,
+    signal: Milliwatts,
+    start: SimTime,
+    end: SimTime,
+    interferers: &[Interferer],
+) -> DeciderResult {
+    if signal.to_dbm().0 < config.sensitivity.0 {
+        return DeciderResult::Lost(LossReason::BelowSensitivity);
+    }
+    let noise = config.noise_floor.to_milliwatts();
+    let mut worst = Milliwatts::ZERO;
+    let mut check_instant = |t: SimTime| {
+        let mut sum = Milliwatts::ZERO;
+        for i in interferers {
+            if i.start <= t && t < i.end {
+                sum += i.power;
+            }
+        }
+        if sum.0 > worst.0 {
+            worst = sum;
+        }
+    };
+    check_instant(start);
+    for i in interferers {
+        if i.start > start && i.start < end {
+            check_instant(i.start);
+        }
+    }
+    let snir_db = 10.0 * (signal.0 / (noise + worst).0).log10();
+    if snir_db.is_nan() {
+        return DeciderResult::Lost(LossReason::NumericFault);
+    }
+    if snir_db >= config.mcs.snir_threshold_db() {
+        DeciderResult::Received { snir_db }
+    } else {
+        DeciderResult::Lost(LossReason::Snir)
+    }
+}
+
+/// The precomputed decider (sensitivity, noise floor and threshold built
+/// once, the signal's dBm handed in) decides exactly like the reference
+/// formula, to the bit: at the sensitivity edge, under overlapping
+/// interferers, and with NaN or infinite powers.
+#[test]
+fn precomputed_decider_matches_the_reference_formula() {
+    let bits = |r: DeciderResult| match r {
+        DeciderResult::Received { snir_db } => Ok(snir_db.to_bits()),
+        DeciderResult::Lost(reason) => Err(reason),
+    };
+    for case in 0..CASES {
+        let mut g = RngStream::derive(SEED, StreamId(case));
+        let sensitivity = g.uniform_range(-95.0, -80.0);
+        let noise_floor = g.uniform_range(-115.0, -95.0);
+        // Every fourth case sits on the sensitivity edge, one in sixteen
+        // carries a NaN or infinite signal.
+        let signal = match case % 16 {
+            0 => Milliwatts(f64::NAN),
+            8 => Milliwatts(f64::INFINITY),
+            4 | 12 => Dbm(sensitivity).to_milliwatts(),
+            _ => Dbm(g.uniform_range(sensitivity - 5.0, -40.0)).to_milliwatts(),
+        };
+        let start = SimTime::from_micros(g.below(200) as i64);
+        let end = start + SimDuration::from_micros(1 + g.below(400) as i64);
+        let interferers: Vec<Interferer> = (0..g.below(6))
+            .map(|k| {
+                let s = SimTime::from_micros(g.below(700) as i64);
+                let power = if case % 32 == 2 && k == 0 {
+                    Milliwatts(f64::NAN)
+                } else {
+                    Dbm(g.uniform_range(-120.0, -50.0)).to_milliwatts()
+                };
+                Interferer {
+                    power,
+                    start: s,
+                    end: s + SimDuration::from_micros(1 + g.below(400) as i64),
+                }
+            })
+            .collect();
+        for mcs in ALL_MCS {
+            let cfg = PhyConfig {
+                mcs,
+                sensitivity: Dbm(sensitivity),
+                noise_floor: Dbm(noise_floor),
+                ..PhyConfig::default()
+            };
+            let inputs = format!(
+                "case {case}: {mcs:?}, signal {signal:?}, sensitivity {sensitivity}, \
+                 noise {noise_floor}, [{start}, {end}], interferers {interferers:?}"
+            );
+            let want = reference_decide(&cfg, signal, start, end, &interferers);
+            let got = Decider::new(&cfg).decide(
+                signal,
+                signal.to_dbm().0,
+                start,
+                end,
+                interferers.iter().copied(),
+            );
+            assert_eq!(bits(got), bits(want), "{inputs}");
         }
     }
 }
@@ -201,7 +310,7 @@ fn mac_drains_queue_on_idle_medium() {
         let seed = g.next_u64();
         let inputs = format!("case {case}: {n} frames, MAC seed {seed}");
         let mut mac = Mac::new(MacConfig::default(), RngStream::new(seed));
-        let mut pending: Vec<MacAction> = Vec::new();
+        let mut pending: Option<MacAction> = None;
         for i in 0..n {
             let wsm = Wsm {
                 source: NodeId(1),
@@ -210,23 +319,25 @@ fn mac_drains_queue_on_idle_medium() {
                 channel: WaveChannel::Cch,
                 payload: b"x".as_slice().into(),
             };
-            pending.extend(mac.enqueue(wsm, AccessCategory::Vo, SimTime::ZERO));
+            if let Some(action) = mac.enqueue(wsm, AccessCategory::Vo, SimTime::ZERO) {
+                assert!(pending.replace(action).is_none(), "{inputs}: two actions");
+            }
         }
         let mut sent = Vec::new();
         let mut now = SimTime::ZERO;
         let mut guard = 0;
-        while let Some(action) = pending.pop() {
+        while let Some(action) = pending.take() {
             guard += 1;
             assert!(guard < 10_000, "{inputs}: MAC did not converge");
             match action {
                 MacAction::SetTimer { at, token } => {
                     now = now.max(at);
-                    pending.extend(mac.handle_timer(token, at));
+                    pending = mac.handle_timer(token, at);
                 }
                 MacAction::StartTx(wsm) => {
                     sent.push(wsm.sequence);
                     now += SimDuration::from_micros(80);
-                    pending.extend(mac.tx_finished(now));
+                    pending = mac.tx_finished(now);
                 }
                 MacAction::Drop { .. } => panic!("{inputs}: unexpected drop"),
             }

@@ -58,29 +58,27 @@ impl RadioWorld {
     fn enqueue(&mut self, node: u32, seq: u32) {
         let wsm = self.wsm(node, seq);
         let now = self.sim.now();
-        let actions = self.macs[node as usize].enqueue(wsm, AccessCategory::Vo, now);
-        self.apply(node, actions);
+        let action = self.macs[node as usize].enqueue(wsm, AccessCategory::Vo, now);
+        self.apply(node, action);
     }
 
-    fn apply(&mut self, node: u32, actions: Vec<MacAction>) {
+    fn apply(&mut self, node: u32, action: Option<MacAction>) {
         let now = self.sim.now();
-        for a in actions {
-            match a {
-                MacAction::SetTimer { at, token } => {
-                    self.sim
-                        .schedule_at(at.max(now), Ev::MacTimer { node, token });
-                }
-                MacAction::StartTx(wsm) => {
-                    let out = self.medium.transmit(NodeId(node), wsm, now);
-                    self.sim.schedule_at(now + out.duration, Ev::TxEnd { node });
-                    for r in out.receptions {
-                        self.sim
-                            .schedule_at(r.start, Ev::RxStart(Box::new(r.clone())));
-                        self.sim.schedule_at(r.end, Ev::RxEnd(Box::new(r)));
-                    }
-                }
-                MacAction::Drop { .. } => {}
+        match action {
+            Some(MacAction::SetTimer { at, token }) => {
+                self.sim
+                    .schedule_at(at.max(now), Ev::MacTimer { node, token });
             }
+            Some(MacAction::StartTx(wsm)) => {
+                let out = self.medium.transmit(NodeId(node), wsm, now);
+                self.sim.schedule_at(now + out.duration, Ev::TxEnd { node });
+                for r in out.receptions {
+                    self.sim
+                        .schedule_at(r.start, Ev::RxStart(Box::new(r.clone())));
+                    self.sim.schedule_at(r.end, Ev::RxEnd(Box::new(r)));
+                }
+            }
+            Some(MacAction::Drop { .. }) | None => {}
         }
     }
 
@@ -88,18 +86,17 @@ impl RadioWorld {
         while let Some((now, ev)) = self.sim.pop_due(limit) {
             match ev {
                 Ev::MacTimer { node, token } => {
-                    let actions = self.macs[node as usize].handle_timer(token, now);
-                    self.apply(node, actions);
+                    let action = self.macs[node as usize].handle_timer(token, now);
+                    self.apply(node, action);
                 }
                 Ev::TxEnd { node } => {
-                    let actions = self.macs[node as usize].tx_finished(now);
-                    self.apply(node, actions);
+                    let action = self.macs[node as usize].tx_finished(now);
+                    self.apply(node, action);
                 }
                 Ev::RxStart(r) => {
                     self.medium.reception_started(&r);
                     if r.above_cs && !self.macs[r.rx.0 as usize].is_transmitting() {
-                        let actions = self.macs[r.rx.0 as usize].medium_busy(now);
-                        self.apply(r.rx.0, actions);
+                        self.macs[r.rx.0 as usize].medium_busy(now);
                     }
                 }
                 Ev::RxEnd(r) => {
@@ -108,8 +105,8 @@ impl RadioWorld {
                         self.delivered.push((r.rx.0, r.wsm.clone(), now));
                     }
                     if !self.medium.is_busy(r.rx, now) {
-                        let actions = self.macs[r.rx.0 as usize].medium_idle(now);
-                        self.apply(r.rx.0, actions);
+                        let action = self.macs[r.rx.0 as usize].medium_idle(now);
+                        self.apply(r.rx.0, action);
                     }
                 }
             }

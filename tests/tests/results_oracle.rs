@@ -11,7 +11,9 @@
 //! pins one golden run and one experiment per model, run directly on the
 //! engine.
 
+use comfase::campaign::CampaignResult;
 use comfase::config::linspace_inclusive;
+use comfase::fingerprint::fnv1a64;
 use comfase::prelude::*;
 use comfase_des::time::SimTime;
 
@@ -19,6 +21,9 @@ use comfase_des::time::SimTime;
 const SEED: u64 = 42;
 /// Worker threads of every campaign.
 const THREADS: usize = 2;
+
+/// FNV-1a 64 of the `metrics.json` bytes of the 16-car drop campaign.
+const SIXTEEN_CAR_METRICS_FNV: u64 = 0xe0a9_6142_10d1_3ce7;
 
 /// Verdicts per class, `[non-effective, negligible, benign, severe]`.
 type Counts = [usize; 4];
@@ -63,8 +68,14 @@ fn outcome(result: &CampaignResult) -> (Counts, u64) {
     (counts, digest)
 }
 
-/// Runs `setup` on `engine` and checks it against a reference.
-fn assert_campaign(engine: Engine, setup: AttackCampaignSetup, counts: Counts, digest: u64) {
+/// Runs `setup` on `engine`, checks it against a reference and returns
+/// the result.
+fn assert_campaign(
+    engine: Engine,
+    setup: AttackCampaignSetup,
+    counts: Counts,
+    digest: u64,
+) -> CampaignResult {
     let campaign = Campaign::new(engine, setup).expect("valid campaign");
     let config = RunConfig {
         mode: ExecutionMode::SnapshotDag,
@@ -80,6 +91,7 @@ fn assert_campaign(engine: Engine, setup: AttackCampaignSetup, counts: Counts, d
         (counts, digest),
         "counts {got_counts:?} digest {got_digest:#018x}"
     );
+    result
 }
 
 /// Picks `vector[i]` for each index, keeping the paper's exact values.
@@ -134,7 +146,9 @@ fn table2_full_delay_campaign_is_pinned() {
 }
 
 /// A 16-car platoon with telemetry on, beacons of vehicle 2 dropped with
-/// probability 0.5 and 0.9 for 2 s from t = 17 s.
+/// probability 0.5 and 0.9 for 2 s from t = 17 s. Its `metrics.json`
+/// bytes are pinned too: at 15 receivers per beacon every counter and
+/// the received-power histogram see ~140 k links per experiment.
 #[test]
 fn sixteen_car_drop_campaign_is_pinned() {
     let mut scenario = TrafficScenario::paper_default();
@@ -149,7 +163,16 @@ fn sixteen_car_drop_campaign_is_pinned() {
         attack_starts_s: pick(&linspace_inclusive(17.0, 21.8, 0.2), &[0]),
         attack_durations_s: pick(&linspace_inclusive(1.0, 30.0, 1.0), &[1]),
     };
-    assert_campaign(engine, setup, [0, 0, 2, 0], 0xbb32_a870_1380_6da9);
+    let result = assert_campaign(engine, setup, [0, 0, 2, 0], 0xbb32_a870_1380_6da9);
+    let bytes = result
+        .metrics
+        .expect("telemetry was enabled")
+        .to_json_bytes();
+    let hash = fnv1a64(&bytes);
+    assert_eq!(
+        hash, SIXTEEN_CAR_METRICS_FNV,
+        "metrics.json fnv1a64 {hash:#018x}"
+    );
 }
 
 /// The path-loss ablation: at platooning distances free-space and
