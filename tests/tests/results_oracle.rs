@@ -10,12 +10,20 @@
 //! [`ExecutionMode::SnapshotDag`] on two threads. The path-loss ablation
 //! pins one golden run and one experiment per model, run directly on the
 //! engine.
+//!
+//! The radio-path pins hash whole `RunLog`s (`comfase_json::to_string`):
+//! the golden run with trace and dataset capture, the `jamming` example's
+//! jammed run, and the teleoperation scenario over WAVE and over
+//! cellular. The stride-8 pins hash the `metrics.json` and
+//! `metrics_dos.json` bytes that `repro --delay-summary --dos-summary
+//! --stride 8 --metrics` writes.
 
 use comfase::campaign::CampaignResult;
 use comfase::config::linspace_inclusive;
 use comfase::fingerprint::fnv1a64;
 use comfase::prelude::*;
-use comfase_des::time::SimTime;
+use comfase::teleop::TELEOP_VEHICLE;
+use comfase_des::time::{SimDuration, SimTime};
 
 /// Engine seed of every reference.
 const SEED: u64 = 42;
@@ -212,4 +220,168 @@ fn free_space_and_two_ray_agree_at_platooning_distances() {
         );
         assert_eq!(v.nr_collisions, 1, "{model:?}: {v:?}");
     }
+}
+
+/// FNV-1a 64 of a run log's JSON bytes.
+fn run_log_fnv(log: &RunLog) -> u64 {
+    fnv1a64(comfase_json::to_string(log).as_bytes())
+}
+
+/// Asserts a run log's JSON digest.
+fn assert_run_log(what: &str, log: &RunLog, expected: u64) {
+    let hash = run_log_fnv(log);
+    assert_eq!(hash, expected, "{what}: RunLog fnv1a64 {hash:#018x}");
+}
+
+/// The golden run with counters, trace marks and dataset capture on:
+/// `phy.tx.frames`, the tx/rx trace marks, the received-power histogram
+/// and one `FrameFate` row per decided link.
+#[test]
+fn golden_run_log_with_trace_and_dataset_is_pinned() {
+    let mut world = World::with_obs(
+        &TrafficScenario::paper_default(),
+        &CommModel::paper_default(),
+        SEED,
+        ObsConfig::with_trace().with_dataset(),
+    )
+    .unwrap();
+    world.run_to_end();
+    let log = world.into_log();
+    assert!(log.obs.dataset.as_ref().is_some_and(|d| !d.is_empty()));
+    assert_run_log("golden", &log, 0x259d_2a81_8e31_6f23);
+}
+
+/// The `jamming` example's jammed run, with telemetry on: the jammer's
+/// raw transmissions and the frames planned to the jammer node
+/// (`phy.rx.inactive`).
+#[test]
+fn jammed_run_log_is_pinned() {
+    let mut world = World::with_obs(
+        &TrafficScenario::paper_default(),
+        &CommModel::paper_default(),
+        SEED,
+        ObsConfig::with_trace().with_dataset(),
+    )
+    .unwrap();
+    world.add_jammer(JammerSpec {
+        pos_x_m: 980.0,
+        pos_y_m: 12.0,
+        period: SimDuration::from_micros(500),
+        payload_bytes: 150,
+        start: SimTime::from_secs(17),
+        end: SimTime::from_secs(27),
+    });
+    world.run_to_end();
+    let log = world.into_log();
+    assert!(log.obs.counter("phy.rx.inactive") > 0);
+    assert_run_log("jammed", &log, 0x884b_6104_59f3_23f0);
+}
+
+/// Runs the teleoperation scenario with an optional attack, the way the
+/// `teleoperation` example does.
+fn teleop_log(scenario: &TeleopScenario, seed: u64, attack: Option<AttackSpec>) -> RunLog {
+    let mut world = TeleopWorld::new(scenario, seed).unwrap();
+    if let Some(attack) = attack {
+        world.run_until(attack.start);
+        world.install_attack(attack.build_interceptor(0));
+        world.run_until(attack.end);
+        world.clear_attack();
+    }
+    world.run_to_end();
+    world.into_log()
+}
+
+/// Attack on the teleoperated vehicle's frames.
+fn teleop_attack(model: AttackModelKind, value: f64, start_s: i64) -> AttackSpec {
+    AttackSpec {
+        model,
+        value,
+        targets: vec![TELEOP_VEHICLE].into(),
+        start: SimTime::from_secs(start_s),
+        end: SimTime::from_secs(60),
+    }
+}
+
+/// Teleoperation over 802.11p: healthy, DoS on the vehicle from 20 s,
+/// and a 2 s uplink delay that crashes with frames still in flight.
+#[test]
+fn teleop_wave_run_logs_are_pinned() {
+    let scenario = TeleopScenario::highway_default();
+    let healthy = teleop_log(&scenario, 7, None);
+    assert!(!healthy.has_collision());
+    assert_run_log("wave healthy", &healthy, 0xa57f_8bf9_8a97_a656);
+    let dos = teleop_log(
+        &scenario,
+        7,
+        Some(teleop_attack(AttackModelKind::Dos, 60.0, 20)),
+    );
+    assert!(dos.has_collision());
+    assert_run_log("wave DoS", &dos, 0xf889_36a7_0997_e45a);
+    let delayed = teleop_log(
+        &scenario,
+        3,
+        Some(teleop_attack(AttackModelKind::Delay, 2.0, 0)),
+    );
+    assert!(delayed.has_collision());
+    assert_run_log("wave 2 s delay", &delayed, 0x3671_a31f_9413_268b);
+}
+
+/// Teleoperation over the cellular bearer: healthy and DoS.
+#[test]
+fn teleop_cellular_run_logs_are_pinned() {
+    let scenario = TeleopScenario::highway_cellular();
+    let healthy = teleop_log(&scenario, 7, None);
+    assert!(!healthy.has_collision());
+    assert_run_log("cellular healthy", &healthy, 0x8b9c_9190_89b2_83a2);
+    let dos = teleop_log(
+        &scenario,
+        7,
+        Some(teleop_attack(AttackModelKind::Dos, 60.0, 20)),
+    );
+    assert!(dos.has_collision());
+    assert_run_log("cellular DoS", &dos, 0x3c72_4ef3_3dfc_49df);
+}
+
+/// Runs a campaign with counters on and returns the FNV-1a 64 of its
+/// `metrics.json` bytes.
+fn campaign_metrics_fnv(setup: AttackCampaignSetup) -> u64 {
+    let engine = Engine::paper_default(SEED)
+        .unwrap()
+        .with_obs(ObsConfig::metrics_only());
+    let result = Campaign::new(engine, setup)
+        .expect("valid campaign")
+        .run(THREADS, &RunConfig::default(), &NullObserver)
+        .expect("campaign runs");
+    assert!(result.failures.is_empty(), "{:?}", result.failures);
+    fnv1a64(
+        &result
+            .metrics
+            .expect("telemetry was enabled")
+            .to_json_bytes(),
+    )
+}
+
+/// The stride-8 delay grid (32 experiments: every 8th value, start and
+/// duration, as `repro --stride 8` subsamples) and the 25-experiment DoS
+/// campaign: the `metrics.json` and `metrics_dos.json` bytes.
+#[test]
+fn stride8_campaign_metrics_are_pinned() {
+    let mut setup = AttackCampaignSetup::paper_delay_campaign();
+    for v in [
+        &mut setup.attack_values,
+        &mut setup.attack_starts_s,
+        &mut setup.attack_durations_s,
+    ] {
+        *v = v.iter().step_by(8).copied().collect();
+    }
+    let delay = campaign_metrics_fnv(setup);
+    assert_eq!(
+        delay, 0x5afb_e524_0634_a081,
+        "metrics.json fnv1a64 {delay:#018x}"
+    );
+    let dos = campaign_metrics_fnv(AttackCampaignSetup::paper_dos_campaign());
+    assert_eq!(
+        dos, 0x1d0f_4630_9211_aa9a,
+        "metrics_dos.json fnv1a64 {dos:#018x}"
+    );
 }
