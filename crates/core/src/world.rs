@@ -632,8 +632,15 @@ impl World {
             .schedule_at_with_priority(start, PRIO_RADIO, WorldEvent::JammerTx { jammer: idx });
     }
 
+    /// Moves every active platoon member's antenna to its vehicle.
+    /// Background vehicles have no radio and stay off the medium.
     fn sync_positions(&mut self) {
-        for v in self.traffic.vehicles().iter().filter(|v| v.active) {
+        for v in self
+            .traffic
+            .vehicles()
+            .iter()
+            .filter(|v| v.active && self.nodes.contains_key(&v.id.0))
+        {
             let x = v.state.pos_m - v.spec.length_m / 2.0;
             self.medium
                 .update_position(NodeId(v.id.0), Position::on_road(x, self.lane_offset_y));
@@ -913,8 +920,8 @@ impl World {
         let now = self.sim.now();
         let rx = reception.rx.0;
         let Some(node) = self.nodes.get_mut(&rx) else {
-            // Planned for a radio that never decodes (jammer node) — the
-            // link leaves the accounting here.
+            // Planned for a node without a MAC (a jammer) — the link
+            // leaves the accounting here.
             self.obs.inc("phy.rx.inactive");
             self.record_frame_fate(now, reception, FrameFate::RxInactive, None);
             return;

@@ -108,6 +108,54 @@ fn background_traffic_is_logged_and_harmless_in_other_lanes() {
 }
 
 #[test]
+fn background_traffic_stays_off_the_platoon_radio() {
+    // Background cars have no radio: adding them in other lanes must not
+    // give them frames to receive, nor change which beacons a
+    // probabilistic drop attack draws for the platoon.
+    let run = |background: Vec<(u8, f64, f64)>| {
+        let mut scenario = TrafficScenario::paper_default();
+        scenario.total_sim_time = SimTime::from_secs(20);
+        scenario.background_vehicles = background;
+        let mut world = World::with_obs(
+            &scenario,
+            &CommModel::paper_default(),
+            42,
+            ObsConfig::metrics_only(),
+        )
+        .unwrap();
+        let attack = AttackSpec {
+            model: AttackModelKind::Drop,
+            value: 0.5,
+            targets: vec![2].into(),
+            start: SimTime::from_secs(5),
+            end: SimTime::from_secs(15),
+        };
+        world.run_until(attack.start);
+        world.install_attack(attack.build_interceptor(7));
+        world.run_until(attack.end);
+        world.clear_attack();
+        world.run_to_end();
+        world.into_log()
+    };
+    let alone = run(Vec::new());
+    let with_traffic = run(vec![(1, 480.0, 22.0), (1, 420.0, 26.0), (2, 300.0, 30.0)]);
+    assert_eq!(with_traffic.trace.vehicle_ids().len(), 7);
+    assert!(
+        alone.channel.links_dropped_by_interceptor > 0,
+        "the attack dropped nothing"
+    );
+    for v in [1u32, 2, 3, 4] {
+        assert!(
+            with_traffic.trace.vehicle(VehicleId(v)) == alone.trace.vehicle(VehicleId(v)),
+            "vehicle {v}'s trace changed"
+        );
+    }
+    assert_eq!(with_traffic.comm, alone.comm);
+    assert_eq!(with_traffic.channel, alone.channel);
+    assert_eq!(with_traffic.obs.counter("phy.rx.inactive"), 0);
+}
+
+#[test]
 fn teleop_delay_campaign_sweep() {
     // A miniature campaign over the teleoperation scenario: increasing
     // command delay monotonically erodes the stopping margin until the
