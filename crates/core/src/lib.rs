@@ -59,6 +59,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod journal;
 pub mod log;
+mod radio;
 pub mod report;
 pub mod teleop;
 pub mod world;

@@ -15,32 +15,40 @@
 //!   autonomy, which is precisely the hazard teleoperation evaluations
 //!   probe.
 //!
-//! Both link directions run, selectably, over the same 802.11p medium as
+//! Both link directions run, selectably, over the same 802.11p stack as
 //! the platooning scenario ([`TeleopLink::Wave`]) or over a 4G/5G-style
 //! cellular bearer ([`TeleopLink::Cellular`] — the paper's planned INET
 //! extension), and every ComFASE attack model (delay, DoS, drop,
 //! falsification of the uplinked position …) applies unchanged via
 //! [`TeleopWorld::install_attack`].
-
-use std::sync::Arc;
+//!
+//! The 802.11p side is the crate's shared radio stack (the `radio`
+//! module, which [`crate::world::World`] runs on too), so this module
+//! holds only the scenario: the control loop, the status and command
+//! codecs, and the cellular bearer. One difference is deliberate: a
+//! crashed teleoperated vehicle leaves the medium but is not silenced,
+//! so its MAC still decides the frames already in flight to it.
 
 use comfase_des::rng::{RngStream, StreamId};
 use comfase_des::sim::Simulator;
 use comfase_des::time::{SimDuration, SimTime};
 use comfase_des::wire::take;
+use comfase_obs::SimRecorder;
+use comfase_platoon::app::AppStats;
 use comfase_traffic::network::{LaneIndex, Road};
 use comfase_traffic::simulation::{TrafficSim, STEP_LEN};
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
-use comfase_wireless::channel::{ChannelInterceptor, Medium, PlannedReception};
-use comfase_wireless::frame::{AccessCategory, NodeId, WaveChannel, Wsm};
+use comfase_wireless::channel::{ChannelInterceptor, LinkFate, Medium};
+use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
 use comfase_wireless::geom::Position;
-use comfase_wireless::mac::{Mac, MacAction, MacConfig};
+use comfase_wireless::mac::{Mac, MacConfig};
+use comfase_wireless::pathloss::FreeSpace;
 use comfase_wireless::phy::PhyConfig;
 use comfase_wireless::units::CCH_FREQ_HZ;
 
 use crate::error::ComfaseError;
-use crate::log::{RunLog, VehicleCommStats};
-use crate::world::schedule_receptions;
+use crate::log::RunLog;
+use crate::radio::{Radio, RadioEvent, PRIO_RADIO};
 
 /// Vehicle id of the remotely driven vehicle.
 pub const TELEOP_VEHICLE: u32 = 1;
@@ -262,42 +270,70 @@ enum TeleopEvent {
     TrafficStep,
     VehicleUplink,
     OperatorDownlink,
-    MacTimer {
-        node: u32,
-        token: u64,
-    },
-    TxEnd {
-        node: u32,
-    },
-    RxStart(Arc<PlannedReception>),
-    RxEnd(Arc<PlannedReception>),
     /// A cellular packet arrives at its destination node.
     CellularDeliver {
         rx: u32,
         wsm: Wsm,
     },
+    /// An event of the 802.11p stack.
+    Radio(RadioEvent),
 }
 
-const PRIO_RADIO: i16 = -10;
+impl From<RadioEvent> for TeleopEvent {
+    fn from(ev: RadioEvent) -> Self {
+        TeleopEvent::Radio(ev)
+    }
+}
+
 const PRIO_TRAFFIC: i16 = 0;
 const PRIO_APP: i16 = 10;
+
+/// What the two ends of the control loop know.
+#[derive(Debug, Default)]
+struct ControlLoop {
+    /// Last command received by the vehicle.
+    last_command: Option<CommandMsg>,
+    /// Operator's belief about the vehicle.
+    believed: Option<StatusMsg>,
+    commands_received: u64,
+    statuses_received: u64,
+}
+
+impl ControlLoop {
+    /// Delivers a decoded application payload to a node.
+    fn deliver(&mut self, rx: u32, wsm: &Wsm) {
+        if rx == OPERATOR_NODE {
+            if let Some(status) = StatusMsg::decode(&wsm.payload) {
+                if self.believed.is_none_or(|b| status.sampled >= b.sampled) {
+                    self.believed = Some(status);
+                }
+                self.statuses_received += 1;
+            }
+        } else if rx == TELEOP_VEHICLE {
+            if let Some(cmd) = CommandMsg::decode(&wsm.payload) {
+                if self.last_command.is_none_or(|c| cmd.issued >= c.issued) {
+                    self.last_command = Some(cmd);
+                }
+                self.commands_received += 1;
+            }
+        }
+    }
+}
 
 /// The teleoperation co-simulation.
 #[derive(Debug)]
 pub struct TeleopWorld {
     sim: Simulator<TeleopEvent>,
     traffic: TrafficSim,
-    medium: Medium,
-    vehicle_mac: Mac,
-    operator_mac: Mac,
+    /// The vehicle's and the operator station's 802.11p nodes. They exist
+    /// on a cellular link too, and then stay idle.
+    radio: Radio<()>,
+    /// Always [`SimRecorder::Null`]: the shared radio code records into
+    /// it, and the run log's telemetry stays empty.
+    obs: SimRecorder,
     scenario: TeleopScenario,
-    /// Last command received by the vehicle.
-    last_command: Option<CommandMsg>,
-    /// Operator's belief about the vehicle.
-    believed: Option<StatusMsg>,
+    control: ControlLoop,
     seq: u32,
-    commands_received: u64,
-    statuses_received: u64,
     /// Attack interceptor for the cellular bearer (the medium holds the
     /// interceptor in WAVE mode).
     cell_interceptor: Option<Box<dyn ChannelInterceptor>>,
@@ -334,33 +370,29 @@ impl TeleopWorld {
         ))?;
         traffic.set_external_control(VehicleId(OBSTACLE_VEHICLE))?;
 
-        let mut medium = Medium::with_models(
-            Box::new(comfase_wireless::pathloss::FreeSpace::default()),
+        let mut radio = Radio::new(Medium::with_models(
+            Box::new(FreeSpace::default()),
             CCH_FREQ_HZ,
             PhyConfig::default(),
-        );
-        medium.update_position(
+        ));
+        let mac = |stream| Mac::new(MacConfig::default(), sim.rng(StreamId(stream)));
+        radio.add_node(TELEOP_VEHICLE, mac(1), ());
+        radio.add_node(OPERATOR_NODE, mac(2), ());
+        radio.place(
             NodeId(OPERATOR_NODE),
             Position::new(scenario.operator_pos_m, 15.0, 6.0), // roadside mast
         );
-        medium.update_position(
-            NodeId(TELEOP_VEHICLE),
-            Position::on_road(scenario.start_pos_m, scenario.road.lane_center_offset(lane)),
-        );
+        radio.sync_positions(&traffic, scenario.road.lane_center_offset(lane));
 
         let mut world = TeleopWorld {
-            vehicle_mac: Mac::new(MacConfig::default(), sim.rng(StreamId(1))),
-            operator_mac: Mac::new(MacConfig::default(), sim.rng(StreamId(2))),
             cell_rng: sim.rng(StreamId(3)),
             sim,
             traffic,
-            medium,
+            radio,
+            obs: SimRecorder::Null,
             scenario: scenario.clone(),
-            last_command: None,
-            believed: None,
+            control: ControlLoop::default(),
             seq: 0,
-            commands_received: 0,
-            statuses_received: 0,
             cell_interceptor: None,
             cell_lost: 0,
         };
@@ -388,14 +420,14 @@ impl TeleopWorld {
     /// the bearer's packets.
     pub fn install_attack(&mut self, interceptor: Box<dyn ChannelInterceptor>) {
         match self.scenario.link {
-            TeleopLink::Wave => self.medium.set_interceptor(interceptor),
+            TeleopLink::Wave => self.radio.medium_mut().set_interceptor(interceptor),
             TeleopLink::Cellular { .. } => self.cell_interceptor = Some(interceptor),
         }
     }
 
     /// Removes the attack.
     pub fn clear_attack(&mut self) {
-        self.medium.clear_interceptor();
+        self.radio.medium_mut().clear_interceptor();
         self.cell_interceptor = None;
     }
 
@@ -411,12 +443,12 @@ impl TeleopWorld {
 
     /// Commands successfully received by the vehicle so far.
     pub fn commands_received(&self) -> u64 {
-        self.commands_received
+        self.control.commands_received
     }
 
     /// Status messages successfully received by the operator so far.
     pub fn statuses_received(&self) -> u64 {
-        self.statuses_received
+        self.control.statuses_received
     }
 
     /// Runs until `limit` (clamped to the configured horizon).
@@ -435,21 +467,6 @@ impl TeleopWorld {
 
     /// Extracts the run log.
     pub fn into_log(self) -> RunLog {
-        let mut comm = std::collections::BTreeMap::new();
-        comm.insert(
-            TELEOP_VEHICLE,
-            VehicleCommStats {
-                mac: self.vehicle_mac.stats(),
-                ..Default::default()
-            },
-        );
-        comm.insert(
-            OPERATOR_NODE,
-            VehicleCommStats {
-                mac: self.operator_mac.stats(),
-                ..Default::default()
-            },
-        );
         let kernel = comfase_obs::KernelCounters {
             scheduled: self.sim.scheduled(),
             delivered: self.sim.delivered(),
@@ -459,12 +476,12 @@ impl TeleopWorld {
         let traffic_stats = self.traffic.stats();
         RunLog {
             trace: self.traffic.into_trace(),
-            channel: self.medium.stats(),
-            comm,
+            channel: self.radio.medium().stats(),
+            comm: self.radio.comm_stats(|()| AppStats::default()),
             final_time: self.sim.now(),
             kernel,
             traffic_stats,
-            obs: comfase_obs::MetricsSnapshot::default(),
+            obs: self.obs.into_snapshot(),
         }
     }
 
@@ -473,19 +490,14 @@ impl TeleopWorld {
             TeleopEvent::TrafficStep => self.on_traffic_step(),
             TeleopEvent::VehicleUplink => self.on_vehicle_uplink(),
             TeleopEvent::OperatorDownlink => self.on_operator_downlink(),
-            TeleopEvent::MacTimer { node, token } => {
-                let now = self.sim.now();
-                let action = self.mac_mut(node).handle_timer(token, now);
-                self.apply_mac_action(node, action);
+            TeleopEvent::CellularDeliver { rx, wsm } => self.control.deliver(rx, &wsm),
+            TeleopEvent::Radio(ev) => {
+                let control = &mut self.control;
+                self.radio
+                    .dispatch(&mut self.sim, &mut self.obs, ev, |rx, (), wsm| {
+                        control.deliver(rx, wsm);
+                    });
             }
-            TeleopEvent::TxEnd { node } => {
-                let now = self.sim.now();
-                let action = self.mac_mut(node).tx_finished(now);
-                self.apply_mac_action(node, action);
-            }
-            TeleopEvent::RxStart(reception) => self.on_rx_start(&reception),
-            TeleopEvent::RxEnd(reception) => self.on_rx_end(&reception),
-            TeleopEvent::CellularDeliver { rx, wsm } => self.deliver(rx, &wsm),
         }
     }
 
@@ -493,10 +505,7 @@ impl TeleopWorld {
     fn send(&mut self, from: u32, to: u32, wsm: Wsm) {
         let now = self.sim.now();
         match self.scenario.link {
-            TeleopLink::Wave => {
-                let action = self.mac_mut(from).enqueue(wsm, AccessCategory::Vo, now);
-                self.apply_mac_action(from, action);
-            }
+            TeleopLink::Wave => self.radio.send(&mut self.sim, &mut self.obs, from, wsm),
             TeleopLink::Cellular {
                 latency,
                 jitter,
@@ -514,16 +523,14 @@ impl TeleopWorld {
                 // Attack interception at the bearer level.
                 let fate = match self.cell_interceptor.as_mut() {
                     Some(i) => i.intercept(NodeId(from), NodeId(to), now, default_delay, &wsm),
-                    None => comfase_wireless::channel::LinkFate::Deliver {
+                    None => LinkFate::Deliver {
                         delay: default_delay,
                     },
                 };
                 let (delay, wsm) = match fate {
-                    comfase_wireless::channel::LinkFate::Deliver { delay } => (delay, wsm),
-                    comfase_wireless::channel::LinkFate::DeliverModified { delay, wsm } => {
-                        (delay, wsm)
-                    }
-                    comfase_wireless::channel::LinkFate::Drop => return,
+                    LinkFate::Deliver { delay } => (delay, wsm),
+                    LinkFate::DeliverModified { delay, wsm } => (delay, wsm),
+                    LinkFate::Drop => return,
                 };
                 self.sim.schedule_at_with_priority(
                     now + delay,
@@ -531,33 +538,6 @@ impl TeleopWorld {
                     TeleopEvent::CellularDeliver { rx: to, wsm },
                 );
             }
-        }
-    }
-
-    /// Delivers a decoded application payload to a node.
-    fn deliver(&mut self, rx: u32, wsm: &Wsm) {
-        if rx == OPERATOR_NODE {
-            if let Some(status) = StatusMsg::decode(&wsm.payload) {
-                if self.believed.is_none_or(|b| status.sampled >= b.sampled) {
-                    self.believed = Some(status);
-                }
-                self.statuses_received += 1;
-            }
-        } else if rx == TELEOP_VEHICLE {
-            if let Some(cmd) = CommandMsg::decode(&wsm.payload) {
-                if self.last_command.is_none_or(|c| cmd.issued >= c.issued) {
-                    self.last_command = Some(cmd);
-                }
-                self.commands_received += 1;
-            }
-        }
-    }
-
-    fn mac_mut(&mut self, node: u32) -> &mut Mac {
-        if node == OPERATOR_NODE {
-            &mut self.operator_mac
-        } else {
-            &mut self.vehicle_mac
         }
     }
 
@@ -570,30 +550,20 @@ impl TeleopWorld {
             .vehicle(VehicleId(TELEOP_VEHICLE))
             .expect("vehicle exists");
         let target = self
+            .control
             .last_command
             .map_or(self.scenario.cruise_speed_mps, |c| c.target_speed_mps);
         let accel = 1.0 * (target - veh.state.speed_mps);
         self.traffic
             .command_accel(VehicleId(TELEOP_VEHICLE), accel)
             .expect("vehicle exists");
-        let collisions = self.traffic.step();
-        // A collision ends remote operability; the collider is removed by
-        // policy, nothing further to drive.
-        let _ = collisions;
-        // Update the radio position.
-        if let Some(v) = self.traffic.vehicle(VehicleId(TELEOP_VEHICLE)) {
-            if v.active {
-                self.medium.update_position(
-                    NodeId(TELEOP_VEHICLE),
-                    Position::on_road(
-                        v.state.pos_m - v.spec.length_m / 2.0,
-                        self.scenario.road.lane_center_offset(LaneIndex(0)),
-                    ),
-                );
-            } else {
-                self.medium.remove_node(NodeId(TELEOP_VEHICLE));
-            }
-        }
+        // A collision ends remote operability: the collider leaves the
+        // road, and its radio leaves the medium with it.
+        self.traffic.step();
+        self.radio.sync_positions(
+            &self.traffic,
+            self.scenario.road.lane_center_offset(LaneIndex(0)),
+        );
         let next = now + STEP_LEN;
         if next <= self.scenario.total_sim_time {
             self.sim
@@ -632,7 +602,7 @@ impl TeleopWorld {
         let now = self.sim.now();
         // Plan on the *believed* state: stop when within planned braking
         // distance of the obstacle.
-        let target = match &self.believed {
+        let target = match &self.control.believed {
             Some(status) => {
                 let braking_dist =
                     status.speed_mps * status.speed_mps / (2.0 * self.scenario.planning_decel_mps2);
@@ -665,58 +635,6 @@ impl TeleopWorld {
         if next <= self.scenario.total_sim_time {
             self.sim
                 .schedule_at_with_priority(next, PRIO_APP, TeleopEvent::OperatorDownlink);
-        }
-    }
-
-    fn apply_mac_action(&mut self, node: u32, action: Option<MacAction>) {
-        let now = self.sim.now();
-        match action {
-            Some(MacAction::SetTimer { at, token }) => {
-                self.sim.schedule_at_with_priority(
-                    at.max(now),
-                    PRIO_RADIO,
-                    TeleopEvent::MacTimer { node, token },
-                );
-            }
-            Some(MacAction::StartTx(wsm)) => {
-                let out = self.medium.transmit(NodeId(node), wsm, now);
-                self.sim.schedule_at_with_priority(
-                    now + out.duration,
-                    PRIO_RADIO,
-                    TeleopEvent::TxEnd { node },
-                );
-                schedule_receptions(
-                    &mut self.sim,
-                    PRIO_RADIO,
-                    out.receptions,
-                    TeleopEvent::RxStart,
-                    TeleopEvent::RxEnd,
-                );
-            }
-            Some(MacAction::Drop { .. }) | None => {}
-        }
-    }
-
-    /// Carrier sense as in `World`: a frame above the threshold makes the
-    /// receiver's MAC defer.
-    fn on_rx_start(&mut self, reception: &PlannedReception) {
-        let now = self.sim.now();
-        self.medium.reception_started(reception);
-        if reception.above_cs {
-            self.mac_mut(reception.rx.0).medium_busy(now);
-        }
-    }
-
-    fn on_rx_end(&mut self, reception: &PlannedReception) {
-        let now = self.sim.now();
-        let rx = reception.rx.0;
-        let result = self.medium.reception_finished(reception);
-        if result.is_received() {
-            self.deliver(rx, &reception.wsm);
-        }
-        if !self.medium.is_busy(reception.rx, now) {
-            let action = self.mac_mut(rx).medium_idle(now);
-            self.apply_mac_action(rx, action);
         }
     }
 }

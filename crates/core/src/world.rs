@@ -7,25 +7,22 @@
 //! - the **traffic simulation** (`comfase-traffic`) advances vehicle
 //!   kinematics in 0.01 s steps, called directly from a recurring kernel
 //!   event where ComFASE runs SUMO's TraCI loop;
-//! - the **wireless medium** (`comfase-wireless`) fans transmissions out
-//!   with path loss and propagation delay, and hosts the attack
-//!   interceptor;
-//! - per vehicle, an **EDCA MAC** and a **platooning application**
-//!   (`comfase-platoon`) exchange beacons and command accelerations.
+//! - the **802.11p stack** (`comfase-wireless`: the medium and one EDCA
+//!   MAC per platoon member, run by the crate's `radio` module, which
+//!   [`crate::teleop::TeleopWorld`] shares) fans transmissions out with
+//!   path loss and propagation delay, and hosts the attack interceptor.
+//!   Background vehicles have no radio;
+//! - per platoon member, a **platooning application** (`comfase-platoon`)
+//!   exchanges beacons and commands accelerations.
 //!
 //! The engine drives the world with [`World::run_until`], installing and
 //! removing attack interceptors at phase boundaries exactly as in Algo. 1.
-
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use comfase_des::rng::StreamId;
 use comfase_des::sim::{BreachKind, EventBudget, Simulator};
 use comfase_des::time::{SimDuration, SimTime};
 use comfase_obs::trace::TRACK_KERNEL;
-use comfase_obs::{
-    FrameFate, FrameRecord, HistSpec, KernelCounters, ObsConfig, SimRecorder, StepRecord, TraceKind,
-};
+use comfase_obs::{KernelCounters, ObsConfig, SimRecorder, StepRecord, TraceKind};
 use comfase_platoon::app::PlatoonApp;
 use comfase_platoon::beacon::PlatoonBeacon;
 use comfase_platoon::controller::{EgoState, RadarReading};
@@ -35,11 +32,10 @@ use comfase_traffic::network::LaneIndex;
 use comfase_traffic::simulation::{LeaderLookup, TrafficSim, STEP_LEN, STEP_LEN_S};
 use comfase_traffic::trace::TraceConfig;
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
-use comfase_wireless::channel::{ChannelInterceptor, FanoutStrategy, Medium, PlannedReception};
-use comfase_wireless::decider::{DeciderResult, LossReason};
-use comfase_wireless::frame::{AccessCategory, NodeId, WaveChannel, Wsm};
+use comfase_wireless::channel::{ChannelInterceptor, FanoutStrategy, Medium};
+use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
 use comfase_wireless::geom::Position;
-use comfase_wireless::mac::{Mac, MacAction, MacConfig};
+use comfase_wireless::mac::{Mac, MacConfig};
 use comfase_wireless::mac1609::ChannelSchedule;
 use comfase_wireless::pathloss::{
     FreeSpace, LogNormalShadowing, PathLossModel, TwoRayInterference,
@@ -49,7 +45,8 @@ use comfase_wireless::units::CCH_FREQ_HZ;
 
 use crate::config::{CommModel, ManeuverKind, TrafficScenario, WirelessModelKind};
 use crate::error::ComfaseError;
-use crate::log::{RunLog, VehicleCommStats};
+use crate::log::RunLog;
+use crate::radio::{Radio, RadioEvent, PRIO_RADIO};
 
 /// Which execution substrate the hot paths use: the deterministic spatial
 /// indexes (wireless neighbor grid + per-lane sorted orderings) or the
@@ -64,20 +61,11 @@ pub enum IndexingMode {
     BruteForce,
 }
 
-/// Same-time delivery order: radio events first, then the traffic step,
-/// then beacon generation (so beacons sample the freshly stepped state).
-const PRIO_RADIO: i16 = -10;
+/// Same-time delivery order: radio events first ([`PRIO_RADIO`]), then
+/// the traffic step, then beacon generation (so beacons sample the freshly
+/// stepped state).
 const PRIO_TRAFFIC: i16 = 0;
 const PRIO_BEACON: i16 = 10;
-
-/// Bucket layout of the received-power histogram (`phy.rx.power_dbm`):
-/// −110 dBm (near the noise floor) to −30 dBm (bumper distance) in 2 dB
-/// bins.
-const RX_POWER_HIST: HistSpec = HistSpec {
-    lo: -110.0,
-    hi: -30.0,
-    bins: 40,
-};
 
 /// A deliberate RF noise source attached to the scenario — the "jamming
 /// attacks in the wireless channel" the paper lists as future work. The
@@ -149,41 +137,30 @@ enum WorldEvent {
     TrafficStep,
     /// Generate and enqueue the next beacon of a vehicle.
     Beacon { vehicle: u32 },
-    /// A MAC contention timer expired.
-    MacTimer { vehicle: u32, token: u64 },
-    /// A vehicle's own transmission left the air.
-    TxEnd { vehicle: u32 },
-    /// The first bit of a frame reaches a receiver.
-    RxStart(Arc<PlannedReception>),
-    /// The last bit of a frame reaches a receiver.
-    RxEnd(Arc<PlannedReception>),
     /// A jammer emits its next junk frame.
     JammerTx { jammer: usize },
+    /// An event of the radio stack.
+    Radio(RadioEvent),
 }
 
-/// Schedules the first- and last-bit events of every planned reception.
-/// Both events share one `Arc`, so a link costs one allocation and no
-/// `Wsm` clone. Used by every world that owns a [`Medium`].
-pub(crate) fn schedule_receptions<E>(
-    sim: &mut Simulator<E>,
-    priority: i16,
-    receptions: Vec<PlannedReception>,
-    rx_start: fn(Arc<PlannedReception>) -> E,
-    rx_end: fn(Arc<PlannedReception>) -> E,
-) {
-    for r in receptions {
-        let r = Arc::new(r);
-        sim.schedule_at_with_priority(r.start, priority, rx_start(Arc::clone(&r)));
-        sim.schedule_at_with_priority(r.end, priority, rx_end(r));
+impl From<RadioEvent> for WorldEvent {
+    fn from(ev: RadioEvent) -> Self {
+        WorldEvent::Radio(ev)
     }
 }
 
+/// The application side of one platoon member's radio node.
 #[derive(Debug, Clone)]
-struct Node {
-    mac: Mac,
+struct Member {
     app: PlatoonApp,
     monitor: Option<SafetyMonitor>,
-    active: bool,
+}
+
+/// Hands a decoded frame to a member's platooning application.
+fn deliver_beacon(_: u32, member: &mut Member, wsm: &Wsm) {
+    if let Ok(beacon) = PlatoonBeacon::decode(&wsm.payload) {
+        member.app.on_beacon(beacon);
+    }
 }
 
 fn build_maneuver(kind: ManeuverKind, base_speed: f64) -> Box<dyn Maneuver> {
@@ -243,8 +220,8 @@ fn build_pathloss(kind: WirelessModelKind) -> Box<dyn PathLossModel> {
 pub struct World {
     sim: Simulator<WorldEvent>,
     traffic: TrafficSim,
-    medium: Medium,
-    nodes: BTreeMap<u32, Node>,
+    /// The medium and one radio node per platoon member.
+    radio: Radio<Member>,
     beacon_interval: SimDuration,
     min_payload_bytes: usize,
     total_time: SimTime,
@@ -294,16 +271,15 @@ impl World {
         // once instead of growing them across thousands of steps.
         let planned_steps = scenario.total_sim_time.as_nanos() / STEP_LEN.as_nanos();
         traffic.reserve_trace_capacity(planned_steps as usize + 1);
-        let medium = Medium::with_models(
+        let mut radio = Radio::new(Medium::with_models(
             build_pathloss(comm.wireless_model),
             CCH_FREQ_HZ,
             PhyConfig::default(),
-        );
+        ));
 
         let lane = LaneIndex(scenario.platoon.lane);
         let lane_offset_y = scenario.road.lane_center_offset(lane);
         let leader_id = scenario.platoon.leader();
-        let mut nodes = BTreeMap::new();
         for (vehicle, pos) in scenario
             .platoon
             .initial_positions(scenario.vehicle.length_m)
@@ -351,15 +327,7 @@ impl World {
             } else {
                 scenario.safety_monitor.map(SafetyMonitor::new)
             };
-            nodes.insert(
-                vehicle,
-                Node {
-                    mac,
-                    app,
-                    monitor,
-                    active: true,
-                },
-            );
+            radio.add_node(vehicle, mac, Member { app, monitor });
         }
 
         // Radio-less background traffic driven by the built-in
@@ -381,8 +349,7 @@ impl World {
         let mut world = World {
             sim,
             traffic,
-            medium,
-            nodes,
+            radio,
             beacon_interval: comm.beaconing_time,
             min_payload_bytes,
             total_time: scenario.total_sim_time,
@@ -391,7 +358,9 @@ impl World {
             obs: SimRecorder::new(obs),
             fault: None,
         };
-        world.sync_positions();
+        world
+            .radio
+            .sync_positions(&world.traffic, world.lane_offset_y);
         for spec in scenario_jammers {
             world.add_jammer(spec);
         }
@@ -404,7 +373,8 @@ impl World {
             PRIO_TRAFFIC,
             WorldEvent::TrafficStep,
         );
-        let vehicles: Vec<u32> = world.nodes.keys().copied().collect();
+        let mut vehicles = scenario.platoon.members.clone();
+        vehicles.sort_unstable();
         for (i, vehicle) in vehicles.into_iter().enumerate() {
             let first = SimDuration::from_millis(10) + SimDuration::from_millis(i as i64);
             world.sim.schedule_at_with_priority(
@@ -433,11 +403,15 @@ impl World {
     pub fn set_indexing(&mut self, mode: IndexingMode) {
         match mode {
             IndexingMode::Indexed => {
-                self.medium.set_fanout_strategy(FanoutStrategy::Grid);
+                self.radio
+                    .medium_mut()
+                    .set_fanout_strategy(FanoutStrategy::Grid);
                 self.traffic.set_leader_lookup(LeaderLookup::Indexed);
             }
             IndexingMode::BruteForce => {
-                self.medium.set_fanout_strategy(FanoutStrategy::BruteForce);
+                self.radio
+                    .medium_mut()
+                    .set_fanout_strategy(FanoutStrategy::BruteForce);
                 self.traffic.set_leader_lookup(LeaderLookup::Linear);
             }
         }
@@ -449,14 +423,14 @@ impl World {
         self.obs.inc("attack.installed");
         self.obs
             .trace_event(self.sim.now(), TRACK_KERNEL, "attack.on", TraceKind::Mark);
-        self.medium.set_interceptor(interceptor);
+        self.radio.medium_mut().set_interceptor(interceptor);
     }
 
     /// Removes the attack, restoring the original communication model.
     pub fn clear_attack(&mut self) {
         self.obs
             .trace_event(self.sim.now(), TRACK_KERNEL, "attack.off", TraceKind::Mark);
-        self.medium.clear_interceptor();
+        self.radio.medium_mut().clear_interceptor();
     }
 
     /// Forks this world mid-attack for snapshot-DAG execution.
@@ -473,10 +447,10 @@ impl World {
     /// ([`crate::attack::AttackModelKind::seed_invariant`]): a stateful
     /// interceptor (probabilistic drop) would lose RNG state in the fork.
     pub fn fork_post_attack(&mut self) -> World {
-        let interceptor = self.medium.clear_interceptor();
+        let interceptor = self.radio.medium_mut().clear_interceptor();
         let mut leaf = self.clone();
         if let Some(i) = interceptor {
-            self.medium.set_interceptor(i);
+            self.radio.medium_mut().set_interceptor(i);
         }
         // Substrate-diagnostic counter (`exec.` prefix): excluded from
         // `metrics.json`, where mid-attack forks must be invisible.
@@ -518,7 +492,7 @@ impl World {
             let numeric = self
                 .traffic
                 .numeric_fault()
-                .or_else(|| self.medium.numeric_fault());
+                .or_else(|| self.radio.medium().numeric_fault());
             if let Some(detail) = numeric {
                 self.fault = Some(RunFault {
                     kind: RunFaultKind::NumericDiverged,
@@ -563,24 +537,12 @@ impl World {
         if self.obs.enabled() {
             self.obs.add(
                 "index.medium.links_pruned_by_grid",
-                self.medium.stats().links_pruned_by_grid,
+                self.radio.medium().stats().links_pruned_by_grid,
             );
             self.obs
                 .add("index.traffic.lane_rebuilds", self.traffic.index_rebuilds());
         }
-        let comm = self
-            .nodes
-            .iter()
-            .map(|(&v, n)| {
-                (
-                    v,
-                    VehicleCommStats {
-                        mac: n.mac.stats(),
-                        app: n.app.stats(),
-                    },
-                )
-            })
-            .collect();
+        let comm = self.radio.comm_stats(|m| m.app.stats());
         let kernel = KernelCounters {
             scheduled: self.sim.scheduled(),
             delivered: self.sim.delivered(),
@@ -590,7 +552,7 @@ impl World {
         let traffic_stats = self.traffic.stats();
         RunLog {
             trace: self.traffic.into_trace(),
-            channel: self.medium.stats(),
+            channel: self.radio.medium().stats(),
             comm,
             final_time: self.sim.now(),
             kernel,
@@ -606,14 +568,14 @@ impl World {
 
     /// Read access to the wireless medium (for examples and tests).
     pub fn medium(&self) -> &Medium {
-        &self.medium
+        self.radio.medium()
     }
 
     /// Safety-monitor interventions of one vehicle so far (`None` if the
     /// vehicle has no monitor).
     pub fn monitor_interventions(&self, vehicle: u32) -> Option<u64> {
-        self.nodes
-            .get(&vehicle)?
+        self.radio
+            .app(vehicle)?
             .monitor
             .as_ref()
             .map(SafetyMonitor::interventions)
@@ -624,27 +586,12 @@ impl World {
     pub fn add_jammer(&mut self, spec: JammerSpec) {
         let idx = self.jammers.len();
         let node = NodeId(JAMMER_NODE_BASE + idx as u32);
-        self.medium
-            .update_position(node, Position::on_road(spec.pos_x_m, spec.pos_y_m));
+        self.radio
+            .place(node, Position::on_road(spec.pos_x_m, spec.pos_y_m));
         let start = spec.start.max(self.sim.now());
         self.jammers.push(spec);
         self.sim
             .schedule_at_with_priority(start, PRIO_RADIO, WorldEvent::JammerTx { jammer: idx });
-    }
-
-    /// Moves every active platoon member's antenna to its vehicle.
-    /// Background vehicles have no radio and stay off the medium.
-    fn sync_positions(&mut self) {
-        for v in self
-            .traffic
-            .vehicles()
-            .iter()
-            .filter(|v| v.active && self.nodes.contains_key(&v.id.0))
-        {
-            let x = v.state.pos_m - v.spec.length_m / 2.0;
-            self.medium
-                .update_position(NodeId(v.id.0), Position::on_road(x, self.lane_offset_y));
-        }
     }
 
     fn dispatch(&mut self, ev: WorldEvent) {
@@ -652,33 +599,18 @@ impl World {
             self.obs.inc(match &ev {
                 WorldEvent::TrafficStep => "kernel.dispatch.traffic_step",
                 WorldEvent::Beacon { .. } => "kernel.dispatch.beacon",
-                WorldEvent::MacTimer { .. } => "kernel.dispatch.mac_timer",
-                WorldEvent::TxEnd { .. } => "kernel.dispatch.tx_end",
-                WorldEvent::RxStart(_) => "kernel.dispatch.rx_start",
-                WorldEvent::RxEnd(_) => "kernel.dispatch.rx_end",
                 WorldEvent::JammerTx { .. } => "kernel.dispatch.jammer_tx",
+                WorldEvent::Radio(ev) => ev.dispatch_counter(),
             });
         }
         match ev {
             WorldEvent::TrafficStep => self.on_traffic_step(),
             WorldEvent::Beacon { vehicle } => self.on_beacon_timer(vehicle),
-            WorldEvent::MacTimer { vehicle, token } => {
-                let now = self.sim.now();
-                if let Some(node) = self.nodes.get_mut(&vehicle) {
-                    let action = node.mac.handle_timer(token, now);
-                    self.apply_mac_action(vehicle, action);
-                }
-            }
-            WorldEvent::TxEnd { vehicle } => {
-                let now = self.sim.now();
-                if let Some(node) = self.nodes.get_mut(&vehicle) {
-                    let action = node.mac.tx_finished(now);
-                    self.apply_mac_action(vehicle, action);
-                }
-            }
-            WorldEvent::RxStart(reception) => self.on_rx_start(&reception),
-            WorldEvent::RxEnd(reception) => self.on_rx_end(&reception),
             WorldEvent::JammerTx { jammer } => self.on_jammer_tx(jammer),
+            WorldEvent::Radio(ev) => {
+                self.radio
+                    .dispatch(&mut self.sim, &mut self.obs, ev, deliver_beacon);
+            }
         }
     }
 
@@ -697,14 +629,7 @@ impl World {
             channel: WaveChannel::Cch,
             payload: vec![0xA5u8; spec.payload_bytes].into(),
         };
-        let out = self.medium.transmit(node, wsm, now);
-        schedule_receptions(
-            &mut self.sim,
-            PRIO_RADIO,
-            out.receptions,
-            WorldEvent::RxStart,
-            WorldEvent::RxEnd,
-        );
+        self.radio.transmit_raw(&mut self.sim, node, wsm);
         let next = now + spec.period;
         if next < spec.end && next <= self.total_time {
             self.sim
@@ -715,19 +640,16 @@ impl World {
     fn on_traffic_step(&mut self) {
         let now = self.sim.now();
         let capture = self.obs.dataset_enabled();
-        let attack_active = capture && self.medium.has_interceptor();
+        let attack_active = capture && self.radio.medium().has_interceptor();
         // Step rows are staged locally so the collision flag (only known
         // after kinematics advance) can be stamped before recording. Node
         // iteration order is BTreeMap order, so rows are deterministic.
         let mut step_rows: Vec<StepRecord> = Vec::new();
         // Control phase: every active platoon member computes its command
-        // from its current knowledge. `nodes` and `traffic` are disjoint
+        // from its current knowledge. `radio` and `traffic` are disjoint
         // fields, so the loop walks the node map once, in key order.
-        let World { nodes, traffic, .. } = self;
-        for (&v, node) in nodes.iter_mut() {
-            if !node.active {
-                continue;
-            }
+        let World { radio, traffic, .. } = self;
+        for (v, member) in radio.live_apps_mut() {
             let Some(veh) = traffic.vehicle(VehicleId(v)) else {
                 continue;
             };
@@ -749,9 +671,9 @@ impl World {
                     closing_speed_mps: ego.speed_mps - lead_speed,
                 }
             });
-            let mut accel = node.app.control(now, ego, radar, STEP_LEN_S);
+            let mut accel = member.app.control(now, ego, radar, STEP_LEN_S);
             let mut monitor_brake = false;
-            if let Some(monitor) = node.monitor.as_mut() {
+            if let Some(monitor) = member.monitor.as_mut() {
                 if let MonitorDecision::EmergencyBrake(brake) = monitor.check(radar.as_ref()) {
                     accel = brake;
                     monitor_brake = true;
@@ -785,16 +707,13 @@ impl World {
             self.obs.inc("traffic.collisions");
             self.obs
                 .trace_event(now, c.collider.0, "collision", TraceKind::Mark);
-            if let Some(node) = self.nodes.get_mut(&c.collider.0) {
-                node.active = false;
-            }
-            self.medium.remove_node(NodeId(c.collider.0));
+            self.radio.silence(c.collider.0);
         }
         for mut row in step_rows {
             row.collision = collisions.iter().any(|c| c.collider.0 == row.vehicle);
             self.obs.record_step(row);
         }
-        self.sync_positions();
+        self.radio.sync_positions(&self.traffic, self.lane_offset_y);
 
         let next = now + STEP_LEN;
         if next <= self.total_time {
@@ -805,16 +724,13 @@ impl World {
 
     fn on_beacon_timer(&mut self, vehicle: u32) {
         let now = self.sim.now();
-        let Some(node) = self.nodes.get_mut(&vehicle) else {
+        let Some(member) = self.radio.live_app_mut(vehicle) else {
             return;
         };
-        if !node.active {
-            return;
-        }
         let Some(veh) = self.traffic.vehicle(VehicleId(vehicle)) else {
             return;
         };
-        let beacon = node.app.make_beacon(
+        let beacon = member.app.make_beacon(
             now,
             veh.state.pos_m,
             veh.state.speed_mps,
@@ -831,148 +747,12 @@ impl World {
             channel: WaveChannel::Cch,
             payload: payload.into(),
         };
-        let action = node.mac.enqueue(wsm, AccessCategory::Vo, now);
-        self.apply_mac_action(vehicle, action);
+        self.radio.send(&mut self.sim, &mut self.obs, vehicle, wsm);
 
         let next = now + self.beacon_interval;
         if next <= self.total_time {
             self.sim
                 .schedule_at_with_priority(next, PRIO_BEACON, WorldEvent::Beacon { vehicle });
-        }
-    }
-
-    fn apply_mac_action(&mut self, vehicle: u32, action: Option<MacAction>) {
-        let now = self.sim.now();
-        match action {
-            Some(MacAction::SetTimer { at, token }) => {
-                self.sim.schedule_at_with_priority(
-                    at.max(now),
-                    PRIO_RADIO,
-                    WorldEvent::MacTimer { vehicle, token },
-                );
-            }
-            Some(MacAction::StartTx(wsm)) => {
-                let out = self.medium.transmit(NodeId(vehicle), wsm, now);
-                if self.obs.enabled() {
-                    self.obs.inc("phy.tx.frames");
-                    self.obs.trace_event(now, vehicle, "tx", TraceKind::Begin);
-                    self.obs
-                        .trace_event(now + out.duration, vehicle, "tx", TraceKind::End);
-                }
-                self.sim.schedule_at_with_priority(
-                    now + out.duration,
-                    PRIO_RADIO,
-                    WorldEvent::TxEnd { vehicle },
-                );
-                schedule_receptions(
-                    &mut self.sim,
-                    PRIO_RADIO,
-                    out.receptions,
-                    WorldEvent::RxStart,
-                    WorldEvent::RxEnd,
-                );
-            }
-            // Queue overflow: counted in MAC stats, nothing to do.
-            Some(MacAction::Drop { .. }) | None => {}
-        }
-    }
-
-    /// Captures one dataset frame row for a decided (or inactive-receiver)
-    /// reception. No-op — and allocation-free — unless the run was built
-    /// with dataset capture enabled.
-    fn record_frame_fate(
-        &mut self,
-        now: SimTime,
-        reception: &PlannedReception,
-        fate: FrameFate,
-        snir_db: Option<f64>,
-    ) {
-        if !self.obs.dataset_enabled() {
-            return;
-        }
-        self.obs.record_frame(FrameRecord {
-            time_ns: now.as_nanos(),
-            tx: reception.wsm.source.0,
-            rx: reception.rx.0,
-            delay_ns: (now - reception.wsm.created).as_nanos(),
-            snir_db,
-            fate,
-            attack_active: self.medium.has_interceptor(),
-        });
-    }
-
-    fn on_rx_start(&mut self, reception: &PlannedReception) {
-        let now = self.sim.now();
-        let rx = reception.rx.0;
-        let Some(node) = self.nodes.get_mut(&rx) else {
-            return;
-        };
-        if !node.active {
-            return;
-        }
-        self.medium.reception_started(reception);
-        if reception.above_cs {
-            node.mac.medium_busy(now);
-        }
-    }
-
-    fn on_rx_end(&mut self, reception: &PlannedReception) {
-        let now = self.sim.now();
-        let rx = reception.rx.0;
-        let Some(node) = self.nodes.get_mut(&rx) else {
-            // Planned for a node without a MAC (a jammer) — the link
-            // leaves the accounting here.
-            self.obs.inc("phy.rx.inactive");
-            self.record_frame_fate(now, reception, FrameFate::RxInactive, None);
-            return;
-        };
-        if !node.active {
-            // Receiver crashed mid-flight; same attribution.
-            self.obs.inc("phy.rx.inactive");
-            self.record_frame_fate(now, reception, FrameFate::RxInactive, None);
-            return;
-        }
-        let result = self.medium.reception_finished(reception);
-        // Inlined (rather than via `record_frame_fate`) because the `node`
-        // borrow is still live here; `obs` and `medium` are disjoint fields.
-        if self.obs.dataset_enabled() {
-            let (fate, snir_db) = match &result {
-                DeciderResult::Received { snir_db } => (FrameFate::Received, Some(*snir_db)),
-                DeciderResult::Lost(LossReason::Snir) => (FrameFate::LostSnir, None),
-                DeciderResult::Lost(LossReason::BelowSensitivity) => {
-                    (FrameFate::LostSensitivity, None)
-                }
-                DeciderResult::Lost(LossReason::NumericFault) => (FrameFate::NumericFault, None),
-            };
-            self.obs.record_frame(FrameRecord {
-                time_ns: now.as_nanos(),
-                tx: reception.wsm.source.0,
-                rx: reception.rx.0,
-                delay_ns: (now - reception.wsm.created).as_nanos(),
-                snir_db,
-                fate,
-                attack_active: self.medium.has_interceptor(),
-            });
-        }
-        if self.obs.enabled() {
-            self.obs
-                .observe("phy.rx.power_dbm", RX_POWER_HIST, reception.power_dbm);
-            if result.is_received() {
-                self.obs.inc("phy.rx.ok");
-                self.obs.trace_event(now, rx, "rx", TraceKind::Mark);
-            } else {
-                self.obs.inc("phy.rx.lost");
-                self.obs.trace_event(now, rx, "rx.lost", TraceKind::Mark);
-            }
-        }
-        if result.is_received() {
-            if let Ok(beacon) = PlatoonBeacon::decode(&reception.wsm.payload) {
-                node.app.on_beacon(beacon);
-            }
-        }
-        if !self.medium.is_busy(reception.rx, now) {
-            let action = node.mac.medium_idle(now);
-            self.apply_mac_action(rx, action);
         }
     }
 }
