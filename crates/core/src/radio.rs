@@ -1,23 +1,14 @@
-//! The 802.11p radio stack a world runs on (Veins in the paper's Fig. 2).
-//!
-//! [`Radio`] owns the shared [`Medium`] and one EDCA [`Mac`] per radio
-//! node, next to that node's application state. It handles the four radio
-//! events (MAC timer, tx end, rx start, rx end): MAC actions, carrier
-//! sense, reception decisions with their telemetry and dataset frame rows,
-//! raw (jammer) transmissions and the antenna positions of radio nodes.
-//! [`crate::world::World`] and [`crate::teleop::TeleopWorld`] both embed
-//! one and keep only their scenario logic.
-//!
-//! Event order: every radio event runs at [`PRIO_RADIO`]. A transmission
-//! schedules its tx end first, then each planned reception's first-bit
-//! event followed by its last-bit event, in fan-out order.
+//! The 802.11p stack of every scenario (Veins in the paper's Fig. 2):
+//! [`crate::world::World`] and [`crate::teleop::TeleopWorld`] embed one
+//! [`Radio`] each. Every radio event runs at [`PRIO_RADIO`]; a transmission
+//! schedules its tx end, then each reception's start followed by its end.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use comfase_des::sim::Simulator;
 use comfase_des::time::SimTime;
-use comfase_obs::{FrameFate, FrameRecord, HistSpec, SimRecorder, TraceKind};
+use comfase_obs::{FrameFate, FrameRecord, HistSpec, KernelCounters, SimRecorder, TraceKind};
 use comfase_platoon::app::AppStats;
 use comfase_traffic::simulation::TrafficSim;
 use comfase_traffic::vehicle::VehicleId;
@@ -26,24 +17,23 @@ use comfase_wireless::decider::{DeciderResult, LossReason};
 use comfase_wireless::frame::{AccessCategory, NodeId, Wsm};
 use comfase_wireless::geom::Position;
 use comfase_wireless::mac::{Mac, MacAction};
+use comfase_wireless::pathloss::PathLossModel;
+use comfase_wireless::phy::PhyConfig;
+use comfase_wireless::units::CCH_FREQ_HZ;
 
-use crate::log::VehicleCommStats;
+use crate::log::{RunLog, VehicleCommStats};
 
-/// Same-time delivery order: radio events come before the traffic step
-/// (priority 0) and the applications (priority 10).
+/// Radio events run before the traffic step (0) and the applications (10).
 pub(crate) const PRIO_RADIO: i16 = -10;
 
-/// Bucket layout of the received-power histogram (`phy.rx.power_dbm`):
-/// −110 dBm (near the noise floor) to −30 dBm (bumper distance) in 2 dB
-/// bins.
+/// `phy.rx.power_dbm` in 2 dB bins, noise floor to bumper distance.
 const RX_POWER_HIST: HistSpec = HistSpec {
     lo: -110.0,
     hi: -30.0,
     bins: 40,
 };
 
-/// The radio stack's events. A world wraps them in its own event type
-/// (`E: From<RadioEvent>`) and hands them back to [`Radio::dispatch`].
+/// The radio events, which a world wraps in its own event type.
 #[derive(Debug, Clone)]
 pub(crate) enum RadioEvent {
     /// A MAC contention timer expired.
@@ -77,10 +67,6 @@ struct RadioNode<A> {
 }
 
 /// The medium plus one MAC and one application state `A` per radio node.
-///
-/// A frame decoded at a node reaches its `A` through the `deliver`
-/// callback of [`Radio::dispatch`], so a reception costs one node lookup
-/// for the MAC and the application together.
 #[derive(Debug, Clone)]
 pub(crate) struct Radio<A> {
     medium: Medium,
@@ -88,40 +74,25 @@ pub(crate) struct Radio<A> {
 }
 
 impl<A> Radio<A> {
-    /// A radio stack over `medium`, with no nodes yet.
-    pub(crate) fn new(medium: Medium) -> Self {
+    /// A stack on the WAVE control channel with Veins' default PHY.
+    pub(crate) fn new(pathloss: Box<dyn PathLossModel>) -> Self {
         Radio {
-            medium,
+            medium: Medium::with_models(pathloss, CCH_FREQ_HZ, PhyConfig::default()),
             nodes: BTreeMap::new(),
         }
     }
 
-    /// Adds a radio node. A node with the id of a traffic vehicle rides
-    /// that vehicle (see [`Radio::sync_positions`]); any other node must
-    /// be [placed](Radio::place).
+    /// Adds a radio node. It rides the traffic vehicle with its id, if any
+    /// ([`Radio::sync_positions`]); otherwise its owner places it.
     pub(crate) fn add_node(&mut self, node: u32, mac: Mac, app: A) {
-        self.nodes.insert(
-            node,
-            RadioNode {
-                mac,
-                app,
-                live: true,
-            },
-        );
+        let live = true;
+        self.nodes.insert(node, RadioNode { mac, app, live });
     }
 
-    /// Puts a fixed antenna (a roadside unit or a jammer) on the medium.
-    pub(crate) fn place(&mut self, node: NodeId, pos: Position) {
-        self.medium.update_position(node, pos);
-    }
-
-    /// The shared medium.
     pub(crate) fn medium(&self) -> &Medium {
         &self.medium
     }
 
-    /// The shared medium, for attack interceptors and the fan-out
-    /// strategy.
     pub(crate) fn medium_mut(&mut self) -> &mut Medium {
         &mut self.medium
     }
@@ -133,25 +104,19 @@ impl<A> Radio<A> {
 
     /// A node's application state, unless the node was silenced.
     pub(crate) fn live_app_mut(&mut self, node: u32) -> Option<&mut A> {
-        self.nodes
-            .get_mut(&node)
-            .filter(|n| n.live)
-            .map(|n| &mut n.app)
+        let n = self.nodes.get_mut(&node).filter(|n| n.live)?;
+        Some(&mut n.app)
     }
 
-    /// Every node's application state that was not silenced, in id order.
+    /// The application states of the nodes not silenced, in id order.
     pub(crate) fn live_apps_mut(&mut self) -> impl Iterator<Item = (u32, &mut A)> {
-        self.nodes
-            .iter_mut()
-            .filter(|(_, n)| n.live)
-            .map(|(&id, n)| (id, &mut n.app))
+        let live = self.nodes.iter_mut().filter(|(_, n)| n.live);
+        live.map(|(&id, n)| (id, &mut n.app))
     }
 
-    /// Silences a node for good (a collided vehicle): it leaves the
-    /// medium, frames already in flight to it count as
-    /// `phy.rx.inactive`, and [`Radio::live_app_mut`] no longer yields
-    /// it. Its MAC still finishes what it started. No-op for an id
-    /// without a radio.
+    /// Silences a node for good (a collided vehicle): it leaves the medium
+    /// and frames in flight to it count as `phy.rx.inactive`. No-op for an
+    /// id without a radio.
     pub(crate) fn silence(&mut self, node: u32) {
         if let Some(n) = self.nodes.get_mut(&node) {
             n.live = false;
@@ -159,10 +124,9 @@ impl<A> Radio<A> {
         }
     }
 
-    /// Moves every live node that rides a vehicle to the middle of the
-    /// vehicle, on the lane centre `lane_y`. A node whose vehicle left the
-    /// road leaves the medium but keeps deciding the frames in flight to
-    /// it; nodes without a vehicle stay where they were placed.
+    /// Puts each live node that rides a vehicle at the vehicle's middle on
+    /// the lane centre `lane_y`. A node whose vehicle left the road leaves
+    /// the medium but still decides the frames in flight to it.
     pub(crate) fn sync_positions(&mut self, traffic: &TrafficSim, lane_y: f64) {
         let Radio { medium, nodes } = self;
         for (&id, _) in nodes.iter().filter(|(_, n)| n.live) {
@@ -185,15 +149,14 @@ impl<A> Radio<A> {
         node: u32,
         wsm: Wsm,
     ) {
-        let Radio { medium, nodes } = self;
-        if let Some(n) = nodes.get_mut(&node) {
+        if let Some(n) = self.nodes.get_mut(&node) {
             let action = n.mac.enqueue(wsm, AccessCategory::Vo, sim.now());
-            apply_mac_action(medium, sim, obs, node, action);
+            apply_mac_action(&mut self.medium, sim, obs, node, action);
         }
     }
 
     /// Puts a frame on the air from a node without a MAC (a jammer, which
-    /// ignores CSMA) and schedules its receptions.
+    /// ignores CSMA).
     pub(crate) fn transmit_raw<E: From<RadioEvent>>(
         &mut self,
         sim: &mut Simulator<E>,
@@ -204,8 +167,9 @@ impl<A> Radio<A> {
         schedule_receptions(sim, out.receptions);
     }
 
-    /// Handles one radio event. `deliver` receives every frame a live
-    /// node decodes, with that node's id and application state.
+    /// Runs one radio event. `deliver` gets each frame a live node decodes,
+    /// with the node's id and application state: one node lookup serves
+    /// the MAC and the application.
     pub(crate) fn dispatch<E: From<RadioEvent>>(
         &mut self,
         sim: &mut Simulator<E>,
@@ -239,9 +203,8 @@ impl<A> Radio<A> {
             RadioEvent::RxEnd(reception) => {
                 let rx = reception.rx.0;
                 let Some(n) = nodes.get_mut(&rx).filter(|n| n.live) else {
-                    // Planned for a node that never decodes (a jammer, or
-                    // a vehicle silenced mid-flight): the link leaves the
-                    // accounting here.
+                    // Planned for a node that never decodes (a jammer, or a
+                    // vehicle silenced mid-flight): the link ends here.
                     obs.inc("phy.rx.inactive");
                     record_frame(obs, medium, now, &reception, None);
                     return;
@@ -269,22 +232,33 @@ impl<A> Radio<A> {
         }
     }
 
-    /// Per-node MAC counters, with `app_stats` of each node's application,
-    /// for the run log.
-    pub(crate) fn comm_stats(
-        &self,
+    /// The run log of a world on this stack, with `app_stats` of each
+    /// node's application.
+    pub(crate) fn into_log<E>(
+        self,
+        sim: &Simulator<E>,
+        traffic: TrafficSim,
+        obs: SimRecorder,
         app_stats: impl Fn(&A) -> AppStats,
-    ) -> BTreeMap<u32, VehicleCommStats> {
-        self.nodes
-            .iter()
-            .map(|(&id, n)| {
-                let stats = VehicleCommStats {
-                    mac: n.mac.stats(),
-                    app: app_stats(&n.app),
-                };
-                (id, stats)
-            })
-            .collect()
+    ) -> RunLog {
+        let stats = |n: &RadioNode<A>| VehicleCommStats {
+            mac: n.mac.stats(),
+            app: app_stats(&n.app),
+        };
+        RunLog {
+            kernel: KernelCounters {
+                scheduled: sim.scheduled(),
+                delivered: sim.delivered(),
+                cancelled: sim.cancelled(),
+                pending_at_end: sim.pending() as u64,
+            },
+            traffic_stats: traffic.stats(),
+            trace: traffic.into_trace(),
+            channel: self.medium.stats(),
+            comm: self.nodes.iter().map(|(&id, n)| (id, stats(n))).collect(),
+            final_time: sim.now(),
+            obs: obs.into_snapshot(),
+        }
     }
 }
 
@@ -298,24 +272,18 @@ fn apply_mac_action<E: From<RadioEvent>>(
     let now = sim.now();
     match action {
         Some(MacAction::SetTimer { at, token }) => {
-            sim.schedule_at_with_priority(
-                at.max(now),
-                PRIO_RADIO,
-                RadioEvent::MacTimer { node, token }.into(),
-            );
+            let timer = RadioEvent::MacTimer { node, token };
+            sim.schedule_at_with_priority(at.max(now), PRIO_RADIO, timer.into());
         }
         Some(MacAction::StartTx(wsm)) => {
             let out = medium.transmit(NodeId(node), wsm, now);
+            let end = now + out.duration;
             if obs.enabled() {
                 obs.inc("phy.tx.frames");
                 obs.trace_event(now, node, "tx", TraceKind::Begin);
-                obs.trace_event(now + out.duration, node, "tx", TraceKind::End);
+                obs.trace_event(end, node, "tx", TraceKind::End);
             }
-            sim.schedule_at_with_priority(
-                now + out.duration,
-                PRIO_RADIO,
-                RadioEvent::TxEnd { node }.into(),
-            );
+            sim.schedule_at_with_priority(end, PRIO_RADIO, RadioEvent::TxEnd { node }.into());
             schedule_receptions(sim, out.receptions);
         }
         // Queue overflow: counted in MAC stats, nothing to do.
@@ -324,26 +292,22 @@ fn apply_mac_action<E: From<RadioEvent>>(
 }
 
 /// Schedules the first- and last-bit events of every planned reception.
-/// Both events share one `Arc`, so a link costs one allocation and no
-/// `Wsm` clone.
+/// Both share one `Arc`: a link costs one allocation and no `Wsm` clone.
 fn schedule_receptions<E: From<RadioEvent>>(
     sim: &mut Simulator<E>,
     receptions: Vec<PlannedReception>,
 ) {
     for r in receptions {
         let r = Arc::new(r);
-        sim.schedule_at_with_priority(
-            r.start,
-            PRIO_RADIO,
-            RadioEvent::RxStart(Arc::clone(&r)).into(),
-        );
+        let start = RadioEvent::RxStart(Arc::clone(&r));
+        sim.schedule_at_with_priority(r.start, PRIO_RADIO, start.into());
         sim.schedule_at_with_priority(r.end, PRIO_RADIO, RadioEvent::RxEnd(r).into());
     }
 }
 
-/// Captures one dataset frame row: a decided reception, or with
-/// `decided` = `None` one planned to a node that never decodes. No-op —
-/// and allocation-free — unless dataset capture is on.
+/// Captures one dataset row for a decided reception, or (`decided` None)
+/// for one planned to a node that never decodes. No-op — and
+/// allocation-free — unless dataset capture is on.
 fn record_frame(
     obs: &mut SimRecorder,
     medium: &Medium,
@@ -378,10 +342,10 @@ fn record_frame(
 mod tests {
     use super::*;
     use comfase_des::rng::StreamId;
-    use comfase_des::time::SimTime;
     use comfase_obs::ObsConfig;
     use comfase_wireless::frame::WaveChannel;
     use comfase_wireless::mac::MacConfig;
+    use comfase_wireless::pathloss::FreeSpace;
 
     /// Node 1 sends one frame to node 2, 20 m away. Once the frame is on
     /// the air, node 2 is either silenced or only taken off the medium.
@@ -389,11 +353,12 @@ mod tests {
     fn send_then_cut_off(silence: bool) -> (u32, u64) {
         let mut sim: Simulator<RadioEvent> = Simulator::new(1);
         let mut obs = SimRecorder::new(ObsConfig::metrics_only());
-        let mut radio: Radio<u32> = Radio::new(Medium::new());
+        let mut radio: Radio<u32> = Radio::new(Box::new(FreeSpace::default()));
         for (node, x) in [(1, 0.0), (2, 20.0)] {
             let mac = Mac::new(MacConfig::default(), sim.rng(StreamId(node.into())));
             radio.add_node(node, mac, 0);
-            radio.place(NodeId(node), Position::on_road(x, 0.0));
+            let pos = Position::on_road(x, 0.0);
+            radio.medium_mut().update_position(NodeId(node), pos);
         }
         let wsm = Wsm {
             source: NodeId(1),

@@ -38,13 +38,11 @@ use comfase_platoon::app::AppStats;
 use comfase_traffic::network::{LaneIndex, Road};
 use comfase_traffic::simulation::{TrafficSim, STEP_LEN};
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
-use comfase_wireless::channel::{ChannelInterceptor, LinkFate, Medium};
+use comfase_wireless::channel::{ChannelInterceptor, LinkFate};
 use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
 use comfase_wireless::geom::Position;
 use comfase_wireless::mac::{Mac, MacConfig};
 use comfase_wireless::pathloss::FreeSpace;
-use comfase_wireless::phy::PhyConfig;
-use comfase_wireless::units::CCH_FREQ_HZ;
 
 use crate::error::ComfaseError;
 use crate::log::RunLog;
@@ -370,18 +368,14 @@ impl TeleopWorld {
         ))?;
         traffic.set_external_control(VehicleId(OBSTACLE_VEHICLE))?;
 
-        let mut radio = Radio::new(Medium::with_models(
-            Box::new(FreeSpace::default()),
-            CCH_FREQ_HZ,
-            PhyConfig::default(),
-        ));
+        let mut radio = Radio::new(Box::new(FreeSpace::default()));
         let mac = |stream| Mac::new(MacConfig::default(), sim.rng(StreamId(stream)));
         radio.add_node(TELEOP_VEHICLE, mac(1), ());
         radio.add_node(OPERATOR_NODE, mac(2), ());
-        radio.place(
-            NodeId(OPERATOR_NODE),
-            Position::new(scenario.operator_pos_m, 15.0, 6.0), // roadside mast
-        );
+        let mast = Position::new(scenario.operator_pos_m, 15.0, 6.0); // roadside
+        radio
+            .medium_mut()
+            .update_position(NodeId(OPERATOR_NODE), mast);
         radio.sync_positions(&traffic, scenario.road.lane_center_offset(lane));
 
         let mut world = TeleopWorld {
@@ -467,22 +461,8 @@ impl TeleopWorld {
 
     /// Extracts the run log.
     pub fn into_log(self) -> RunLog {
-        let kernel = comfase_obs::KernelCounters {
-            scheduled: self.sim.scheduled(),
-            delivered: self.sim.delivered(),
-            cancelled: self.sim.cancelled(),
-            pending_at_end: self.sim.pending() as u64,
-        };
-        let traffic_stats = self.traffic.stats();
-        RunLog {
-            trace: self.traffic.into_trace(),
-            channel: self.radio.medium().stats(),
-            comm: self.radio.comm_stats(|()| AppStats::default()),
-            final_time: self.sim.now(),
-            kernel,
-            traffic_stats,
-            obs: self.obs.into_snapshot(),
-        }
+        self.radio
+            .into_log(&self.sim, self.traffic, self.obs, |()| AppStats::default())
     }
 
     fn dispatch(&mut self, ev: TeleopEvent) {
@@ -492,11 +472,9 @@ impl TeleopWorld {
             TeleopEvent::OperatorDownlink => self.on_operator_downlink(),
             TeleopEvent::CellularDeliver { rx, wsm } => self.control.deliver(rx, &wsm),
             TeleopEvent::Radio(ev) => {
-                let control = &mut self.control;
+                let deliver = |rx, (): &mut (), wsm: &Wsm| self.control.deliver(rx, wsm);
                 self.radio
-                    .dispatch(&mut self.sim, &mut self.obs, ev, |rx, (), wsm| {
-                        control.deliver(rx, wsm);
-                    });
+                    .dispatch(&mut self.sim, &mut self.obs, ev, deliver);
             }
         }
     }

@@ -22,7 +22,7 @@ use comfase_des::rng::StreamId;
 use comfase_des::sim::{BreachKind, EventBudget, Simulator};
 use comfase_des::time::{SimDuration, SimTime};
 use comfase_obs::trace::TRACK_KERNEL;
-use comfase_obs::{KernelCounters, ObsConfig, SimRecorder, StepRecord, TraceKind};
+use comfase_obs::{ObsConfig, SimRecorder, StepRecord, TraceKind};
 use comfase_platoon::app::PlatoonApp;
 use comfase_platoon::beacon::PlatoonBeacon;
 use comfase_platoon::controller::{EgoState, RadarReading};
@@ -40,8 +40,6 @@ use comfase_wireless::mac1609::ChannelSchedule;
 use comfase_wireless::pathloss::{
     FreeSpace, LogNormalShadowing, PathLossModel, TwoRayInterference,
 };
-use comfase_wireless::phy::PhyConfig;
-use comfase_wireless::units::CCH_FREQ_HZ;
 
 use crate::config::{CommModel, ManeuverKind, TrafficScenario, WirelessModelKind};
 use crate::error::ComfaseError;
@@ -156,13 +154,6 @@ struct Member {
     monitor: Option<SafetyMonitor>,
 }
 
-/// Hands a decoded frame to a member's platooning application.
-fn deliver_beacon(_: u32, member: &mut Member, wsm: &Wsm) {
-    if let Ok(beacon) = PlatoonBeacon::decode(&wsm.payload) {
-        member.app.on_beacon(beacon);
-    }
-}
-
 fn build_maneuver(kind: ManeuverKind, base_speed: f64) -> Box<dyn Maneuver> {
     match kind {
         ManeuverKind::ConstantSpeed => Box::new(ConstantSpeed {
@@ -271,11 +262,7 @@ impl World {
         // once instead of growing them across thousands of steps.
         let planned_steps = scenario.total_sim_time.as_nanos() / STEP_LEN.as_nanos();
         traffic.reserve_trace_capacity(planned_steps as usize + 1);
-        let mut radio = Radio::new(Medium::with_models(
-            build_pathloss(comm.wireless_model),
-            CCH_FREQ_HZ,
-            PhyConfig::default(),
-        ));
+        let mut radio = Radio::new(build_pathloss(comm.wireless_model));
 
         let lane = LaneIndex(scenario.platoon.lane);
         let lane_offset_y = scenario.road.lane_center_offset(lane);
@@ -344,8 +331,8 @@ impl World {
             ))?;
         }
 
+        radio.sync_positions(&traffic, lane_offset_y);
         let min_payload_bytes = comm.packet_size_bits.saturating_sub(192).div_ceil(8);
-        let scenario_jammers = scenario.jammers.clone();
         let mut world = World {
             sim,
             traffic,
@@ -358,11 +345,8 @@ impl World {
             obs: SimRecorder::new(obs),
             fault: None,
         };
-        world
-            .radio
-            .sync_positions(&world.traffic, world.lane_offset_y);
-        for spec in scenario_jammers {
-            world.add_jammer(spec);
+        for spec in &scenario.jammers {
+            world.add_jammer(spec.clone());
         }
 
         // Kick off the recurring events: the traffic step loop and one
@@ -542,23 +526,8 @@ impl World {
             self.obs
                 .add("index.traffic.lane_rebuilds", self.traffic.index_rebuilds());
         }
-        let comm = self.radio.comm_stats(|m| m.app.stats());
-        let kernel = KernelCounters {
-            scheduled: self.sim.scheduled(),
-            delivered: self.sim.delivered(),
-            cancelled: self.sim.cancelled(),
-            pending_at_end: self.sim.pending() as u64,
-        };
-        let traffic_stats = self.traffic.stats();
-        RunLog {
-            trace: self.traffic.into_trace(),
-            channel: self.radio.medium().stats(),
-            comm,
-            final_time: self.sim.now(),
-            kernel,
-            traffic_stats,
-            obs: self.obs.into_snapshot(),
-        }
+        self.radio
+            .into_log(&self.sim, self.traffic, self.obs, |m| m.app.stats())
     }
 
     /// Read access to the traffic simulation (for examples and tests).
@@ -586,8 +555,8 @@ impl World {
     pub fn add_jammer(&mut self, spec: JammerSpec) {
         let idx = self.jammers.len();
         let node = NodeId(JAMMER_NODE_BASE + idx as u32);
-        self.radio
-            .place(node, Position::on_road(spec.pos_x_m, spec.pos_y_m));
+        let pos = Position::on_road(spec.pos_x_m, spec.pos_y_m);
+        self.radio.medium_mut().update_position(node, pos);
         let start = spec.start.max(self.sim.now());
         self.jammers.push(spec);
         self.sim
@@ -608,8 +577,13 @@ impl World {
             WorldEvent::Beacon { vehicle } => self.on_beacon_timer(vehicle),
             WorldEvent::JammerTx { jammer } => self.on_jammer_tx(jammer),
             WorldEvent::Radio(ev) => {
+                let deliver = |_, member: &mut Member, wsm: &Wsm| {
+                    if let Ok(beacon) = PlatoonBeacon::decode(&wsm.payload) {
+                        member.app.on_beacon(beacon);
+                    }
+                };
                 self.radio
-                    .dispatch(&mut self.sim, &mut self.obs, ev, deliver_beacon);
+                    .dispatch(&mut self.sim, &mut self.obs, ev, deliver);
             }
         }
     }
