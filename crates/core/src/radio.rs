@@ -11,7 +11,6 @@ use comfase_des::time::SimTime;
 use comfase_obs::{FrameFate, FrameRecord, HistSpec, KernelCounters, SimRecorder, TraceKind};
 use comfase_platoon::app::AppStats;
 use comfase_traffic::simulation::TrafficSim;
-use comfase_traffic::vehicle::VehicleId;
 use comfase_wireless::channel::{Medium, PlannedReception};
 use comfase_wireless::decider::{DeciderResult, LossReason};
 use comfase_wireless::frame::{AccessCategory, NodeId, Wsm};
@@ -128,15 +127,16 @@ impl<A> Radio<A> {
     /// the lane centre `lane_y`. A node whose vehicle left the road leaves
     /// the medium but still decides the frames in flight to it.
     pub(crate) fn sync_positions(&mut self, traffic: &TrafficSim, lane_y: f64) {
-        let Radio { medium, nodes } = self;
-        for (&id, _) in nodes.iter().filter(|(_, n)| n.live) {
-            match traffic.vehicle(VehicleId(id)) {
-                Some(v) if v.active => {
-                    let x = v.state.pos_m - v.spec.length_m / 2.0;
-                    medium.update_position(NodeId(id), Position::on_road(x, lane_y));
-                }
-                Some(_) => medium.remove_node(NodeId(id)),
-                None => {}
+        for v in traffic.vehicles() {
+            if !self.nodes.get(&v.id.0).is_some_and(|n| n.live) {
+                continue;
+            }
+            if v.active {
+                let x = v.state.pos_m - v.spec.length_m / 2.0;
+                self.medium
+                    .update_position(NodeId(v.id.0), Position::on_road(x, lane_y));
+            } else {
+                self.medium.remove_node(NodeId(v.id.0));
             }
         }
     }
