@@ -280,7 +280,7 @@ fn jammed_run_log_is_pinned() {
 /// Runs the teleoperation scenario with an optional attack, the way the
 /// `teleoperation` example does.
 fn teleop_log(scenario: &TeleopScenario, seed: u64, attack: Option<AttackSpec>) -> RunLog {
-    let mut world = TeleopWorld::new(scenario, seed).unwrap();
+    let mut world = TeleopWorld::new(scenario, seed).expect("valid scenario");
     if let Some(attack) = attack {
         world.run_until(attack.start);
         world.install_attack(attack.build_interceptor(0));
@@ -346,7 +346,7 @@ fn teleop_cellular_run_logs_are_pinned() {
 /// `metrics.json` bytes.
 fn campaign_metrics_fnv(setup: AttackCampaignSetup) -> u64 {
     let engine = Engine::paper_default(SEED)
-        .unwrap()
+        .expect("paper presets are valid")
         .with_obs(ObsConfig::metrics_only());
     let result = Campaign::new(engine, setup)
         .expect("valid campaign")
