@@ -720,6 +720,34 @@ mod tests {
     }
 
     #[test]
+    fn leaving_the_medium_mid_reception_keeps_interference_history() {
+        // Node 2 hears node 1's frame and, from half-way through it, node
+        // 3's. A node taken off the medium (a vehicle that left the road)
+        // still decides the frames in flight to it, so taking it off between
+        // the start and the end of the interferer must not change what it
+        // decides.
+        let decide = |remove: bool| {
+            let mut m = Medium::new();
+            m.update_position(NodeId(1), Position::on_road(0.0, 0.0));
+            m.update_position(NodeId(2), Position::on_road(50.0, 0.0));
+            m.update_position(NodeId(3), Position::on_road(100.0, 0.0));
+            let out1 = m.transmit(NodeId(1), wsm(1), SimTime::ZERO);
+            let out3 = m.transmit(NodeId(3), wsm(3), SimTime::ZERO + out1.duration / 2);
+            let r1 = out1.receptions.iter().find(|r| r.rx == NodeId(2)).unwrap();
+            let r3 = out3.receptions.iter().find(|r| r.rx == NodeId(2)).unwrap();
+            m.reception_started(r1);
+            m.reception_started(r3);
+            if remove {
+                m.remove_node(NodeId(2));
+            }
+            [m.reception_finished(r1), m.reception_finished(r3)]
+        };
+        let kept = decide(false);
+        assert_eq!(kept, [DeciderResult::Lost(LossReason::Snir); 2]);
+        assert_eq!(decide(true), kept);
+    }
+
+    #[test]
     fn equal_end_frames_are_pruned_after_decision() {
         // Regression: two simultaneous frames share an end timestamp; the
         // old `retain(|o| o.end >= now)` kept both entries alive forever,
