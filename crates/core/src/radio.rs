@@ -114,29 +114,31 @@ impl<A> Radio<A> {
     }
 
     /// Silences a node for good (a collided vehicle): it leaves the medium
-    /// and frames in flight to it count as `phy.rx.inactive`. No-op for an
-    /// id without a radio.
+    /// with its interference history, and frames in flight to it count as
+    /// `phy.rx.inactive`. No-op for an id without a radio.
     pub(crate) fn silence(&mut self, node: u32) {
         if let Some(n) = self.nodes.get_mut(&node) {
             n.live = false;
             self.medium.remove_node(NodeId(node));
+            self.medium.clear_receptions(NodeId(node));
         }
     }
 
     /// Puts each live node that rides a vehicle at the vehicle's middle on
     /// the lane centre `lane_y`. A node whose vehicle left the road leaves
-    /// the medium but still decides the frames in flight to it.
+    /// the medium once, but still decides the frames in flight to it.
     pub(crate) fn sync_positions(&mut self, traffic: &TrafficSim, lane_y: f64) {
         for v in traffic.vehicles() {
-            if !self.nodes.get(&v.id.0).is_some_and(|n| n.live) {
+            let node = NodeId(v.id.0);
+            if !self.nodes.get(&node.0).is_some_and(|n| n.live) {
                 continue;
             }
             if v.active {
                 let x = v.state.pos_m - v.spec.length_m / 2.0;
                 self.medium
-                    .update_position(NodeId(v.id.0), Position::on_road(x, lane_y));
-            } else {
-                self.medium.remove_node(NodeId(v.id.0));
+                    .update_position(node, Position::on_road(x, lane_y));
+            } else if self.medium.contains(node) {
+                self.medium.remove_node(node);
             }
         }
     }

@@ -341,13 +341,27 @@ impl Medium {
         }
     }
 
-    /// Removes a node from the medium (e.g. after a collision removal).
+    /// Removes a node from the fan-out (e.g. a vehicle that left the
+    /// road). Frames already in flight to it keep their interference
+    /// history, which [`Medium::reception_finished`] prunes as usual, so
+    /// they are decided as if the node had stayed;
+    /// [`Medium::clear_receptions`] drops that history.
     pub fn remove_node(&mut self, node: NodeId) {
         self.positions.remove(&node);
-        self.ongoing.remove(&node);
         if let Some(grid) = &mut self.grid {
             grid.remove(node);
         }
+    }
+
+    /// Drops the interference history of a node that decides no more
+    /// frames (a silenced radio).
+    pub fn clear_receptions(&mut self, node: NodeId) {
+        self.ongoing.remove(&node);
+    }
+
+    /// `true` if `node` is registered.
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.positions.contains_key(&node)
     }
 
     /// Registered nodes.
