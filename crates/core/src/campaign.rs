@@ -81,10 +81,11 @@ use comfase_obs::{
     CampaignMetrics, DatasetCapture, DatasetHeader, DatasetSink, ExperimentExport, ExperimentLabel,
     ExperimentMetrics, HostProfiler, ObsConfig, WallDeadline, DATASET_SCHEMA_VERSION,
 };
+use comfase_traffic::trace::GoldenSpeeds;
 
 use crate::attack::{AttackModelKind, AttackSpec, FalsifiedField};
 use crate::cache::{self, CacheEntry, CacheKeyBase, CacheLookup, ExperimentCache};
-use crate::classify::{classify, ClassificationParams, Verdict};
+use crate::classify::{classify_fold, ClassificationParams, Verdict};
 use crate::config::AttackCampaignSetup;
 use crate::engine::Engine;
 use crate::error::ComfaseError;
@@ -1021,6 +1022,9 @@ impl Campaign {
             }
             _ => golden_run()?,
         };
+        // Every experiment world folds its trace against these speeds
+        // instead of recording it (see `World::fold_trace`).
+        let golden_speeds = Arc::new(GoldenSpeeds::tabulate(&golden.trace));
         observer.phase_finished(CampaignPhase::Golden);
         let params = ClassificationParams::from_golden(&golden.trace);
         let golden_row =
@@ -1129,7 +1133,7 @@ impl Campaign {
         starts.dedup();
         let prefixes = match config.mode {
             ExecutionMode::PrefixFork | ExecutionMode::SnapshotDag => {
-                self.engine.prefix_snapshots_chained(&starts)?
+                Engine::snapshots(self.folding_world(&golden_speeds)?, &starts)
             }
             ExecutionMode::FromScratch => Vec::new(),
         };
@@ -1165,6 +1169,7 @@ impl Campaign {
             starts: &starts,
             prefixes: &prefixes,
             golden: &golden,
+            golden_speeds: &golden_speeds,
             params: &params,
             sink: ResultSink {
                 journal: journal.as_ref(),
@@ -1338,15 +1343,15 @@ impl Campaign {
     }
 
     /// The per-experiment supervision shared by every unit: runs `run`
-    /// once behind a panic boundary, classifies the result, and wraps a
-    /// failure into an [`ExperimentFailure`].
+    /// once behind a panic boundary, classifies the finished world from its
+    /// trace fold, and wraps a failure into an [`ExperimentFailure`].
     // The Err side is deliberately rich (full spec + failure detail for the
     // journal and the quarantine report); it is built at most once per
     // failed experiment, so its size is irrelevant to the hot path.
     #[allow(clippy::result_large_err)]
     fn supervise<F>(&self, sweep: &Sweep<'_>, index: usize, run: F) -> ExperimentOutcome
     where
-        F: FnOnce() -> Result<RunLog, ComfaseError>,
+        F: FnOnce() -> Result<World, ComfaseError>,
     {
         let spec = &sweep.specs[index];
         let collect_metrics = self.engine.obs().metrics;
@@ -1356,10 +1361,14 @@ impl Campaign {
         // across the unwind boundary is sound: a caught panic leaves no
         // half-mutated campaign state behind.
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let mut log = run()?;
-            let verdict = classify(&sweep.golden.trace, &log.trace, sweep.params);
-            let row =
-                collect_metrics.then(|| log.experiment_metrics(index, verdict.class.to_string()));
+            let world = run()?;
+            let traffic = world.traffic();
+            let fold = traffic.fold().expect("campaign worlds fold their trace");
+            let collisions = &traffic.trace().collisions;
+            let verdict = classify_fold(&sweep.golden.trace, fold, collisions, sweep.params);
+            let mut log = world.into_log();
+            let row = collect_metrics
+                .then(|| log.metrics_row(index, verdict.class.to_string(), verdict.max_decel_mps2));
             // Move the capture out of the (about-to-be-dropped) log; `None`
             // unless the run recorded with dataset capture on.
             let dataset = log.obs.take_dataset();
@@ -1462,7 +1471,7 @@ impl Campaign {
                 if let Some(fault) = leaf_world.fault() {
                     return Err(fault.to_error());
                 }
-                Ok(leaf_world.into_log())
+                Ok(leaf_world)
             });
             if !sweep.sink.push(outcome) {
                 return false;
@@ -1473,16 +1482,26 @@ impl Campaign {
 
     /// Runs one experiment, forking from its prefix snapshot when the
     /// mode built one and simulating from t = 0 otherwise.
-    fn execute_one(&self, sweep: &Sweep<'_>, index: usize) -> Result<RunLog, ComfaseError> {
+    fn execute_one(&self, sweep: &Sweep<'_>, index: usize) -> Result<World, ComfaseError> {
         if self.chaos.is_active() {
             self.chaos_hook(index)?;
         }
         let spec = &sweep.specs[index];
-        if sweep.prefixes.is_empty() {
-            return self.engine.run_experiment(spec, index as u64);
-        }
-        self.engine
-            .run_experiment_from(sweep.prefix(spec.start), spec, index as u64)
+        let world = if sweep.prefixes.is_empty() {
+            self.folding_world(sweep.golden_speeds)?
+        } else {
+            sweep.prefix(spec.start).clone()
+        };
+        self.engine.experiment(world, spec, index as u64)
+    }
+
+    /// A fresh world of this campaign's engine that folds its trace against
+    /// `golden` instead of recording it. Prefix snapshots start from one, so
+    /// forks, chain worlds and leaves inherit the fold.
+    fn folding_world(&self, golden: &Arc<GoldenSpeeds>) -> Result<World, ComfaseError> {
+        let mut world = self.engine.build_world()?;
+        world.fold_trace(Arc::clone(golden));
+        Ok(world)
     }
 
     /// Applies the [`ChaosConfig`] failure injections for `index`.
@@ -1553,6 +1572,8 @@ struct Sweep<'a> {
     /// [`ExecutionMode::FromScratch`].
     prefixes: &'a [World],
     golden: &'a RunLog,
+    /// `golden`'s speeds, which every experiment world folds against.
+    golden_speeds: &'a Arc<GoldenSpeeds>,
     params: &'a ClassificationParams,
     sink: ResultSink<'a>,
 }

@@ -13,7 +13,7 @@
 //!   braking (deceleration above 5 m/s²).
 
 use comfase_traffic::collision::Collision;
-use comfase_traffic::trace::TrafficTrace;
+use comfase_traffic::trace::{TraceFold, TrafficTrace};
 use comfase_traffic::vehicle::VehicleId;
 
 /// The paper's result classes, ordered by severity.
@@ -104,7 +104,6 @@ pub fn classify(
     run: &TrafficTrace,
     params: &ClassificationParams,
 ) -> Verdict {
-    let max_decel = run.max_decel_overall();
     let max_dev = golden
         .iter()
         .map(|(id, gtrace)| match run.vehicle(id) {
@@ -112,8 +111,39 @@ pub fn classify(
             None => f64::INFINITY, // vehicle disappeared: maximally deviant
         })
         .fold(0.0f64, f64::max);
-    let first_collision = run.first_collision().cloned();
-    let nr_collisions = run.collisions.len();
+    decide(
+        golden,
+        &run.collisions,
+        run.max_decel_overall(),
+        max_dev,
+        params,
+    )
+}
+
+/// [`classify`] for a run that folded its trace (see
+/// [`crate::world::World::fold_trace`]) against the speeds of `golden`:
+/// `collisions` are the run's, and the fold holds the same maximum
+/// deceleration and speed deviation that the trace walk computes.
+pub(crate) fn classify_fold(
+    golden: &TrafficTrace,
+    fold: &TraceFold,
+    collisions: &[Collision],
+    params: &ClassificationParams,
+) -> Verdict {
+    let (max_decel, max_dev) = (fold.max_decel(), fold.max_speed_deviation());
+    decide(golden, collisions, max_decel, max_dev, params)
+}
+
+/// The class decision both classifiers share.
+fn decide(
+    golden: &TrafficTrace,
+    collisions: &[Collision],
+    max_decel: f64,
+    max_dev: f64,
+    params: &ClassificationParams,
+) -> Verdict {
+    let first_collision = collisions.first().cloned();
+    let nr_collisions = collisions.len();
 
     // Non-effective first: "the injected attack has no effects on the
     // behaviour of the vehicles (identical speed profiles as in the golden

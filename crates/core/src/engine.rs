@@ -71,7 +71,7 @@ impl Engine {
     }
 
     /// Builds a world with this engine's telemetry and indexing settings.
-    fn build_world(&self) -> Result<World, ComfaseError> {
+    pub(crate) fn build_world(&self) -> Result<World, ComfaseError> {
         let mut world = World::with_obs(&self.scenario, &self.comm, self.seed, self.obs)?;
         world.set_indexing(self.indexing);
         Ok(world)
@@ -173,7 +173,21 @@ impl Engine {
         attack: &AttackSpec,
         experiment_index: u64,
     ) -> Result<RunLog, ComfaseError> {
-        let mut world = self.build_world()?;
+        let world = self.build_world()?;
+        self.experiment(world, attack, experiment_index)
+            .map(World::into_log)
+    }
+
+    /// The three phases of one experiment on `world`, which is at t = 0 or
+    /// at an attack-free point no later than `attack.start`; returns the
+    /// finished world. [`Engine::run_experiment`],
+    /// [`Engine::run_experiment_from`] and the campaign runner share it.
+    pub(crate) fn experiment(
+        &self,
+        mut world: World,
+        attack: &AttackSpec,
+        experiment_index: u64,
+    ) -> Result<World, ComfaseError> {
         world.set_budget(self.budget);
         // Line 12: simulate with the pristine model until the attack starts.
         world.run_until(attack.start);
@@ -184,10 +198,10 @@ impl Engine {
         // Line 14: restore and run to the end.
         world.clear_attack();
         world.run_to_end();
-        if let Some(fault) = world.fault() {
-            return Err(fault.to_error());
+        match world.fault() {
+            Some(fault) => Err(fault.to_error()),
+            None => Ok(world),
         }
-        Ok(world.into_log())
     }
 
     /// Builds an attack-free prefix snapshot: a [`World`] simulated from
@@ -218,14 +232,21 @@ impl Engine {
     ///
     /// Propagates world-construction failures.
     pub fn prefix_snapshots_chained(&self, starts: &[SimTime]) -> Result<Vec<World>, ComfaseError> {
+        Ok(Engine::snapshots(self.build_world()?, starts))
+    }
+
+    /// Advances `world` through `starts` (ascending, deduplicated) and
+    /// snapshots it at each: the body of
+    /// [`Engine::prefix_snapshots_chained`], which the campaign runner
+    /// shares.
+    pub(crate) fn snapshots(mut world: World, starts: &[SimTime]) -> Vec<World> {
         debug_assert!(starts.windows(2).all(|w| w[0] < w[1]));
-        let mut world = self.build_world()?;
         let mut snapshots = Vec::with_capacity(starts.len());
         for &start in starts {
             world.run_until(start);
             snapshots.push(world.clone());
         }
-        Ok(snapshots)
+        snapshots
     }
 
     /// Step 3, one experiment, resumed from a prefix snapshot.
@@ -248,19 +269,10 @@ impl Engine {
         attack: &AttackSpec,
         experiment_index: u64,
     ) -> Result<RunLog, ComfaseError> {
-        let mut world = prefix.clone();
-        world.set_budget(self.budget);
-        // The prefix already covers [0, attack.start); phases two and three
-        // are identical to `run_experiment`.
-        world.run_until(attack.start);
-        world.install_attack(attack.build_interceptor(self.seed ^ experiment_index));
-        world.run_until(attack.end.min(world.total_time()));
-        world.clear_attack();
-        world.run_to_end();
-        if let Some(fault) = world.fault() {
-            return Err(fault.to_error());
-        }
-        Ok(world.into_log())
+        // The prefix already covers [0, attack.start), so the first phase
+        // has nothing left to simulate.
+        self.experiment(prefix.clone(), attack, experiment_index)
+            .map(World::into_log)
     }
 
     /// Step 4 for one experiment: classify against a golden run.

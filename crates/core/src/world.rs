@@ -30,7 +30,7 @@ use comfase_platoon::maneuver::{Braking, ConstantSpeed, Maneuver, Sinusoidal};
 use comfase_platoon::monitor::{MonitorDecision, SafetyMonitor};
 use comfase_traffic::network::LaneIndex;
 use comfase_traffic::simulation::{LeaderLookup, TrafficSim, STEP_LEN, STEP_LEN_S};
-use comfase_traffic::trace::TraceConfig;
+use comfase_traffic::trace::GoldenSpeeds;
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
 use comfase_wireless::channel::{ChannelInterceptor, FanoutStrategy, Medium};
 use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
@@ -257,7 +257,6 @@ impl World {
 
         let sim: Simulator<WorldEvent> = Simulator::new(seed);
         let mut traffic = TrafficSim::new(scenario.road.clone(), sim.rng(StreamId(0)));
-        traffic.set_trace_config(TraceConfig { sample_every: 1 });
         // The run length is known up front: size the per-step trace buffers
         // once instead of growing them across thousands of steps.
         let planned_steps = scenario.total_sim_time.as_nanos() / STEP_LEN.as_nanos();
@@ -440,6 +439,16 @@ impl World {
         // `metrics.json`, where mid-attack forks must be invisible.
         leaf.obs.inc("exec.fork.mid_attack");
         leaf
+    }
+
+    /// Folds what classification reads of the trace against `golden` at
+    /// every traffic step instead of recording the per-vehicle samples
+    /// (see [`TrafficSim::fold_trace`]); the run log's trace then holds the
+    /// collisions only. The campaign runner's worlds do this: they are
+    /// only ever compared with the golden run. Call it before the first
+    /// step; clones inherit the fold.
+    pub(crate) fn fold_trace(&mut self, golden: std::sync::Arc<GoldenSpeeds>) {
+        self.traffic.fold_trace(golden);
     }
 
     /// Installs a sim-event / sim-time budget on the kernel (the

@@ -59,5 +59,5 @@ pub use collision::Collision;
 pub use lane_index::{LaneEntry, LaneOrder};
 pub use network::{Lane, LaneIndex, Road};
 pub use simulation::{LeaderLookup, TrafficError, TrafficSim, TrafficStats, HARD_DECEL_MPS2};
-pub use trace::{TrafficTrace, VehicleTrace};
+pub use trace::{GoldenSpeeds, TraceFold, TrafficTrace, VehicleTrace};
 pub use vehicle::{Vehicle, VehicleId, VehicleSpec};

@@ -3,7 +3,8 @@
 //! [`TrafficSim`] advances all vehicles in fixed 0.01 s steps (as SUMO/Plexe
 //! do): commands are computed from a synchronous snapshot of the previous
 //! state, dynamics are integrated, collisions are detected and each
-//! collider removed, and the trajectory log is updated.
+//! collider removed, and the trajectory log (or its [`TraceFold`]) is
+//! updated.
 
 use std::fmt;
 
@@ -15,7 +16,7 @@ use crate::collision::{detect_collisions, Collision, CollisionKey};
 use crate::dynamics::{lag_decay, step_vehicle};
 use crate::lane_index::LaneOrder;
 use crate::network::Road;
-use crate::trace::{TraceConfig, TrafficTrace};
+use crate::trace::{GoldenSpeeds, TraceFold, TrafficTrace};
 use crate::vehicle::{ControlMode, Vehicle, VehicleId};
 
 /// How [`TrafficSim::leader_of`] finds the vehicle ahead.
@@ -106,7 +107,9 @@ pub struct TrafficSim {
     time: SimTime,
     steps: u64,
     trace: TrafficTrace,
-    trace_cfg: TraceConfig,
+    /// Set by [`TrafficSim::fold_trace`]: steps fold into it instead of
+    /// recording vehicle samples in `trace`.
+    fold: Option<TraceFold>,
     rng: RngStream,
     reported_pairs: Vec<(VehicleId, VehicleId)>,
     stats: TrafficStats,
@@ -128,7 +131,7 @@ impl TrafficSim {
             time: SimTime::ZERO,
             steps: 0,
             trace: TrafficTrace::new(),
-            trace_cfg: TraceConfig::default(),
+            fold: None,
             rng,
             reported_pairs: Vec::new(),
             stats: TrafficStats::default(),
@@ -172,14 +175,27 @@ impl TrafficSim {
         }
     }
 
-    /// Sets trajectory log decimation.
-    pub fn set_trace_config(&mut self, cfg: TraceConfig) {
-        self.trace_cfg = cfg;
+    /// From now on, folds every step's vehicle samples into a
+    /// [`TraceFold`] against `golden` instead of recording them: the trace
+    /// keeps only the collisions. For a run whose samples serve only its
+    /// comparison with `golden`.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the first step: the fold must see every sample.
+    pub fn fold_trace(&mut self, golden: std::sync::Arc<GoldenSpeeds>) {
+        assert_eq!(self.steps, 0, "a trace fold starts before the first step");
+        self.fold = Some(TraceFold::new(golden));
+    }
+
+    /// The fold [`TrafficSim::fold_trace`] turned on, if any.
+    pub fn fold(&self) -> Option<&TraceFold> {
+        self.fold.as_ref()
     }
 
     /// Pre-sizes per-vehicle trace buffers for runs of known length
-    /// (`samples` ≈ planned steps / `sample_every`), avoiding repeated
-    /// reallocation in the per-step logging hot path.
+    /// (`samples` ≈ planned steps), avoiding repeated reallocation in the
+    /// per-step logging hot path.
     pub fn reserve_trace_capacity(&mut self, samples: usize) {
         self.trace.set_capacity_hint(samples);
     }
@@ -452,12 +468,10 @@ impl TrafficSim {
         self.stats.collisions += collisions.len() as u64;
         self.trace.record_collisions(&collisions);
 
-        // Phase 4: trajectory log.
-        if self
-            .steps
-            .is_multiple_of(u64::from(self.trace_cfg.sample_every))
-        {
-            self.trace.record_step(self.time, &self.vehicles);
+        // Phase 4: trajectory log, or its fold.
+        match &mut self.fold {
+            Some(fold) => fold.record_step(self.steps, &self.vehicles),
+            None => self.trace.record_step(self.time, &self.vehicles),
         }
 
         // End-of-step refresh so `leader_of` queries made between steps
@@ -638,13 +652,47 @@ mod tests {
     }
 
     #[test]
-    fn trace_decimation() {
+    fn a_folding_sim_keeps_collisions_and_folds_what_the_walk_reads() {
+        let build = |speed: f64| {
+            let mut s = sim();
+            s.add_vehicle(car(1, 100.0, 5.0)).unwrap();
+            s.add_vehicle(car(2, 90.0, speed)).unwrap();
+            s.add_vehicle(car(3, 30.0, 20.0)).unwrap();
+            for id in [1, 2] {
+                s.set_external_control(VehicleId(id)).unwrap();
+            }
+            s.command_accel(VehicleId(1), -2.0).unwrap();
+            s
+        };
+        let mut reference = build(5.0);
+        reference.run_steps(300);
+        let golden = std::sync::Arc::new(GoldenSpeeds::tabulate(reference.trace()));
+        let (mut traced, mut folded) = (build(30.0), build(30.0));
+        folded.fold_trace(golden);
+        traced.run_steps(300);
+        folded.run_steps(300);
+        assert!(traced.trace().has_collision(), "vehicle 2 rams vehicle 1");
+        assert_eq!(folded.trace().collisions, traced.trace().collisions);
+        assert!(folded.trace().vehicle_ids().is_empty(), "no samples kept");
+        let fold = folded.fold().expect("fold on");
+        let walk = traced.trace().max_decel_overall();
+        assert_eq!(fold.max_decel().to_bits(), walk.to_bits());
+        let deviation = reference
+            .trace()
+            .iter()
+            .map(|(id, g)| traced.trace().vehicle(id).unwrap().max_speed_deviation(g))
+            .fold(0.0, f64::max);
+        assert_eq!(fold.max_speed_deviation().to_bits(), deviation.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first step")]
+    fn a_fold_cannot_start_mid_run() {
         let mut s = sim();
-        s.set_trace_config(TraceConfig { sample_every: 10 });
-        s.add_vehicle(car(1, 0.0, 10.0)).unwrap();
-        s.run_steps(100);
-        let tr = s.trace().vehicle(VehicleId(1)).unwrap();
-        assert_eq!(tr.speed.len(), 10);
+        s.run_steps(1);
+        s.fold_trace(std::sync::Arc::new(GoldenSpeeds::tabulate(
+            &TrafficTrace::new(),
+        )));
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! log: one [`VehicleTrace`] per vehicle plus all collision incidents.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use comfase_des::stats::TimeSeries;
 use comfase_des::time::SimTime;
 
 use crate::collision::Collision;
+use crate::simulation::STEP_LEN;
 use crate::vehicle::{Vehicle, VehicleId};
 
 /// Recorded trajectory of one vehicle.
@@ -54,19 +56,6 @@ impl VehicleTrace {
     /// difference of the full speed value.
     pub fn max_speed_deviation(&self, other: &VehicleTrace) -> f64 {
         self.speed.max_deviation_from(&other.speed)
-    }
-}
-
-/// Decimation control for trajectory logging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Record every n-th simulation step (1 = every step).
-    pub sample_every: u32,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { sample_every: 1 }
     }
 }
 
@@ -167,6 +156,117 @@ impl TrafficTrace {
     /// `true` if any collision was recorded.
     pub fn has_collision(&self) -> bool {
         !self.collisions.is_empty()
+    }
+}
+
+/// The speed of every vehicle of a reference (golden) trace at every
+/// traffic step, by the sample-and-hold rule of
+/// [`TimeSeries::max_deviation_from`]: 0 before the vehicle's first
+/// sample, its last value after its last. Tabulated once, so a
+/// [`TraceFold`] reads the reference speed at step `k` by index.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GoldenSpeeds {
+    /// The reference trace's vehicles, ascending.
+    ids: Vec<VehicleId>,
+    /// Step-major: row `k` holds the speeds at `k ×` [`STEP_LEN`], one per
+    /// entry of `ids`. The last row is at or after every sample.
+    speeds: Vec<f64>,
+}
+
+impl GoldenSpeeds {
+    /// Tabulates the speeds of every vehicle in `golden`.
+    pub fn tabulate(golden: &TrafficTrace) -> Self {
+        let ids = golden.vehicle_ids();
+        let step_ns = STEP_LEN.as_nanos();
+        let last_ns = golden
+            .iter()
+            .filter_map(|(_, tr)| tr.speed.last_time())
+            .map(|t| t.as_nanos().max(0))
+            .max()
+            .unwrap_or(0);
+        let rows = (last_ns + step_ns - 1) / step_ns + 1;
+        let mut speeds = vec![0.0; rows as usize * ids.len()];
+        for (i, (_, tr)) in golden.iter().enumerate() {
+            let mut samples = tr.speed.iter().peekable();
+            let mut held = 0.0;
+            for k in 0..rows {
+                let t = SimTime::from_nanos(k * step_ns);
+                while let Some((_, v)) = samples.next_if(|&(ts, _)| ts <= t) {
+                    held = v;
+                }
+                speeds[k as usize * ids.len() + i] = held;
+            }
+        }
+        GoldenSpeeds { ids, speeds }
+    }
+
+    /// The speed of the `i`-th vehicle at step `step`.
+    fn at(&self, step: u64, i: usize) -> f64 {
+        let n = self.ids.len();
+        let last_row = self.speeds.len() / n - 1;
+        let row = usize::try_from(step).map_or(last_row, |k| k.min(last_row));
+        self.speeds[row * n + i]
+    }
+}
+
+/// What classification reads of a run's trace, folded step by step
+/// against [`GoldenSpeeds`] instead of recorded: the largest deceleration
+/// over all vehicles, and per reference vehicle the largest `|v − g|`
+/// between its speed and the reference speed at the same step.
+///
+/// Each value is the one the trace walk computes from a recorded trace:
+/// [`TraceFold::max_decel`] is [`TrafficTrace::max_decel_overall`], and
+/// [`TraceFold::max_speed_deviation`] the largest
+/// [`VehicleTrace::max_speed_deviation`] from the reference, infinite
+/// for a reference vehicle the run never recorded.
+#[derive(Debug, Clone)]
+pub struct TraceFold {
+    golden: Arc<GoldenSpeeds>,
+    max_decel: f64,
+    /// Per reference vehicle: its largest deviation so far, `None` until
+    /// it is first recorded.
+    max_dev: Vec<Option<f64>>,
+}
+
+impl TraceFold {
+    /// An empty fold against `golden`.
+    pub fn new(golden: Arc<GoldenSpeeds>) -> Self {
+        let max_dev = vec![None; golden.ids.len()];
+        TraceFold {
+            golden,
+            max_decel: 0.0,
+            max_dev,
+        }
+    }
+
+    /// Folds in the state of every active vehicle after step `step`, the
+    /// samples [`TrafficTrace::record_step`] would record.
+    pub fn record_step(&mut self, step: u64, vehicles: &[Vehicle]) {
+        for v in vehicles.iter().filter(|v| v.active) {
+            let decel = -v.state.accel_mps2;
+            if decel > self.max_decel {
+                self.max_decel = decel;
+            }
+            if let Ok(i) = self.golden.ids.binary_search(&v.id) {
+                let dev = (v.state.speed_mps - self.golden.at(step, i)).abs();
+                let max = self.max_dev[i].get_or_insert(0.0);
+                *max = max.max(dev);
+            }
+        }
+    }
+
+    /// Largest deceleration across all vehicles, m/s².
+    pub fn max_decel(&self) -> f64 {
+        self.max_decel
+    }
+
+    /// Largest speed deviation from the reference across its vehicles,
+    /// m/s: infinite if one of them was never recorded.
+    pub fn max_speed_deviation(&self) -> f64 {
+        self.max_dev
+            .iter()
+            .map(|d| d.unwrap_or(f64::INFINITY))
+            .fold(0.0, f64::max)
     }
 }
 
