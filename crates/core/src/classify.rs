@@ -173,6 +173,7 @@ fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comfase_des::rng::{RngStream, StreamId};
     use comfase_des::time::SimTime;
     use comfase_traffic::network::LaneIndex;
     use comfase_traffic::vehicle::{Vehicle, VehicleSpec};
@@ -291,6 +292,148 @@ mod tests {
             classify(&golden(), &run, &params()).class,
             Classification::Severe
         );
+    }
+
+    /// `golden` reshaped: each vehicle keeps a random window of its
+    /// samples (from all of them to none), and one time in three vehicle
+    /// 999, which no run has, gets samples of its own. A run then has
+    /// samples before a golden vehicle's first and after its last,
+    /// vehicles golden lacks, and golden vehicles it never records.
+    fn reshaped(golden: &TrafficTrace, rng: &mut RngStream) -> TrafficTrace {
+        let mut by_time: std::collections::BTreeMap<SimTime, Vec<Vehicle>> = Default::default();
+        let mut add = |t: SimTime, id: u32, speed: f64, accel: f64| {
+            by_time.entry(t).or_default().push(veh(id, speed, accel));
+        };
+        for (id, tr) in golden.iter() {
+            let n = tr.speed.len() as u64;
+            let from = rng.below(n / 2 + 1);
+            let to = if rng.below(4) == 0 {
+                from
+            } else {
+                n - rng.below(n / 2 + 1)
+            };
+            let samples = tr.speed.iter().zip(tr.accel.iter_values());
+            for ((t, speed), accel) in samples.take(to as usize).skip(from as usize) {
+                add(t, id.0, speed, accel);
+            }
+        }
+        if rng.below(3) == 0 {
+            let (from, len) = (1 + rng.below(100) as i64, 1 + rng.below(200) as i64);
+            for k in from..from + len {
+                let speed = rng.uniform_range(0.0, 30.0);
+                add(SimTime::from_millis(10 * k), 999, speed, 0.0);
+            }
+        }
+        let mut t = TrafficTrace::new();
+        for (time, vehicles) in by_time {
+            t.record_step(time, &vehicles);
+        }
+        t
+    }
+
+    /// Compares the bits of every verdict value, then the verdicts.
+    fn assert_same(case: u64, what: &str, fold: &Verdict, walk: &Verdict) {
+        let bits = |v: &Verdict| {
+            (
+                v.max_decel_mps2.to_bits(),
+                v.max_speed_deviation_mps.to_bits(),
+            )
+        };
+        assert_eq!(
+            bits(fold),
+            bits(walk),
+            "case {case}: {what}: {fold:?} vs {walk:?}"
+        );
+        assert_eq!(fold, walk, "case {case}: {what}");
+    }
+
+    /// The campaign runner's worlds fold their verdict inputs; the public
+    /// API's worlds record the trace that `classify` walks. Over random
+    /// small scenarios (2–4 platoon cars, up to two background cars, a
+    /// hard leader brake in half of them) and attacks in every execution
+    /// mode, both must give the same verdict bit for bit: against the
+    /// golden run, and against reshaped goldens (see [`reshaped`]).
+    #[test]
+    fn the_fold_equals_the_trace_walk_bit_for_bit() {
+        use crate::attack::{AttackModelKind, FalsifiedField};
+        use crate::campaign::{Campaign, ExecutionMode, NullObserver};
+        use crate::config::{AttackCampaignSetup, CommModel, ManeuverKind, TrafficScenario};
+        use crate::engine::Engine;
+        use comfase_traffic::trace::GoldenSpeeds;
+
+        const SEED: u64 = 0xF01D_0021;
+        let (mut collided, mut background, mut absent) = (0, 0, 0);
+        for case in 0..18u64 {
+            let mut rng = RngStream::derive(SEED, StreamId(case));
+            let mut scenario = TrafficScenario::paper_default();
+            scenario.platoon.members = (1..=2 + rng.below(3) as u32).collect();
+            scenario.total_sim_time = SimTime::from_millis(3_000 + 500 * rng.below(4) as i64);
+            for i in 0..rng.below(3) {
+                let speed = rng.uniform_range(20.0, 30.0);
+                scenario
+                    .background_vehicles
+                    .push((1, 380.0 + 60.0 * i as f64, speed));
+            }
+            if rng.below(2) == 0 {
+                scenario.maneuver = ManeuverKind::Braking {
+                    brake_at_s: rng.uniform_range(0.5, 1.5),
+                    decel_mps2: 8.0,
+                };
+            }
+            let (model, value) = match rng.below(4) {
+                0 => (AttackModelKind::Delay, rng.uniform_range(0.2, 2.0)),
+                1 => (AttackModelKind::Dos, 60.0),
+                2 => (AttackModelKind::Drop, rng.uniform_range(0.3, 0.9)),
+                _ => (
+                    AttackModelKind::Falsify(FalsifiedField::Speed),
+                    rng.uniform_range(-8.0, 8.0),
+                ),
+            };
+            let setup = AttackCampaignSetup {
+                attack_model: model,
+                target_vehicles: vec![2],
+                attack_values: vec![value],
+                attack_starts_s: vec![0.3, rng.uniform_range(0.5, 1.2)],
+                attack_durations_s: vec![0.5, rng.uniform_range(0.6, 2.0)],
+            };
+            let inputs = format!("{scenario:?} {setup:?}");
+            let engine = Engine::new(scenario, CommModel::paper_default(), case).unwrap();
+            let mode = [
+                ExecutionMode::FromScratch,
+                ExecutionMode::PrefixFork,
+                ExecutionMode::SnapshotDag,
+            ][case as usize % 3];
+            let campaign = Campaign::new(engine.clone(), setup).unwrap();
+            let result = campaign.run_with_observer(1, mode, &NullObserver).unwrap();
+            let golden = engine.golden_run().unwrap().trace;
+            let other = reshaped(&golden, &mut rng);
+            let other_params = ClassificationParams::from_golden(&other);
+            let other_speeds = std::sync::Arc::new(GoldenSpeeds::tabulate(&other));
+            background += usize::from(!engine.scenario().background_vehicles.is_empty());
+            for record in &result.records {
+                let what = format!("experiment {} ({mode:?}) of {inputs}", record.index);
+                let index = record.index as u64;
+                let rerun = engine.run_experiment(&record.spec, index).unwrap().trace;
+                let walk = classify(&golden, &rerun, &result.params);
+                assert_same(case, &what, &record.verdict, &walk);
+                collided += usize::from(walk.nr_collisions > 0);
+                // The runner's from-scratch body, against the reshaped golden.
+                let mut world = engine.build_world().unwrap();
+                world.fold_trace(std::sync::Arc::clone(&other_speeds));
+                let world = engine.experiment(world, &record.spec, index).unwrap();
+                let traffic = world.traffic();
+                let fold = traffic.fold().unwrap();
+                let folded =
+                    classify_fold(&other, fold, &traffic.trace().collisions, &other_params);
+                let walk = classify(&other, &rerun, &other_params);
+                assert_same(case, &format!("reshaped golden, {what}"), &folded, &walk);
+                absent += usize::from(walk.max_speed_deviation_mps.is_infinite());
+            }
+        }
+        // The cases reach what they are meant to cover.
+        assert!(collided > 0, "no experiment collided");
+        assert!(background > 0, "no case had background cars");
+        assert!(absent > 0, "no golden vehicle was absent from a run");
     }
 
     #[test]
