@@ -191,7 +191,7 @@ pub struct Medium {
     /// Scratch buffer for the grid's candidate query, kept so a
     /// transmission allocates nothing but its receptions. Empty between
     /// calls and not part of the snapshot.
-    candidates: Vec<NodeId>,
+    candidates: Vec<(NodeId, Position)>,
 }
 
 impl Clone for Medium {
@@ -417,7 +417,7 @@ impl Medium {
                 // brute-force BTreeMap scan in the same relative order, so
                 // interceptor call sequences are bit-identical.
                 grid.candidates(&tx_pos, candidates);
-                candidates.retain(|&id| id != tx);
+                candidates.retain(|&(id, _)| id != tx);
                 // Everything outside the 3×3 neighborhood is guaranteed
                 // below the pruning threshold; account for those links
                 // exactly as the brute-force scan would have.
@@ -484,9 +484,8 @@ impl Medium {
         };
         let receptions = if indexed {
             let mut receptions = Vec::with_capacity(candidates.len());
-            for &rx in candidates.iter() {
-                let rx_pos = positions.get(&rx).expect("grid tracks registered nodes");
-                if let Some(r) = plan(rx, rx_pos) {
+            for (rx, rx_pos) in candidates.iter() {
+                if let Some(r) = plan(*rx, rx_pos) {
                     receptions.push(r);
                 }
             }

@@ -1,12 +1,13 @@
 //! Deterministic uniform-grid neighbor index over node positions.
 //!
-//! [`NeighborGrid`] buckets nodes into square cells of a fixed size (the
-//! medium derives it by inverting the path-loss model at the fan-out
-//! pruning threshold, so one cell ring always covers the maximum reach of a
-//! transmission). Candidate queries return the 3×3 cell neighborhood around
-//! a position, **sorted by [`NodeId`]** — the same relative order as the
-//! brute-force `BTreeMap` scan it replaces, which keeps interceptor call
-//! sequences and therefore whole runs bit-identical.
+//! [`NeighborGrid`] buckets nodes, with their positions, into square cells
+//! of a fixed size (the medium derives it by inverting the path-loss model
+//! at the fan-out pruning threshold, so one cell ring always covers the
+//! maximum reach of a transmission). Candidate queries return the 3×3 cell
+//! neighborhood around a position, **sorted by [`NodeId`]** — the same
+//! relative order as the brute-force `BTreeMap` scan it replaces, which
+//! keeps interceptor call sequences and therefore whole runs
+//! bit-identical.
 //!
 //! Only ordered structures are used (`BTreeMap` + sorted `Vec`s), so
 //! iteration order is a pure function of the stored keys — never of hash
@@ -25,8 +26,9 @@ type Cell = (i64, i64);
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborGrid {
     cell_m: f64,
-    /// Nodes per occupied cell, each `Vec` kept sorted by `NodeId`.
-    cells: BTreeMap<Cell, Vec<NodeId>>,
+    /// Nodes per occupied cell with their current positions, each `Vec`
+    /// kept sorted by `NodeId`.
+    cells: BTreeMap<Cell, Vec<(NodeId, Position)>>,
     /// Reverse index: which cell each node currently occupies.
     node_cells: BTreeMap<NodeId, Cell>,
 }
@@ -73,19 +75,22 @@ impl NeighborGrid {
         )
     }
 
-    /// Inserts a node or moves it to the cell containing `pos`.
+    /// Inserts a node or moves it to `pos`.
     pub fn update_position(&mut self, node: NodeId, pos: &Position) {
         let new_cell = self.cell_of(pos);
         if let Some(&old_cell) = self.node_cells.get(&node) {
             if old_cell == new_cell {
+                let bucket = self.cells.get_mut(&old_cell).expect("occupied cell");
+                let at = bucket.binary_search_by_key(&node, |&(n, _)| n);
+                bucket[at.expect("node in its cell")].1 = *pos;
                 return;
             }
             self.remove_from_cell(node, old_cell);
         }
         self.node_cells.insert(node, new_cell);
         let bucket = self.cells.entry(new_cell).or_default();
-        let at = bucket.partition_point(|&n| n < node);
-        bucket.insert(at, node);
+        let at = bucket.partition_point(|&(n, _)| n < node);
+        bucket.insert(at, (node, *pos));
     }
 
     /// Removes a node from the index (no-op if absent).
@@ -97,7 +102,7 @@ impl NeighborGrid {
 
     fn remove_from_cell(&mut self, node: NodeId, cell: Cell) {
         if let Some(bucket) = self.cells.get_mut(&cell) {
-            if let Ok(at) = bucket.binary_search(&node) {
+            if let Ok(at) = bucket.binary_search_by_key(&node, |&(n, _)| n) {
                 bucket.remove(at);
             }
             if bucket.is_empty() {
@@ -107,11 +112,11 @@ impl NeighborGrid {
     }
 
     /// Replaces the contents of `out` with all nodes in the 3×3 cell
-    /// neighborhood around `pos`, sorted by `NodeId`. With the cell size
-    /// at least the maximum transmission range, this is a superset of
-    /// every node within range of `pos`. The buffer is the caller's, so a
-    /// query reuses its capacity instead of allocating.
-    pub fn candidates(&self, pos: &Position, out: &mut Vec<NodeId>) {
+    /// neighborhood around `pos` and their positions, sorted by `NodeId`.
+    /// With the cell size at least the maximum transmission range, this is
+    /// a superset of every node within range of `pos`. The buffer is the
+    /// caller's, so a query reuses its capacity instead of allocating.
+    pub fn candidates(&self, pos: &Position, out: &mut Vec<(NodeId, Position)>) {
         let (cx, cy) = self.cell_of(pos);
         out.clear();
         for dx in -1i64..=1 {
@@ -122,7 +127,7 @@ impl NeighborGrid {
                 }
             }
         }
-        out.sort_unstable();
+        out.sort_unstable_by_key(|&(n, _)| n);
     }
 }
 
@@ -134,11 +139,11 @@ mod tests {
         Position::on_road(x, y)
     }
 
-    /// The candidates around `pos`, in a fresh buffer.
+    /// The candidate ids around `pos`.
     fn cands(g: &NeighborGrid, pos: &Position) -> Vec<NodeId> {
         let mut out = Vec::new();
         g.candidates(pos, &mut out);
-        out
+        out.into_iter().map(|(n, _)| n).collect()
     }
 
     #[test]
@@ -153,11 +158,12 @@ mod tests {
         for i in 0..50u32 {
             let me = p(i as f64 * 13.0, (i % 7) as f64);
             g.candidates(&me, &mut found);
-            assert_eq!(found, cands(&g, &me), "reused buffer for {i}");
+            let ids: Vec<NodeId> = found.iter().map(|&(n, _)| n).collect();
+            assert_eq!(ids, cands(&g, &me), "reused buffer for {i}");
             for j in 0..50u32 {
                 let other = p(j as f64 * 13.0, (j % 7) as f64);
                 if me.ground_distance_to(&other) <= 100.0 {
-                    assert!(found.contains(&NodeId(j)), "{i} must see {j}");
+                    assert!(found.contains(&(NodeId(j), other)), "{i} must see {j}");
                 }
             }
         }
@@ -186,6 +192,28 @@ mod tests {
         assert!(!cands(&g, &p(5.0, 0.0)).contains(&NodeId(1)));
         assert!(cands(&g, &p(500.0, 0.0)).contains(&NodeId(1)));
         assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn candidates_carry_current_positions() {
+        let mut g = NeighborGrid::new(100.0);
+        g.update_position(NodeId(1), &p(5.0, 0.0));
+        g.update_position(NodeId(2), &p(8.0, 0.0));
+        // A move within the cell updates the stored position.
+        g.update_position(NodeId(1), &p(7.0, 1.0));
+        let mut found = Vec::new();
+        g.candidates(&p(0.0, 0.0), &mut found);
+        assert_eq!(
+            found,
+            vec![(NodeId(1), p(7.0, 1.0)), (NodeId(2), p(8.0, 0.0))]
+        );
+        // So does a move to another cell.
+        g.update_position(NodeId(2), &p(150.0, 0.0));
+        g.candidates(&p(0.0, 0.0), &mut found);
+        assert_eq!(
+            found,
+            vec![(NodeId(1), p(7.0, 1.0)), (NodeId(2), p(150.0, 0.0))]
+        );
     }
 
     #[test]
