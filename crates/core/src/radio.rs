@@ -101,12 +101,6 @@ impl<A> Radio<A> {
         self.nodes.get(&node).map(|n| &n.app)
     }
 
-    /// A node's application state, unless the node was silenced.
-    pub(crate) fn live_app_mut(&mut self, node: u32) -> Option<&mut A> {
-        let n = self.nodes.get_mut(&node).filter(|n| n.live)?;
-        Some(&mut n.app)
-    }
-
     /// The application states of the nodes not silenced, in id order.
     pub(crate) fn live_apps_mut(&mut self) -> impl Iterator<Item = (u32, &mut A)> {
         let live = self.nodes.iter_mut().filter(|(_, n)| n.live);
@@ -143,18 +137,26 @@ impl<A> Radio<A> {
         }
     }
 
-    /// Hands a frame to a node's MAC (voice access category).
+    /// Hands the frame that `frame` builds from a live node's application
+    /// state to the node's MAC (voice access category): one node lookup
+    /// serves both. Returns `false`, sending nothing, for a silenced or
+    /// unknown node or when `frame` builds none.
     pub(crate) fn send<E: From<RadioEvent>>(
         &mut self,
         sim: &mut Simulator<E>,
         obs: &mut SimRecorder,
         node: u32,
-        wsm: Wsm,
-    ) {
-        if let Some(n) = self.nodes.get_mut(&node) {
-            let action = n.mac.enqueue(wsm, AccessCategory::Vo, sim.now());
-            apply_mac_action(&mut self.medium, sim, obs, node, action);
-        }
+        frame: impl FnOnce(&mut A) -> Option<Wsm>,
+    ) -> bool {
+        let Some(n) = self.nodes.get_mut(&node).filter(|n| n.live) else {
+            return false;
+        };
+        let Some(wsm) = frame(&mut n.app) else {
+            return false;
+        };
+        let action = n.mac.enqueue(wsm, AccessCategory::Vo, sim.now());
+        apply_mac_action(&mut self.medium, sim, obs, node, action);
+        true
     }
 
     /// Puts a frame on the air from a node without a MAC (a jammer, which
@@ -369,7 +371,7 @@ mod tests {
             channel: WaveChannel::Cch,
             payload: vec![0; 100].into(),
         };
-        radio.send(&mut sim, &mut obs, 1, wsm);
+        assert!(radio.send(&mut sim, &mut obs, 1, |_| Some(wsm)));
         let mut cut = false;
         while let Some((_, ev)) = sim.pop_due(SimTime::from_secs(1)) {
             let on_air = matches!(ev, RadioEvent::RxStart(_));

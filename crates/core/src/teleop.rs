@@ -483,7 +483,10 @@ impl TeleopWorld {
     fn send(&mut self, from: u32, to: u32, wsm: Wsm) {
         let now = self.sim.now();
         match self.scenario.link {
-            TeleopLink::Wave => self.radio.send(&mut self.sim, &mut self.obs, from, wsm),
+            TeleopLink::Wave => {
+                self.radio
+                    .send(&mut self.sim, &mut self.obs, from, |()| Some(wsm));
+            }
             TeleopLink::Cellular {
                 latency,
                 jitter,

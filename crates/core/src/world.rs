@@ -707,30 +707,37 @@ impl World {
 
     fn on_beacon_timer(&mut self, vehicle: u32) {
         let now = self.sim.now();
-        let Some(member) = self.radio.live_app_mut(vehicle) else {
+        let World {
+            sim,
+            traffic,
+            radio,
+            obs,
+            min_payload_bytes,
+            ..
+        } = self;
+        let sent = radio.send(sim, obs, vehicle, |member| {
+            let veh = traffic.vehicle(VehicleId(vehicle))?;
+            let beacon = member.app.make_beacon(
+                now,
+                veh.state.pos_m,
+                veh.state.speed_mps,
+                veh.state.accel_mps2,
+            );
+            let mut payload = beacon.encode();
+            if payload.len() < *min_payload_bytes {
+                payload.resize(*min_payload_bytes, 0);
+            }
+            Some(Wsm {
+                source: NodeId(vehicle),
+                sequence: 0,
+                created: now,
+                channel: WaveChannel::Cch,
+                payload: payload.into(),
+            })
+        });
+        if !sent {
             return;
-        };
-        let Some(veh) = self.traffic.vehicle(VehicleId(vehicle)) else {
-            return;
-        };
-        let beacon = member.app.make_beacon(
-            now,
-            veh.state.pos_m,
-            veh.state.speed_mps,
-            veh.state.accel_mps2,
-        );
-        let mut payload = beacon.encode();
-        if payload.len() < self.min_payload_bytes {
-            payload.resize(self.min_payload_bytes, 0);
         }
-        let wsm = Wsm {
-            source: NodeId(vehicle),
-            sequence: 0,
-            created: now,
-            channel: WaveChannel::Cch,
-            payload: payload.into(),
-        };
-        self.radio.send(&mut self.sim, &mut self.obs, vehicle, wsm);
 
         let next = now + self.beacon_interval;
         if next <= self.total_time {
