@@ -230,7 +230,7 @@ pub struct TraceFold {
 
 impl TraceFold {
     /// An empty fold against `golden`.
-    pub fn new(golden: Arc<GoldenSpeeds>) -> Self {
+    pub(crate) fn new(golden: Arc<GoldenSpeeds>) -> Self {
         let max_dev = vec![None; golden.ids.len()];
         TraceFold {
             golden,
@@ -241,7 +241,7 @@ impl TraceFold {
 
     /// Folds in the state of every active vehicle after step `step`, the
     /// samples [`TrafficTrace::record_step`] would record.
-    pub fn record_step(&mut self, step: u64, vehicles: &[Vehicle]) {
+    pub(crate) fn record_step(&mut self, step: u64, vehicles: &[Vehicle]) {
         for v in vehicles.iter().filter(|v| v.active) {
             let decel = -v.state.accel_mps2;
             if decel > self.max_decel {
