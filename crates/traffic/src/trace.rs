@@ -171,6 +171,8 @@ pub struct GoldenSpeeds {
     /// Step-major: row `k` holds the speeds at `k ×` [`STEP_LEN`], one per
     /// entry of `ids`. The last row is at or after every sample.
     speeds: Vec<f64>,
+    /// Number of rows, at least 1.
+    rows: usize,
 }
 
 impl GoldenSpeeds {
@@ -185,7 +187,8 @@ impl GoldenSpeeds {
             .max()
             .unwrap_or(0);
         let rows = (last_ns + step_ns - 1) / step_ns + 1;
-        let mut speeds = vec![0.0; rows as usize * ids.len()];
+        let n = ids.len();
+        let mut speeds = vec![0.0; rows as usize * n];
         for (i, (_, tr)) in golden.iter().enumerate() {
             let mut samples = tr.speed.iter().peekable();
             let mut held = 0.0;
@@ -194,18 +197,19 @@ impl GoldenSpeeds {
                 while let Some((_, v)) = samples.next_if(|&(ts, _)| ts <= t) {
                     held = v;
                 }
-                speeds[k as usize * ids.len() + i] = held;
+                speeds[k as usize * n + i] = held;
             }
         }
-        GoldenSpeeds { ids, speeds }
+        let rows = rows as usize;
+        GoldenSpeeds { ids, speeds, rows }
     }
 
-    /// The speed of the `i`-th vehicle at step `step`.
-    fn at(&self, step: u64, i: usize) -> f64 {
+    /// The speeds at step `step`, one per entry of `ids`; after the last
+    /// row, the last row's.
+    fn row(&self, step: u64) -> &[f64] {
+        let k = usize::try_from(step).map_or(self.rows - 1, |k| k.min(self.rows - 1));
         let n = self.ids.len();
-        let last_row = self.speeds.len() / n - 1;
-        let row = usize::try_from(step).map_or(last_row, |k| k.min(last_row));
-        self.speeds[row * n + i]
+        &self.speeds[k * n..(k + 1) * n]
     }
 }
 
@@ -242,13 +246,15 @@ impl TraceFold {
     /// Folds in the state of every active vehicle after step `step`, the
     /// samples [`TrafficTrace::record_step`] would record.
     pub(crate) fn record_step(&mut self, step: u64, vehicles: &[Vehicle]) {
+        let golden = &*self.golden;
+        let speeds = golden.row(step);
         for v in vehicles.iter().filter(|v| v.active) {
             let decel = -v.state.accel_mps2;
             if decel > self.max_decel {
                 self.max_decel = decel;
             }
-            if let Ok(i) = self.golden.ids.binary_search(&v.id) {
-                let dev = (v.state.speed_mps - self.golden.at(step, i)).abs();
+            if let Ok(i) = golden.ids.binary_search(&v.id) {
+                let dev = (v.state.speed_mps - speeds[i]).abs();
                 let max = self.max_dev[i].get_or_insert(0.0);
                 *max = max.max(dev);
             }
