@@ -1367,8 +1367,12 @@ impl Campaign {
             let collisions = &traffic.trace().collisions;
             let verdict = classify_fold(&sweep.golden.trace, fold, collisions, sweep.params);
             let mut log = world.into_log();
-            let row = collect_metrics
-                .then(|| log.metrics_row(index, verdict.class.to_string(), verdict.max_decel_mps2));
+            let row = collect_metrics.then(|| {
+                let mut row = log.experiment_metrics(index, verdict.class.to_string());
+                // The log holds no samples; the verdict has the fold's value.
+                row.max_decel_mps2 = verdict.max_decel_mps2;
+                row
+            });
             // Move the capture out of the (about-to-be-dropped) log; `None`
             // unless the run recorded with dataset capture on.
             let dataset = log.obs.take_dataset();

@@ -127,22 +127,10 @@ impl RunLog {
         index: usize,
         classification: String,
     ) -> comfase_obs::ExperimentMetrics {
-        self.metrics_row(index, classification, self.max_decel())
-    }
-
-    /// [`RunLog::experiment_metrics`] with the maximum deceleration given:
-    /// the campaign runner's logs hold no samples to take it from, so it
-    /// comes from the verdict.
-    pub(crate) fn metrics_row(
-        &self,
-        index: usize,
-        classification: String,
-        max_decel_mps2: f64,
-    ) -> comfase_obs::ExperimentMetrics {
         comfase_obs::ExperimentMetrics {
             index,
             classification,
-            max_decel_mps2,
+            max_decel_mps2: self.max_decel(),
             collisions: self.traffic_stats.collisions,
             kernel: self.kernel,
             frames: self.frame_breakdown(),

@@ -441,12 +441,9 @@ impl World {
         leaf
     }
 
-    /// Folds what classification reads of the trace against `golden` at
-    /// every traffic step instead of recording the per-vehicle samples
-    /// (see [`TrafficSim::fold_trace`]); the run log's trace then holds the
-    /// collisions only. The campaign runner's worlds do this: they are
-    /// only ever compared with the golden run. Call it before the first
-    /// step; clones inherit the fold.
+    /// Folds the trace against `golden` instead of recording it (see
+    /// [`TrafficSim::fold_trace`]), for the campaign runner's worlds, which
+    /// serve only their verdict. Clones inherit the fold.
     pub(crate) fn fold_trace(&mut self, golden: std::sync::Arc<GoldenSpeeds>) {
         self.traffic.fold_trace(golden);
     }

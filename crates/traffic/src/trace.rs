@@ -200,8 +200,11 @@ impl GoldenSpeeds {
                 speeds[k as usize * n + i] = held;
             }
         }
-        let rows = rows as usize;
-        GoldenSpeeds { ids, speeds, rows }
+        GoldenSpeeds {
+            ids,
+            speeds,
+            rows: rows as usize,
+        }
     }
 
     /// The speeds at step `step`, one per entry of `ids`; after the last
