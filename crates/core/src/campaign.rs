@@ -415,7 +415,10 @@ pub struct DagPlan {
 /// simulate identical event streams until their respective ends.
 /// `value` is keyed by its bit pattern — grouping needs equality, not
 /// numeric order (`-0.0` vs `0.0` would merely split a chain in two).
-fn chain_key(spec: &AttackSpec) -> (SimTime, u8, u8, u64, Vec<u32>) {
+type ChainKey = (SimTime, u8, u8, u64, Vec<u32>);
+
+/// The [`ChainKey`] of `spec`.
+fn chain_key(spec: &AttackSpec) -> ChainKey {
     let (model, field) = match spec.model {
         AttackModelKind::Delay => (0u8, 0u8),
         AttackModelKind::Dos => (1, 0),
@@ -439,7 +442,7 @@ impl DagPlan {
     /// group of ≥ 2 leaves (sorted by end time), and leaves everything else
     /// as solo prefix forks.
     pub fn build(specs: &[AttackSpec], pending: &[usize]) -> DagPlan {
-        let mut groups: BTreeMap<(SimTime, u8, u8, u64, Vec<u32>), Vec<usize>> = BTreeMap::new();
+        let mut groups: BTreeMap<ChainKey, Vec<usize>> = BTreeMap::new();
         for &i in pending {
             groups.entry(chain_key(&specs[i])).or_default().push(i);
         }

@@ -253,7 +253,7 @@ impl<A> Radio<A> {
             kernel: KernelCounters {
                 scheduled: sim.scheduled(),
                 delivered: sim.delivered(),
-                cancelled: sim.cancelled(),
+                cancelled: 0,
                 pending_at_end: sim.pending() as u64,
             },
             traffic_stats: traffic.stats(),

@@ -33,7 +33,7 @@ use comfase_des::rng::{RngStream, StreamId};
 use comfase_des::sim::Simulator;
 use comfase_des::time::{SimDuration, SimTime};
 use comfase_des::wire::take;
-use comfase_obs::SimRecorder;
+use comfase_obs::{ObsConfig, SimRecorder};
 use comfase_platoon::app::AppStats;
 use comfase_traffic::network::{LaneIndex, Road};
 use comfase_traffic::simulation::{TrafficSim, STEP_LEN};
@@ -326,8 +326,8 @@ pub struct TeleopWorld {
     /// The vehicle's and the operator station's 802.11p nodes. They exist
     /// on a cellular link too, and then stay idle.
     radio: Radio<()>,
-    /// Always [`SimRecorder::Null`]: the shared radio code records into
-    /// it, and the run log's telemetry stays empty.
+    /// Always disabled: the shared radio code records into it, and the run
+    /// log's telemetry stays empty.
     obs: SimRecorder,
     scenario: TeleopScenario,
     control: ControlLoop,
@@ -383,7 +383,7 @@ impl TeleopWorld {
             sim,
             traffic,
             radio,
-            obs: SimRecorder::Null,
+            obs: SimRecorder::new(ObsConfig::disabled()),
             scenario: scenario.clone(),
             control: ControlLoop::default(),
             seq: 0,

@@ -10,7 +10,7 @@ use comfase::engine::Engine;
 use comfase_des::time::SimTime;
 
 fn engine() -> Engine {
-    Engine::paper_default(42).unwrap()
+    Engine::paper_default(42).expect("the paper scenario is valid")
 }
 
 #[test]

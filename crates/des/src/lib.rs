@@ -9,8 +9,7 @@
 //! - [`time::SimTime`] / [`time::SimDuration`] — fixed-point simulation time
 //!   (integer nanoseconds), so event ordering is exact and reproducible;
 //! - [`queue::EventQueue`] — the future event set with OMNeT++'s
-//!   `(time, priority, insertion order)` delivery semantics and O(1) lazy
-//!   cancellation;
+//!   `(time, priority, insertion order)` delivery semantics;
 //! - [`sim::Simulator`] — the kernel proper: clock + event queue + seeded
 //!   RNG streams, driven by the owner via [`sim::Simulator::pop_due`];
 //! - [`rng::RngStream`] — per-component deterministic random streams
@@ -57,7 +56,7 @@ pub mod stats;
 pub mod time;
 pub mod wire;
 
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use rng::{RngStream, StreamId};
 pub use sim::{BreachKind, BudgetBreach, EventBudget, Simulator};
 pub use stats::{RunningStats, TimeSeries};

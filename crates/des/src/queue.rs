@@ -6,22 +6,9 @@
 //! scheduled, which makes runs reproducible regardless of heap internals.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Handle to a scheduled event, usable for cancellation.
-///
-/// Ids are unique per [`EventQueue`] and never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
-impl EventId {
-    /// Raw id value (mainly useful for logging).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
 
 /// Delivery priority for events that share a timestamp.
 ///
@@ -60,11 +47,11 @@ impl<E> Ord for Scheduled<E> {
 ///
 /// This is the kernel data structure of the simulator: everything that
 /// happens later — traffic steps, MAC timers, frame arrivals — is an entry
-/// here. Events can be [cancelled](EventQueue::cancel) by id; cancellation is
-/// O(1) (lazy removal on pop).
+/// here. A scheduled event is always delivered: a component that no longer
+/// wants one ignores it on delivery (the MAC retires its timers by token).
 ///
 /// When `E: Clone` the whole queue is `Clone`: a clone is an exact snapshot
-/// (same pending events, same sequence counter, same statistics), so a run
+/// (same pending events, same counters), so a run
 /// resumed from the clone delivers the identical event sequence.
 ///
 /// # Examples
@@ -82,12 +69,9 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    // BTreeSet (not HashSet) so snapshot/fork state stays order-deterministic.
-    cancelled: BTreeSet<u64>,
-    next_seq: u64,
+    // Also the insertion sequence number of the next scheduled event.
     scheduled_total: u64,
     delivered_total: u64,
-    cancelled_total: u64,
     // Sim-sanitizer state: timestamp of the last delivered event, so debug
     // builds catch any non-monotone delivery at the queue boundary.
     last_popped: Option<SimTime>,
@@ -104,30 +88,21 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
-            next_seq: 0,
             scheduled_total: 0,
             delivered_total: 0,
-            cancelled_total: 0,
             last_popped: None,
         }
     }
 
     /// Schedules `payload` for delivery at `time` with default priority.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         self.schedule_with_priority(time, 0, payload)
     }
 
     /// Schedules `payload` for delivery at `time` with an explicit priority
     /// (lower priorities are delivered first among same-time events).
-    pub fn schedule_with_priority(
-        &mut self,
-        time: SimTime,
-        priority: EventPriority,
-        payload: E,
-    ) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    pub fn schedule_with_priority(&mut self, time: SimTime, priority: EventPriority, payload: E) {
+        let seq = self.scheduled_total;
         self.scheduled_total += 1;
         self.heap.push(Reverse(Scheduled {
             time,
@@ -135,33 +110,15 @@ impl<E> EventQueue<E> {
             seq,
             payload,
         }));
-        EventId(seq)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event had not yet been delivered or cancelled.
-    /// The payload is dropped lazily when the event would have fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        let fresh = self.cancelled.insert(id.0);
-        if fresh {
-            self.cancelled_total += 1;
-        }
-        fresh
     }
 
     /// Time of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(s)| s.time)
     }
 
     /// Removes and returns the next event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_cancelled();
         let Reverse(s) = self.heap.pop()?;
         self.delivered_total += 1;
         debug_assert!(
@@ -182,12 +139,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.live_cancelled()
+        self.heap.len()
     }
 
-    /// `true` if no live events are pending.
+    /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -200,40 +157,6 @@ impl<E> EventQueue<E> {
     /// Total number of events delivered via `pop`.
     pub fn delivered_total(&self) -> u64 {
         self.delivered_total
-    }
-
-    /// Total number of successful cancellations.
-    ///
-    /// A cancelled event that was already cancelled (or never existed)
-    /// does not count; this is the number of events that were scheduled
-    /// and will never be delivered.
-    pub fn cancelled_total(&self) -> u64 {
-        self.cancelled_total
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
-        // A cleared queue may be reused for a fresh run from t = 0, so the
-        // monotonicity sanitizer restarts too.
-        self.last_popped = None;
-    }
-
-    fn live_cancelled(&self) -> usize {
-        // Cancelled ids are removed from the set as their events are skipped,
-        // so the set only contains ids that are still in the heap.
-        self.cancelled.len()
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some(Reverse(s)) = self.heap.peek() {
-            if self.cancelled.remove(&s.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -277,23 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_delivery() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel reports false");
-        assert_eq!(q.pop(), Some((t(2), "b")));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(999)));
-    }
-
-    #[test]
     fn pop_at_or_before_respects_limit() {
         let mut q = EventQueue::new();
         q.schedule(t(1), "a");
@@ -304,17 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), 1);
-        q.schedule(t(2), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn counters_track_activity() {
         let mut q = EventQueue::new();
         q.schedule(t(1), ());
@@ -322,28 +217,6 @@ mod tests {
         q.pop();
         assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.delivered_total(), 1);
-    }
-
-    #[test]
-    fn cancelled_total_counts_only_fresh_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        let b = q.schedule(t(2), ());
-        assert_eq!(q.cancelled_total(), 0);
-        q.cancel(a);
-        q.cancel(a); // double cancel: not counted again
-        q.cancel(EventId(999)); // unknown id: not counted
-        q.cancel(b);
-        assert_eq!(q.cancelled_total(), 2);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(4), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(4)));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! assert_eq!(sim.now(), SimTime::from_secs(1));
 //! ```
 
-use crate::queue::{EventId, EventPriority, EventQueue};
+use crate::queue::{EventPriority, EventQueue};
 use crate::rng::{RngStream, StreamId};
 use crate::time::{SimDuration, SimTime};
 
@@ -148,7 +148,7 @@ impl<E> Simulator<E> {
     /// # Panics
     ///
     /// Panics if `time` is in the past (before [`Simulator::now`]).
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < {}",
@@ -162,7 +162,7 @@ impl<E> Simulator<E> {
     /// # Panics
     ///
     /// Panics if `delay` is negative.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         assert!(!delay.is_negative(), "negative delay: {delay}");
         self.queue.schedule(self.now + delay, event)
     }
@@ -173,23 +173,13 @@ impl<E> Simulator<E> {
     /// # Panics
     ///
     /// Panics if `time` is in the past.
-    pub fn schedule_at_with_priority(
-        &mut self,
-        time: SimTime,
-        priority: EventPriority,
-        event: E,
-    ) -> EventId {
+    pub fn schedule_at_with_priority(&mut self, time: SimTime, priority: EventPriority, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < {}",
             self.now
         );
         self.queue.schedule_with_priority(time, priority, event)
-    }
-
-    /// Cancels a pending event; returns `true` if it was still pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Pops the next event due at or before `limit`, advancing the clock to
@@ -256,11 +246,11 @@ impl<E> Simulator<E> {
     }
 
     /// Time of the next pending event, if any.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -273,11 +263,6 @@ impl<E> Simulator<E> {
     /// Total events ever scheduled.
     pub fn scheduled(&self) -> u64 {
         self.queue.scheduled_total()
-    }
-
-    /// Total events cancelled before delivery.
-    pub fn cancelled(&self) -> u64 {
-        self.queue.cancelled_total()
     }
 
     /// Runs the kernel with a handler closure until `limit`, then advances
@@ -367,14 +352,6 @@ mod tests {
         assert_eq!(count, 10);
         assert_eq!(sim.now(), SimTime::from_secs(1));
         assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn cancellation_through_kernel() {
-        let mut sim = Simulator::new(0);
-        let id = sim.schedule_at(SimTime::from_secs(1), Ev::Tick(9));
-        assert!(sim.cancel(id));
-        assert!(sim.pop_due(SimTime::from_secs(2)).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use comfase_json::{Error as JsonError, Fields, FromJson, ToJson, Value, Writer};
+use comfase_json::{Error as JsonError, Fields, FromJson, Value};
 
 use crate::time::SimTime;
 
@@ -133,43 +133,14 @@ impl fmt::Display for RunningStats {
     }
 }
 
-/// Sample count at which a series chunk is sealed and becomes immutable.
-///
-/// Sealed chunks are structurally shared (`Arc`) between a snapshot and its
-/// forks, so cloning a long series costs one pointer per chunk plus at most
-/// one partially filled tail — the copy-on-write substrate behind cheap
-/// `World` forking. The boundary depends only on the sample *count*, never
-/// on sharing history, so two series with equal samples are structurally
-/// equal no matter how they were built.
-const CHUNK_SAMPLES: usize = 1024;
-
-/// One sealed, immutable run of samples (always `CHUNK_SAMPLES` long).
-#[derive(Debug, PartialEq)]
-struct Chunk {
-    times: Vec<SimTime>,
-    values: Vec<f64>,
-}
-
 /// A recorded `(time, value)` series — an OMNeT++ output vector.
 ///
-/// Samples must be appended in non-decreasing time order. Internally the
-/// series is a list of sealed [`Arc`](std::sync::Arc)-shared chunks plus a
-/// mutable tail: `clone()` is O(chunks), not O(samples), and a clone never
-/// mutates through shared storage (appends only touch the private tail).
-/// The serialized form stays the flat `{times, values}` pair.
-#[derive(Debug, Clone, Default)]
+/// Samples must be appended in non-decreasing time order. The JSON form
+/// is the `{"times": [...], "values": [...]}` pair.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
-    sealed: Vec<std::sync::Arc<Chunk>>,
-    tail_times: Vec<SimTime>,
-    tail_values: Vec<f64>,
-}
-
-impl PartialEq for TimeSeries {
-    fn eq(&self, other: &Self) -> bool {
-        // Logical, not structural: chunk layout is a function of sample
-        // count, but a clone may share while its twin owns.
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
+    times: Vec<SimTime>,
+    values: Vec<f64>,
 }
 
 impl TimeSeries {
@@ -180,11 +151,9 @@ impl TimeSeries {
 
     /// Creates an empty series with room for `n` samples.
     pub fn with_capacity(n: usize) -> Self {
-        let cap = n.min(CHUNK_SAMPLES);
         TimeSeries {
-            sealed: Vec::new(),
-            tail_times: Vec::with_capacity(cap),
-            tail_values: Vec::with_capacity(cap),
+            times: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
         }
     }
 
@@ -200,88 +169,38 @@ impl TimeSeries {
                 "time series must be recorded in order: {time} < {last}"
             );
         }
-        self.tail_times.push(time);
-        self.tail_values.push(value);
-        if self.tail_times.len() == CHUNK_SAMPLES {
-            self.seal_tail();
-        }
-    }
-
-    /// Moves the full tail into a sealed immutable chunk.
-    fn seal_tail(&mut self) {
-        let times = std::mem::replace(&mut self.tail_times, Vec::with_capacity(CHUNK_SAMPLES));
-        let values = std::mem::replace(&mut self.tail_values, Vec::with_capacity(CHUNK_SAMPLES));
-        self.sealed
-            .push(std::sync::Arc::new(Chunk { times, values }));
+        self.times.push(time);
+        self.values.push(value);
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.sealed.len() * CHUNK_SAMPLES + self.tail_times.len()
+        self.times.len()
     }
 
     /// `true` when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail_times.is_empty()
+        self.times.is_empty()
     }
 
     /// Time of the most recent sample, if any.
     pub fn last_time(&self) -> Option<SimTime> {
-        self.tail_times
-            .last()
-            .or_else(|| self.sealed.last().and_then(|c| c.times.last()))
-            .copied()
+        self.times.last().copied()
     }
 
     /// Value of the most recent sample, if any.
     pub fn last_value(&self) -> Option<f64> {
-        self.tail_values
-            .last()
-            .or_else(|| self.sealed.last().and_then(|c| c.values.last()))
-            .copied()
+        self.values.last().copied()
     }
 
     /// Iterates over `(time, value)` samples.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.slices()
-            .flat_map(|(times, values)| times.iter().copied().zip(values.iter().copied()))
+        self.times.iter().copied().zip(self.values.iter().copied())
     }
 
     /// Iterates over the recorded values in time order.
     pub fn iter_values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.slices().flat_map(|(_, values)| values.iter().copied())
-    }
-
-    /// The samples as `(times, values)` slice pairs: each sealed chunk,
-    /// then the (possibly empty) tail.
-    fn slices(&self) -> impl Iterator<Item = (&[SimTime], &[f64])> {
-        self.sealed
-            .iter()
-            .map(|c| (&c.times[..], &c.values[..]))
-            .chain(std::iter::once((
-                &self.tail_times[..],
-                &self.tail_values[..],
-            )))
-    }
-
-    /// Sample time at logical index `i` (`i < self.len()`).
-    fn time_at(&self, i: usize) -> SimTime {
-        let chunk = i / CHUNK_SAMPLES;
-        if chunk < self.sealed.len() {
-            self.sealed[chunk].times[i % CHUNK_SAMPLES]
-        } else {
-            self.tail_times[i - self.sealed.len() * CHUNK_SAMPLES]
-        }
-    }
-
-    /// Sample value at logical index `i` (`i < self.len()`).
-    fn value_at(&self, i: usize) -> f64 {
-        let chunk = i / CHUNK_SAMPLES;
-        if chunk < self.sealed.len() {
-            self.sealed[chunk].values[i % CHUNK_SAMPLES]
-        } else {
-            self.tail_values[i - self.sealed.len() * CHUNK_SAMPLES]
-        }
+        self.values.iter().copied()
     }
 
     /// Largest value, if any.
@@ -297,21 +216,8 @@ impl TimeSeries {
     /// Value at or before `time` (sample-and-hold), if any sample exists
     /// at or before it.
     pub fn sample_at(&self, time: SimTime) -> Option<f64> {
-        // Binary search over logical indices for the last sample ≤ `time`.
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.time_at(mid) <= time {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            None
-        } else {
-            Some(self.value_at(lo - 1))
-        }
+        let n = self.times.partition_point(|&t| t <= time);
+        n.checked_sub(1).map(|i| self.values[i])
     }
 
     /// Largest `|v − held|` over this series' samples `(t, v)`, where
@@ -320,28 +226,15 @@ impl TimeSeries {
     /// found by one forward walk over both series instead of one search
     /// per sample. 0 for an empty series.
     pub fn max_deviation_from(&self, reference: &TimeSeries) -> f64 {
-        let mut refs = reference.slices();
-        let (mut ref_times, mut ref_values): (&[SimTime], &[f64]) = (&[], &[]);
         let mut j = 0;
         let mut held = 0.0;
         let mut max = 0.0f64;
-        for (times, values) in self.slices() {
-            for (&t, &v) in times.iter().zip(values) {
-                loop {
-                    if j < ref_times.len() {
-                        if ref_times[j] > t {
-                            break;
-                        }
-                        held = ref_values[j];
-                        j += 1;
-                    } else if let Some((next_times, next_values)) = refs.next() {
-                        (ref_times, ref_values, j) = (next_times, next_values, 0);
-                    } else {
-                        break;
-                    }
-                }
-                max = max.max((v - held).abs());
+        for (t, v) in self.iter() {
+            while j < reference.times.len() && reference.times[j] <= t {
+                held = reference.values[j];
+                j += 1;
             }
+            max = max.max((v - held).abs());
         }
         max
     }
@@ -352,26 +245,7 @@ impl TimeSeries {
     }
 }
 
-/// Flat JSON form: the historical `{"times": [...], "values": [...]}`
-/// pair, so the chunked representation is invisible in every artifact.
-impl ToJson for TimeSeries {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.begin_object();
-        w.key("times");
-        w.begin_array();
-        for t in self.iter().map(|(t, _)| t) {
-            w.value(&t);
-        }
-        w.end_array();
-        w.key("values");
-        w.begin_array();
-        for v in self.iter_values() {
-            w.value(&v);
-        }
-        w.end_array();
-        w.end_object();
-    }
-}
+comfase_json::record!(ToJson for TimeSeries { times, values });
 
 impl FromJson for TimeSeries {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
@@ -382,14 +256,10 @@ impl FromJson for TimeSeries {
         if times.len() != values.len() {
             return Err(JsonError::new("time series times/values length mismatch"));
         }
-        let mut ts = TimeSeries::with_capacity(times.len());
-        for (t, v) in times.into_iter().zip(values) {
-            if ts.last_time().is_some_and(|last| t < last) {
-                return Err(JsonError::new("time series samples out of order"));
-            }
-            ts.record(t, v);
+        if times.windows(2).any(|w| w[1] < w[0]) {
+            return Err(JsonError::new("time series samples out of order"));
         }
-        Ok(ts)
+        Ok(TimeSeries { times, values })
     }
 }
 
@@ -543,7 +413,7 @@ mod tests {
     /// `len` samples from `start_ns` in steps of 1–8 ns, one step in four
     /// repeating the timestamp. With `special` = 1 (rare) or 2 (often)
     /// values include NaN and ±∞. With `straddle`, samples 1 015..1 035
-    /// share one timestamp across the first chunk boundary.
+    /// share one timestamp across index 1 024.
     fn random_series(
         rng: &mut crate::rng::RngStream,
         len: usize,

@@ -87,40 +87,6 @@ fn queue_is_stable_for_ties() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly that subset.
-#[test]
-fn queue_cancellation_is_exact() {
-    for case in 0..CASES {
-        let mut g = RngStream::derive(SEED, StreamId(case));
-        let times: Vec<i64> = (0..len(&mut g, 1..100))
-            .map(|_| int(&mut g, 0..1000))
-            .collect();
-        // Events past the end of the mask stay scheduled.
-        let cancel_mask: Vec<bool> = (0..len(&mut g, 1..100)).map(|_| g.bernoulli(0.5)).collect();
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_nanos(t), i)))
-            .collect();
-        let mut expect: std::collections::HashSet<usize> = (0..times.len()).collect();
-        for ((i, id), &c) in ids.iter().zip(&cancel_mask) {
-            if c {
-                assert!(q.cancel(*id), "case {case}: event {i} not cancellable");
-                expect.remove(i);
-            }
-        }
-        let mut got = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            got.insert(i);
-        }
-        assert_eq!(
-            got, expect,
-            "case {case}: {times:?} masked by {cancel_mask:?}"
-        );
-    }
-}
-
 /// Snapshotting the kernel at an arbitrary point and resuming the clone
 /// reproduces the uninterrupted execution exactly: same deliveries in
 /// the same order, same clock, same counters.

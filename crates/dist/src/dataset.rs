@@ -343,7 +343,7 @@ mod tests {
             plant(&shards, i, 3);
         }
         let out = root.join("merged");
-        let report = merge_dataset_dirs(&[shards.clone()], &out).unwrap();
+        let report = merge_dataset_dirs(std::slice::from_ref(&shards), &out).unwrap();
         assert_eq!(report.shards, 3);
         let corpus = fs::read(&report.corpus_path).unwrap();
         let mut expected = Vec::new();
@@ -409,7 +409,7 @@ mod tests {
         fs::create_dir_all(&shards).unwrap();
         let bytes = render_experiment(&export(0, 1));
         fs::write(shards.join(shard_file_name(0)), &bytes[..bytes.len() - 2]).unwrap();
-        let err = merge_dataset_dirs(&[shards.clone()], &root.join("m")).unwrap_err();
+        let err = merge_dataset_dirs(std::slice::from_ref(&shards), &root.join("m")).unwrap_err();
         assert!(err.to_string().contains("torn"), "got: {err}");
         // Header claims index 1 but the file is named exp-000000.jsonl.
         fs::write(

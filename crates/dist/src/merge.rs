@@ -428,7 +428,7 @@ mod tests {
     fn incomplete_coverage_is_rejected_with_the_exact_missing_ranges() {
         let total = 4;
         let a = state(total, &[0, 1]);
-        let err = merge_states(&[a.clone()]).unwrap_err();
+        let err = merge_states(std::slice::from_ref(&a)).unwrap_err();
         let msg = err.to_string();
         assert!(is_invalid(err));
         assert!(msg.contains("2-3"), "unexpected message: {msg}");

@@ -235,7 +235,7 @@ pub struct ExperimentExport {
 
 /// Appends one length-delimited line: `<payload-len>\t<payload>\n`.
 fn push_line(out: &mut String, payload: &str) {
-    let _ = write!(out, "{}\t{payload}\n", payload.len());
+    let _ = writeln!(out, "{}\t{payload}", payload.len());
 }
 
 impl FrameFate {

@@ -15,12 +15,12 @@
 //!   explicit per-site `wall-clock` waivers each carrying its reason, and
 //!   its output is kept out of the deterministic `metrics.json` artifact.
 //!
-//! Simulation state records through the `Clone`-able [`SimRecorder`]
-//! handle: [`SimRecorder::Null`] when telemetry is off, so the disabled path
-//! costs one branch, and otherwise a boxed [`MemRecorder`] (counters +
-//! fixed-bucket histograms + a bounded trace-event buffer). Snapshot/fork
-//! execution carries recorded telemetry along with the rest of the world
-//! state.
+//! Simulation state records through the `Clone`-able [`SimRecorder`]:
+//! counters, fixed-bucket histograms, a bounded trace-event buffer and
+//! optional dataset rows, each behind its own [`ObsConfig`] switch, so with
+//! telemetry off every call costs one branch and nothing is allocated.
+//! Snapshot/fork execution carries recorded telemetry along with the rest
+//! of the world state.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,5 +40,5 @@ pub use metrics::{
     AggregateMetrics, CampaignMetrics, ExperimentMetrics, FrameBreakdown, KernelCounters,
     SUBSTRATE_COUNTER_PREFIXES,
 };
-pub use recorder::{HistSpec, MemRecorder, MetricsSnapshot, ObsConfig, SimRecorder};
+pub use recorder::{HistSpec, MetricsSnapshot, ObsConfig, SimRecorder};
 pub use trace::{chrome_trace_json, TraceEvent, TraceKind};

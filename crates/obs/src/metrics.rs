@@ -38,7 +38,9 @@ pub struct KernelCounters {
     pub scheduled: u64,
     /// Events popped and dispatched.
     pub delivered: u64,
-    /// Events cancelled before delivery.
+    /// Always 0: the kernel delivers every event it schedules. The field
+    /// stays because the pinned journal and `metrics.json` schema carry it
+    /// and the campaign benchmark reports it as `des.events_cancelled`.
     pub cancelled: u64,
     /// Events still queued when the run ended.
     pub pending_at_end: u64,

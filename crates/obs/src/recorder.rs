@@ -1,5 +1,4 @@
-//! The telemetry recorders: [`SimRecorder`], the handle simulation state
-//! owns, and the [`MemRecorder`] it wraps.
+//! The telemetry recorder: [`SimRecorder`], which simulation state owns.
 //!
 //! Instrumentation points in the simulation stack talk to a recorder
 //! through three primitives:
@@ -106,24 +105,26 @@ impl ObsConfig {
         self.dataset = true;
         self
     }
-
-    /// `true` if this configuration records nothing at all.
-    pub fn is_disabled(&self) -> bool {
-        !self.metrics && self.trace_capacity == 0 && !self.dataset
-    }
 }
 
-/// In-memory recorder: counters, histograms, and a bounded event buffer.
+/// The recorder simulation state owns: counters, histograms, a bounded
+/// event buffer and, if configured, dataset rows.
+///
+/// Every recording call checks its own switch in the [`ObsConfig`], so a
+/// disabled recorder costs one branch per call, allocates nothing, and
+/// snapshots to [`MetricsSnapshot::default`]. The recorder is `Clone`:
+/// snapshot/fork execution clones recorded telemetry along with the rest of
+/// the world state.
 ///
 /// Counters and histograms sit in small `Vec`s keyed by `&'static str`, in
 /// first-use order. A run touches a few dozen names, so finding a key is a
 /// short scan that compares addresses before contents, instead of a
 /// string-comparing tree walk on every update;
-/// [`MemRecorder::into_snapshot`] sorts them by name.
+/// [`SimRecorder::into_snapshot`] sorts them by name.
 /// Equality is logical: two recorders holding the same values under the
 /// same names are equal whatever order the names were first used in.
 #[derive(Debug, Clone)]
-pub struct MemRecorder {
+pub struct SimRecorder {
     counters: Vec<(&'static str, u64)>,
     histograms: Vec<(&'static str, (HistSpec, Histogram))>,
     events: Vec<TraceEvent>,
@@ -133,11 +134,11 @@ pub struct MemRecorder {
     dataset: Option<Box<DatasetCapture>>,
 }
 
-impl MemRecorder {
+impl SimRecorder {
     /// Creates a recorder for the given configuration. The event buffer is
     /// allocated once, up front, at the configured cap.
     pub fn new(config: ObsConfig) -> Self {
-        MemRecorder {
+        SimRecorder {
             counters: Vec::new(),
             histograms: Vec::new(),
             events: Vec::with_capacity(config.trace_capacity.min(PRESIZE_CLAMP)),
@@ -186,11 +187,13 @@ impl MemRecorder {
 
     /// `true` if counters/histograms are being kept. Callers may use this
     /// to skip building expensive observation values.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.metrics
     }
 
     /// `true` if trace events are being kept.
+    #[inline]
     pub fn trace_enabled(&self) -> bool {
         self.trace_capacity > 0
     }
@@ -230,7 +233,7 @@ impl MemRecorder {
     }
 
     /// Records a timeline event (kept only while the bounded buffer has
-    /// room; see [`MemRecorder::dropped_events`]).
+    /// room; see [`SimRecorder::dropped_events`]).
     pub fn trace_event(&mut self, time: SimTime, track: u32, name: &'static str, kind: TraceKind) {
         if self.trace_capacity == 0 {
             return;
@@ -250,6 +253,7 @@ impl MemRecorder {
     /// `true` if dataset rows are being captured. Instrumentation sites
     /// guard on this before assembling a record, so disabled runs pay one
     /// branch and zero allocation on the frame path.
+    #[inline]
     pub fn dataset_enabled(&self) -> bool {
         self.dataset.is_some()
     }
@@ -271,7 +275,7 @@ impl MemRecorder {
     }
 }
 
-impl PartialEq for MemRecorder {
+impl PartialEq for SimRecorder {
     fn eq(&self, other: &Self) -> bool {
         same_slots(&self.counters, &other.counters)
             && same_slots(&self.histograms, &other.histograms)
@@ -317,119 +321,6 @@ fn same_slots<T: PartialEq>(a: &[(&'static str, T)], b: &[(&'static str, T)]) ->
     a.len() == b.len()
         && a.iter()
             .all(|(k, v)| slot(b, k).is_some_and(|i| b[i].1 == *v))
-}
-
-/// The recorder handle simulation state owns.
-///
-/// A two-variant enum instead of a boxed trait object so that:
-///
-/// - the world stays `Clone` (snapshot/fork execution clones recorded
-///   telemetry along with the rest of the state);
-/// - the disabled path is one branch on a discriminant — cheap enough to
-///   leave instrumentation unconditionally compiled in.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum SimRecorder {
-    /// Recording disabled (the default).
-    #[default]
-    Null,
-    /// Recording into an in-memory [`MemRecorder`].
-    Mem(Box<MemRecorder>),
-}
-
-impl SimRecorder {
-    /// Builds the right variant for a configuration: [`SimRecorder::Null`]
-    /// when everything is off, so disabled runs pay nothing.
-    pub fn new(config: ObsConfig) -> Self {
-        if config.is_disabled() {
-            SimRecorder::Null
-        } else {
-            SimRecorder::Mem(Box::new(MemRecorder::new(config)))
-        }
-    }
-
-    /// Freezes recorded state into a snapshot (empty for
-    /// [`SimRecorder::Null`]).
-    pub fn into_snapshot(self) -> MetricsSnapshot {
-        match self {
-            SimRecorder::Null => MetricsSnapshot::default(),
-            SimRecorder::Mem(m) => m.into_snapshot(),
-        }
-    }
-
-    /// `true` if counters/histograms are being kept (see
-    /// [`MemRecorder::enabled`]).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        match self {
-            SimRecorder::Null => false,
-            SimRecorder::Mem(m) => m.enabled(),
-        }
-    }
-
-    /// `true` if trace events are being kept.
-    #[inline]
-    pub fn trace_enabled(&self) -> bool {
-        match self {
-            SimRecorder::Null => false,
-            SimRecorder::Mem(m) => m.trace_enabled(),
-        }
-    }
-
-    /// Adds `n` to the named counter.
-    #[inline]
-    pub fn add(&mut self, key: &'static str, n: u64) {
-        if let SimRecorder::Mem(m) = self {
-            m.add(key, n);
-        }
-    }
-
-    /// Increments the named counter by one.
-    #[inline]
-    pub fn inc(&mut self, key: &'static str) {
-        self.add(key, 1);
-    }
-
-    /// Records one observation into the named fixed-bucket histogram (see
-    /// [`MemRecorder::observe`]).
-    #[inline]
-    pub fn observe(&mut self, key: &'static str, spec: HistSpec, value: f64) {
-        if let SimRecorder::Mem(m) = self {
-            m.observe(key, spec, value);
-        }
-    }
-
-    /// Records a timeline event (see [`MemRecorder::trace_event`]).
-    #[inline]
-    pub fn trace_event(&mut self, time: SimTime, track: u32, name: &'static str, kind: TraceKind) {
-        if let SimRecorder::Mem(m) = self {
-            m.trace_event(time, track, name, kind);
-        }
-    }
-
-    /// `true` if dataset rows are being captured.
-    #[inline]
-    pub fn dataset_enabled(&self) -> bool {
-        match self {
-            SimRecorder::Null => false,
-            SimRecorder::Mem(m) => m.dataset_enabled(),
-        }
-    }
-
-    /// Captures one per-frame dataset row.
-    #[inline]
-    pub fn record_frame(&mut self, f: FrameRecord) {
-        if let SimRecorder::Mem(m) = self {
-            m.record_frame(f);
-        }
-    }
-
-    /// Captures one per-control-step dataset row.
-    #[inline]
-    pub fn record_step(&mut self, s: StepRecord) {
-        if let SimRecorder::Mem(m) = self {
-            m.record_step(s);
-        }
-    }
 }
 
 /// Frozen, serializable telemetry of one run. Lives inside the run log, so
@@ -478,7 +369,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    fn mark(r: &mut MemRecorder, ns: i64) {
+    fn mark(r: &mut SimRecorder, ns: i64) {
         r.trace_event(SimTime::from_nanos(ns), 1, "e", TraceKind::Mark);
     }
 
@@ -487,6 +378,12 @@ mod tests {
         let mut r = SimRecorder::new(ObsConfig::disabled());
         assert!(!r.enabled());
         assert!(!r.trace_enabled());
+        assert!(!r.dataset_enabled());
+        assert_eq!(
+            r.events.capacity(),
+            0,
+            "a disabled recorder allocates nothing"
+        );
         r.inc("x");
         r.observe(
             "h",
@@ -498,12 +395,12 @@ mod tests {
             0.5,
         );
         r.trace_event(SimTime::from_nanos(1), 1, "e", TraceKind::Mark);
-        assert!(r.into_snapshot().is_empty());
+        assert_eq!(r.into_snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
     fn mem_recorder_counts_and_observes() {
-        let mut r = MemRecorder::new(ObsConfig::metrics_only());
+        let mut r = SimRecorder::new(ObsConfig::metrics_only());
         assert!(r.enabled());
         r.inc("a.b");
         r.add("a.b", 2);
@@ -534,7 +431,7 @@ mod tests {
             hi: 10.0,
             bins: 5,
         };
-        let mut r = MemRecorder::new(ObsConfig::metrics_only());
+        let mut r = SimRecorder::new(ObsConfig::metrics_only());
         r.inc("z.last");
         r.inc("phy.rx.ok");
         r.add(counter, 2);
@@ -546,7 +443,7 @@ mod tests {
         assert_eq!(r.counters.len(), 3, "one slot per name");
         assert_eq!(r.histograms.len(), 1, "one slot per name");
         // Equality is logical: first-use order does not matter.
-        let mut other = MemRecorder::new(ObsConfig::metrics_only());
+        let mut other = SimRecorder::new(ObsConfig::metrics_only());
         other.inc("a.first");
         other.add(counter, 3);
         other.inc("z.last");
@@ -570,7 +467,7 @@ mod tests {
 
     #[test]
     fn event_buffer_is_bounded_with_dropped_counter() {
-        let mut r = MemRecorder::new(ObsConfig {
+        let mut r = SimRecorder::new(ObsConfig {
             metrics: false,
             trace_capacity: 3,
             dataset: false,
@@ -591,14 +488,14 @@ mod tests {
 
     #[test]
     fn event_buffer_is_presized_and_never_grows() {
-        let r = MemRecorder::new(ObsConfig {
+        let r = SimRecorder::new(ObsConfig {
             metrics: false,
             trace_capacity: 100,
             dataset: false,
         });
         assert!(r.events.capacity() >= 100);
         // A pathological cap must not cause a pathological allocation.
-        let big = MemRecorder::new(ObsConfig {
+        let big = SimRecorder::new(ObsConfig {
             metrics: false,
             trace_capacity: usize::MAX,
             dataset: false,
@@ -609,7 +506,7 @@ mod tests {
     #[cfg(not(debug_assertions))]
     #[test]
     fn conflicting_hist_specs_are_counted_not_misbucketed() {
-        let mut r = MemRecorder::new(ObsConfig::metrics_only());
+        let mut r = SimRecorder::new(ObsConfig::metrics_only());
         let spec = HistSpec {
             lo: 0.0,
             hi: 10.0,
@@ -633,7 +530,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "conflicting spec")]
     fn conflicting_hist_specs_trip_the_sim_sanitizer() {
-        let mut r = MemRecorder::new(ObsConfig::metrics_only());
+        let mut r = SimRecorder::new(ObsConfig::metrics_only());
         r.observe(
             "h",
             HistSpec {
@@ -683,15 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_recorder_null_for_disabled_config() {
-        let r = SimRecorder::new(ObsConfig::disabled());
-        assert_eq!(r, SimRecorder::Null);
-        assert!(r.into_snapshot().is_empty());
-        let r = SimRecorder::new(ObsConfig::metrics_only());
-        assert!(matches!(r, SimRecorder::Mem(_)));
-    }
-
-    #[test]
     fn sim_recorder_clones_carry_recorded_state() {
         let mut r = SimRecorder::new(ObsConfig::metrics_only());
         r.inc("x");
@@ -704,7 +592,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let mut r = MemRecorder::new(ObsConfig::with_trace());
+        let mut r = SimRecorder::new(ObsConfig::with_trace());
         r.inc("k");
         mark(&mut r, 5);
         let snap = r.into_snapshot();

@@ -25,7 +25,10 @@ fn run(scenario: &TeleopScenario, attack: Option<AttackSpec>) -> (f64, bool) {
         .trace
         .vehicle(VehicleId(TELEOP_VEHICLE))
         .expect("traced");
-    (tr.pos.last_value().unwrap(), log.trace.has_collision())
+    (
+        tr.pos.last_value().expect("a traced vehicle has samples"),
+        log.trace.has_collision(),
+    )
 }
 
 fn main() {

@@ -33,9 +33,10 @@ fn campaign() -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 8.0],
     };
-    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42).unwrap();
+    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42)
+        .expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only().with_dataset())
 }
 
@@ -52,7 +53,10 @@ fn tmp_path(name: &str) -> PathBuf {
 fn export_config(dir: &Path, mode: ExecutionMode) -> RunConfig {
     RunConfig {
         mode,
-        dataset: Some(Arc::new(DirSink::create(dir).unwrap()) as Arc<dyn DatasetSink>),
+        dataset: Some(
+            Arc::new(DirSink::create(dir).expect("the shard dir is creatable"))
+                as Arc<dyn DatasetSink>,
+        ),
         ..RunConfig::default()
     }
 }
@@ -62,7 +66,7 @@ fn merged_corpus(dirs: &[PathBuf], label: &str) -> Vec<u8> {
     let out = tmp_path(&format!("{label}-merged"));
     let report = merge_dataset_dirs(dirs, &out)
         .unwrap_or_else(|e| panic!("dataset merge failed under {label}: {e}"));
-    let corpus = std::fs::read(&report.corpus_path).unwrap();
+    let corpus = std::fs::read(&report.corpus_path).expect("the merged corpus is readable");
     assert_eq!(report.corpus_bytes, corpus.len() as u64);
     let _ = std::fs::remove_dir_all(&out);
     corpus
@@ -82,7 +86,7 @@ fn exported_corpus_is_byte_identical_across_modes_and_threads() {
             &NullObserver,
         )
         .unwrap();
-    let reference_corpus = merged_corpus(&[dir.clone()], "ref");
+    let reference_corpus = merged_corpus(std::slice::from_ref(&dir), "ref");
     let reference_metrics = reference.metrics.as_ref().unwrap().to_json_bytes();
     assert!(!reference_corpus.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
@@ -108,7 +112,7 @@ fn exported_corpus_is_byte_identical_across_modes_and_threads() {
                 "records diverged under {label}"
             );
             assert_eq!(
-                merged_corpus(&[dir.clone()], &label),
+                merged_corpus(std::slice::from_ref(&dir), &label),
                 reference_corpus,
                 "corpus diverged under {label}"
             );
@@ -129,7 +133,7 @@ fn claim_workers_export_into_one_directory_and_merge_identically() {
             &NullObserver,
         )
         .unwrap();
-    let reference_corpus = merged_corpus(&[solo_dir.clone()], "solo");
+    let reference_corpus = merged_corpus(std::slice::from_ref(&solo_dir), "solo");
     let _ = std::fs::remove_dir_all(&solo_dir);
 
     for n in [2usize, 4] {
@@ -160,7 +164,7 @@ fn claim_workers_export_into_one_directory_and_merge_identically() {
             }
         });
         assert_eq!(
-            merged_corpus(&[shared_dir.clone()], &label),
+            merged_corpus(std::slice::from_ref(&shared_dir), &label),
             reference_corpus,
             "corpus diverged under {label}"
         );
@@ -183,7 +187,7 @@ fn stolen_units_reexport_bit_equal_shards_and_the_corpus_is_unchanged() {
             &NullObserver,
         )
         .unwrap();
-    let reference_corpus = merged_corpus(&[reference_dir.clone()], "steal-ref");
+    let reference_corpus = merged_corpus(std::slice::from_ref(&reference_dir), "steal-ref");
     let _ = std::fs::remove_dir_all(&reference_dir);
 
     let claim_dir = tmp_path("steal-claims");
@@ -224,7 +228,7 @@ fn stolen_units_reexport_bit_equal_shards_and_the_corpus_is_unchanged() {
     survivor.run(4, &config, &NullObserver).unwrap();
 
     assert_eq!(
-        merged_corpus(&[shared_dir.clone()], "steal"),
+        merged_corpus(std::slice::from_ref(&shared_dir), "steal"),
         reference_corpus,
         "corpus diverged after steal recovery"
     );
@@ -396,7 +400,8 @@ fn export_without_capture_is_refused() {
         attack_starts_s: vec![17.0],
         attack_durations_s: vec![2.0],
     };
-    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42).unwrap();
+    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42)
+        .expect("the test scenario is valid");
     let no_capture = Campaign::new(engine, setup)
         .unwrap()
         .with_obs(ObsConfig::metrics_only());

@@ -31,9 +31,10 @@ fn campaign_with_seed(seed: u64) -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 8.0],
     };
-    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), seed).unwrap();
+    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), seed)
+        .expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only())
 }
 
@@ -52,7 +53,10 @@ fn tmp_path(name: &str) -> PathBuf {
 
 fn cache_config(dir: &std::path::Path) -> RunConfig {
     RunConfig {
-        cache: Some(Arc::new(DiskCache::create(dir).unwrap()) as Arc<dyn ExperimentCache>),
+        cache: Some(
+            Arc::new(DiskCache::create(dir).expect("the cache dir is creatable"))
+                as Arc<dyn ExperimentCache>,
+        ),
         ..RunConfig::default()
     }
 }

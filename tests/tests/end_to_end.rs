@@ -13,7 +13,8 @@ fn quick_scenario(secs: i64) -> TrafficScenario {
 }
 
 fn engine(secs: i64) -> Engine {
-    Engine::new(quick_scenario(secs), CommModel::paper_default(), 42).unwrap()
+    Engine::new(quick_scenario(secs), CommModel::paper_default(), 42)
+        .expect("the test scenario is valid")
 }
 
 #[test]

@@ -9,10 +9,11 @@
 //!    result cache treats such an entry as stale.
 //! 2. **Mutation sweep.** A deterministic mutator (every truncation plus
 //!    seeded byte flips and splices, seeded by `comfase_des::rng`) runs
-//!    over one sample of each format: a journal line, a cache file, a
-//!    lease, a ledger meta and a dataset shard header. Nothing may panic,
-//!    every strict truncation is rejected, and the ledger accepts only
-//!    canonical bytes.
+//!    over one sample of each format: a journal line, a cache file of each
+//!    entry kind (an experiment verdict, and a golden run log with its
+//!    recorded trace series), a lease, a ledger meta and a dataset shard
+//!    header. Nothing may panic, every strict truncation is rejected, and
+//!    the ledger accepts only canonical bytes.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -48,9 +49,10 @@ fn campaign() -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 4.0],
     };
-    let engine = Engine::new(scenario, CommModel::paper_default(), 42).unwrap();
+    let engine =
+        Engine::new(scenario, CommModel::paper_default(), 42).expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only())
 }
 
@@ -62,8 +64,10 @@ fn damaged_journal(name: &str, damage: impl Fn(&str) -> String) -> PathBuf {
         journal: Some(path.clone()),
         ..RunConfig::default()
     };
-    campaign().run(2, &config, &NullObserver).unwrap();
-    let text = fs::read_to_string(&path).unwrap();
+    campaign()
+        .run(2, &config, &NullObserver)
+        .expect("the journaled campaign runs");
+    let text = fs::read_to_string(&path).expect("the journal is readable");
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
     let at = lines
         .iter()
@@ -73,7 +77,7 @@ fn damaged_journal(name: &str, damage: impl Fn(&str) -> String) -> PathBuf {
     let damaged = damage(&lines[at]);
     assert_ne!(damaged, lines[at]);
     lines[at] = damaged;
-    fs::write(&path, lines.join("\n") + "\n").unwrap();
+    fs::write(&path, lines.join("\n") + "\n").expect("the journal is writable");
     path
 }
 
@@ -83,11 +87,13 @@ fn assert_resume_and_merge_refuse(path: &Path) {
         resume: true,
         ..RunConfig::default()
     };
-    let err = campaign().run(2, &resume, &NullObserver).unwrap_err();
+    let err = campaign()
+        .run(2, &resume, &NullObserver)
+        .expect_err("resume refuses the journal");
     assert!(matches!(err, ComfaseError::Io(_)), "resume: {err:?}");
-    let err = merge_journals(&[path]).unwrap_err();
+    let err = merge_journals(&[path]).expect_err("merge refuses the journal");
     assert!(matches!(err, ComfaseError::Io(_)), "merge: {err:?}");
-    fs::remove_file(path).unwrap();
+    fs::remove_file(path).expect("the journal is removable");
 }
 
 #[test]
@@ -149,24 +155,37 @@ const KEY: CacheKey = CacheKey {
     config_hash: 7,
 };
 
-/// A cache holding [`sample_entry`] under [`KEY`], and its one file.
-fn stored_cache(name: &str) -> (DiskCache, PathBuf) {
-    let cache = DiskCache::create(tmp(name)).unwrap();
-    cache.store(&KEY, &sample_entry()).unwrap();
-    let shard = fs::read_dir(cache.root())
-        .unwrap()
-        .next()
-        .unwrap()
-        .unwrap()
-        .path();
-    let file = fs::read_dir(shard).unwrap().next().unwrap().unwrap().path();
-    assert_eq!(cache.load(&KEY), CacheLookup::Hit(Box::new(sample_entry())));
+/// A golden entry holding the log of a 50 ms run: every series of every
+/// platoon vehicle has a few samples.
+fn golden_entry() -> CacheEntry {
+    let mut scenario = TrafficScenario::paper_default();
+    scenario.total_sim_time = SimTime::from_millis(50);
+    let engine =
+        Engine::new(scenario, CommModel::paper_default(), 42).expect("the test scenario is valid");
+    let log = engine.golden_run().expect("the golden run completes");
+    CacheEntry::Golden { log }
+}
+
+/// A cache holding `entry` under [`KEY`], and its one file.
+fn stored_cache(name: &str, entry: &CacheEntry) -> (DiskCache, PathBuf) {
+    let cache = DiskCache::create(tmp(name)).expect("the cache dir is creatable");
+    cache.store(&KEY, entry).expect("the entry is storable");
+    let only_child = |dir: &Path| {
+        fs::read_dir(dir)
+            .expect("the dir is readable")
+            .next()
+            .expect("the dir holds one entry")
+            .expect("the dir entry is readable")
+            .path()
+    };
+    let file = only_child(&only_child(cache.root()));
+    assert_eq!(cache.load(&KEY), CacheLookup::Hit(Box::new(entry.clone())));
     (cache, file)
 }
 
 #[test]
 fn a_damaged_key_in_a_cache_entry_is_stale_but_its_key_echo_still_counts() {
-    let (cache, file) = stored_cache("damaged-cache");
+    let (cache, file) = stored_cache("damaged-cache", &sample_entry());
     let text = fs::read_to_string(&file).unwrap();
     fs::write(&file, text.replacen("\"metrics\":", "\"metrica\":", 1)).unwrap();
     assert_eq!(cache.load(&KEY), CacheLookup::Stale);
@@ -241,21 +260,55 @@ fn mutated_journal_lines_never_panic_and_truncations_never_decode() {
     }
 }
 
-#[test]
-fn mutated_cache_files_never_panic_and_truncations_are_stale() {
-    let mut rng = RngStream::new(0x6361_6368_6500);
-    let (cache, file) = stored_cache("mutated-cache");
-    let doc = fs::read(&file).unwrap();
+/// Every strict truncation of `entry`'s cache file loads as stale, and
+/// seeded flips and splices with `other` never panic.
+fn sweep_cache_file(name: &str, entry: &CacheEntry, other: &CacheEntry, rng: &mut RngStream) {
+    let (cache, file) = stored_cache(name, entry);
+    let doc = fs::read(&file).expect("the entry is readable");
     for cut in truncations(&doc) {
-        fs::write(&file, cut).unwrap();
+        fs::write(&file, cut).expect("the entry is writable");
         assert_eq!(cache.load(&KEY), CacheLookup::Stale, "cut at {}", cut.len());
     }
-    let other = comfase_json::to_string(&sample_entry()).into_bytes();
-    for bytes in damaged(&doc, &other, &mut rng) {
-        fs::write(&file, bytes).unwrap();
+    let other = comfase_json::to_string(other).into_bytes();
+    for bytes in damaged(&doc, &other, rng) {
+        fs::write(&file, bytes).expect("the entry is writable");
         let _ = cache.load(&KEY);
     }
     let _ = cache.gc(0);
+    fs::remove_dir_all(cache.root()).expect("the cache is removable");
+}
+
+#[test]
+fn mutated_cache_files_never_panic_and_truncations_are_stale() {
+    let mut rng = RngStream::new(0x6361_6368_6500);
+    sweep_cache_file("mutated-cache", &sample_entry(), &sample_entry(), &mut rng);
+}
+
+#[test]
+fn mutated_golden_cache_files_never_panic_and_truncations_are_stale() {
+    let mut rng = RngStream::new(0x676f_6c64_656e);
+    sweep_cache_file("mutated-golden", &golden_entry(), &sample_entry(), &mut rng);
+}
+
+/// A golden entry whose first speed series has two sample times swapped,
+/// or is one value short, is stale: it must never load as a hit.
+#[test]
+fn a_golden_series_out_of_order_or_a_value_short_is_stale() {
+    let (cache, file) = stored_cache("damaged-golden", &golden_entry());
+    let text = fs::read_to_string(&file).unwrap();
+    let times = text.find("\"speed\":{\"times\":[").unwrap() + "\"speed\":{\"times\":[".len();
+    let first = times + text[times..].find(',').unwrap();
+    let second = first + 1 + text[first + 1..].find([',', ']']).unwrap();
+    let (a, b) = (&text[times..first], &text[first + 1..second]);
+    assert_ne!(a, b, "the first two sample times differ");
+    let swapped = format!("{}{b},{a}{}", &text[..times], &text[second..]);
+    fs::write(&file, swapped).unwrap();
+    assert_eq!(cache.load(&KEY), CacheLookup::Stale);
+    let values = text.find("\"values\":[").unwrap() + "\"values\":[".len();
+    let next = values + text[values..].find(',').unwrap() + 1;
+    let short = format!("{}{}", &text[..values], &text[next..]);
+    fs::write(&file, short).unwrap();
+    assert_eq!(cache.load(&KEY), CacheLookup::Stale);
     fs::remove_dir_all(cache.root()).unwrap();
 }
 

@@ -39,9 +39,10 @@ fn end_to_end_campaign() -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 8.0],
     };
-    let engine = Engine::new(scenario, CommModel::paper_default(), 42).unwrap();
+    let engine =
+        Engine::new(scenario, CommModel::paper_default(), 42).expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only())
 }
 

@@ -21,9 +21,10 @@ fn metrics_campaign(indexing: IndexingMode) -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 8.0],
     };
-    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42).unwrap();
+    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42)
+        .expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only())
         .with_indexing(indexing)
 }
@@ -31,7 +32,7 @@ fn metrics_campaign(indexing: IndexingMode) -> Campaign {
 fn metrics_bytes(indexing: IndexingMode, threads: usize, mode: ExecutionMode) -> Vec<u8> {
     metrics_campaign(indexing)
         .run_with_observer(threads, mode, &NullObserver)
-        .unwrap()
+        .expect("the campaign runs")
         .metrics
         .expect("telemetry was enabled")
         .to_json_bytes()

@@ -19,16 +19,17 @@ fn metrics_campaign() -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 8.0],
     };
-    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42).unwrap();
+    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42)
+        .expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only())
 }
 
 fn run_metrics(threads: usize, mode: ExecutionMode) -> CampaignMetrics {
     metrics_campaign()
         .run_with_observer(threads, mode, &NullObserver)
-        .unwrap()
+        .expect("the campaign runs")
         .metrics
         .expect("telemetry was enabled")
 }
@@ -141,8 +142,8 @@ fn drop_causes_sum_to_frames_not_delivered() {
     );
 }
 
-/// Telemetry is opt-in: the default (`SimRecorder::Null`) path records nothing
-/// and the campaign result carries no metrics block.
+/// Telemetry is opt-in: the default (disabled) recorder records nothing and
+/// the campaign result carries no metrics block.
 #[test]
 fn telemetry_disabled_by_default() {
     let engine = Engine::new(quick_scenario(5), CommModel::paper_default(), 42).unwrap();

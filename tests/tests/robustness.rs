@@ -32,9 +32,10 @@ fn supervised_campaign() -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 8.0],
     };
-    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42).unwrap();
+    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42)
+        .expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only())
 }
 
@@ -43,7 +44,7 @@ fn supervised_campaign() -> Campaign {
 fn delivered_per_experiment() -> Vec<(usize, u64)> {
     let metrics = supervised_campaign()
         .run_with_observer(2, ExecutionMode::FromScratch, &NullObserver)
-        .unwrap()
+        .expect("the unconstrained campaign runs")
         .metrics
         .expect("telemetry was enabled");
     metrics

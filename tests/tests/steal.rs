@@ -40,9 +40,10 @@ fn campaign() -> Campaign {
         attack_starts_s: vec![17.0, 19.4],
         attack_durations_s: vec![2.0, 8.0],
     };
-    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42).unwrap();
+    let engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 42)
+        .expect("the test scenario is valid");
     Campaign::new(engine, setup)
-        .unwrap()
+        .expect("the test campaign is valid")
         .with_obs(ObsConfig::metrics_only())
 }
 
@@ -67,7 +68,7 @@ fn tmp_path(name: &str) -> PathBuf {
 /// rounds, stealing after 3 stalled observations.
 fn claim_source(claim_dir: &std::path::Path, campaign: &Campaign, worker: &str) -> ClaimSource {
     ClaimSource::for_campaign(claim_dir, campaign, worker, Some(3), 3)
-        .unwrap()
+        .expect("the claim dir is usable")
         .with_scan_interval(Duration::from_millis(1))
 }
 
@@ -242,7 +243,7 @@ fn solo_claim_driven_execution_is_byte_identical_across_modes_and_threads() {
             reference_bytes,
             "in-process result diverged under {label}"
         );
-        let merged = merge_journals(&[journal.clone()]).unwrap();
+        let merged = merge_journals(std::slice::from_ref(&journal)).unwrap();
         assert_eq!(
             merged.to_json_bytes(),
             reference_bytes,
@@ -278,7 +279,7 @@ fn heartbeat_chaos_self_heals_by_stealing_the_unit_back() {
             &NullObserver,
         )
         .unwrap();
-    let merged = merge_journals(&[journal.clone()]).unwrap();
+    let merged = merge_journals(std::slice::from_ref(&journal)).unwrap();
     assert_eq!(merged.to_json_bytes(), reference_bytes);
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_dir_all(&claim_dir);
