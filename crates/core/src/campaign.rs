@@ -68,9 +68,17 @@
 //! units. The claim ledger in `comfase-dist` is the only multi-process
 //! path: its workers' journals merge into one artifact, byte-identical to
 //! a single-process run.
+//!
+//! # Layout
+//!
+//! `campaign.rs` is the runner: [`Campaign`] and [`Campaign::run`],
+//! [`RunConfig`], the [`WorkSource`] seam, the observer hooks, the result
+//! types and the sink (journal, cache, dataset export). `campaign/plan.rs`
+//! holds [`ExecutionMode`], [`WorkUnit`], [`DagPlan`] and [`CampaignStats`];
+//! `campaign/supervise.rs` the per-experiment panic boundary with the solo
+//! and chain paths, the failure types and [`ChaosConfig`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -78,14 +86,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use comfase_des::sim::EventBudget;
 use comfase_des::time::SimTime;
 use comfase_obs::{
-    CampaignMetrics, DatasetCapture, DatasetHeader, DatasetSink, ExperimentExport, ExperimentLabel,
+    CampaignMetrics, DatasetHeader, DatasetSink, ExperimentExport, ExperimentLabel,
     ExperimentMetrics, HostProfiler, ObsConfig, WallDeadline, DATASET_SCHEMA_VERSION,
 };
 use comfase_traffic::trace::GoldenSpeeds;
 
-use crate::attack::{AttackModelKind, AttackSpec, FalsifiedField};
+use crate::attack::AttackSpec;
 use crate::cache::{self, CacheEntry, CacheKeyBase, CacheLookup, ExperimentCache};
-use crate::classify::{classify_fold, ClassificationParams, Verdict};
+use crate::classify::{ClassificationParams, Verdict};
 use crate::config::AttackCampaignSetup;
 use crate::engine::Engine;
 use crate::error::ComfaseError;
@@ -94,78 +102,12 @@ use crate::journal::{read_journal, JournalEntry, JournalWriter, JOURNAL_SCHEMA_V
 use crate::log::RunLog;
 use crate::world::World;
 
-/// How the campaign executes its experiments. Every mode runs the same
-/// [`DagPlan`] loop (see the module docs); the mode only picks the prefix
-/// builder and whether the planner forms chains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Fork each experiment from a shared attack-free prefix snapshot —
-    /// one snapshot per distinct attack start time — with no chains.
-    PrefixFork,
-    /// Simulate every experiment from t = 0. Slower; kept as the
-    /// reference implementation for equivalence tests and benchmarks.
-    FromScratch,
-    /// Two-level snapshot reuse (the default): fork from the attack-free
-    /// prefix *and*, for seed-invariant attack models, fork again
-    /// mid-attack from a chain that simulates the shared attack segment
-    /// once per distinct `(start, model, value, targets)` group.
-    #[default]
-    SnapshotDag,
-}
+mod plan;
+mod supervise;
 
-/// One claimable unit of a campaign's experiment index space: the
-/// `id`-th fixed-size chunk, covering indices `[lo, hi)`.
-///
-/// Work units are the currency of claim-driven execution
-/// ([`WorkSource`]): every worker derives the identical unit table from
-/// `(total, unit_size)` via [`plan_units`], claims units one at a time,
-/// and a unit whose owner dies is stolen and re-executed by a survivor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkUnit {
-    /// Position of this unit in the campaign's unit table (0-based).
-    pub id: usize,
-    /// First experiment index covered (inclusive).
-    pub lo: usize,
-    /// Last experiment index covered (exclusive).
-    pub hi: usize,
-}
-comfase_json::record!(ToJson, FromJson for WorkUnit { id, lo, hi });
-
-impl WorkUnit {
-    /// Number of experiment indices this unit covers.
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// `true` when the unit covers no indices (only possible for a
-    /// zero-experiment campaign).
-    pub fn is_empty(&self) -> bool {
-        self.lo == self.hi
-    }
-}
-
-/// Divides `0..total` into contiguous chunks of `unit_size` indices (the
-/// last chunk may be shorter). Deterministic: every worker of a campaign
-/// computes the identical table, so unit ids are a shared vocabulary
-/// across processes.
-///
-/// # Errors
-///
-/// [`ComfaseError::InvalidConfig`] for `unit_size == 0`.
-pub fn plan_units(total: usize, unit_size: usize) -> Result<Vec<WorkUnit>, ComfaseError> {
-    if unit_size == 0 {
-        return Err(ComfaseError::InvalidConfig(
-            "work unit size must be at least 1".into(),
-        ));
-    }
-    Ok((0..total.div_ceil(unit_size))
-        .map(|id| WorkUnit {
-            id,
-            lo: id * unit_size,
-            hi: ((id + 1) * unit_size).min(total),
-        })
-        .collect())
-}
+pub use plan::{plan_units, CampaignStats, DagPlan, DagUnit, ExecutionMode, WorkUnit};
+use supervise::{panic_message, ExperimentOutcome};
+pub use supervise::{ChaosConfig, ExperimentFailure, FailureKind, FailurePolicy, IoChaosConfig};
 
 /// Whether a worker still holds the lease on its current work unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,320 +234,6 @@ impl CampaignObserver for HostProfiler {
     }
 }
 
-/// Execution counters of one campaign run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CampaignStats {
-    /// Prefix snapshots built (one per distinct attack start time; 0 in
-    /// [`ExecutionMode::FromScratch`]).
-    pub prefix_snapshots: usize,
-    /// Experiments forked from a prefix snapshot (and nothing deeper).
-    pub forked_runs: usize,
-    /// Experiments simulated from t = 0.
-    pub scratch_runs: usize,
-    /// Attack-segment chains executed
-    /// ([`ExecutionMode::SnapshotDag`] only; 0 otherwise).
-    pub attack_chains: usize,
-    /// Experiments forked *mid-attack* from a chain — level-2 snapshot
-    /// reuse on top of the prefix fork.
-    pub chain_forked_runs: usize,
-    /// Depth of the executed snapshot DAG: 0 when nothing was forked,
-    /// 1 with prefix-level reuse only, 2 when attack-segment chains ran.
-    pub dag_depth: usize,
-    /// Experiments (plus the golden run) answered from the result cache
-    /// without simulating.
-    pub cache_hits: usize,
-    /// Cache lookups that found no entry.
-    pub cache_misses: usize,
-    /// Cache lookups that found an unusable entry (torn write, corrupt
-    /// JSON, key-echo mismatch, or a row shape the campaign cannot use) —
-    /// treated as misses and overwritten.
-    pub cache_stale: usize,
-}
-
-impl CampaignStats {
-    /// Fraction of experiments that reused *any* snapshot (0.0–1.0) —
-    /// prefix forks and mid-attack chain forks both count.
-    pub fn snapshot_hit_rate(&self) -> f64 {
-        self.level_hit_rates()[0]
-    }
-
-    /// Per-level snapshot hit rates, outermost first:
-    ///
-    /// - `[0]` — fraction of experiments that skipped the attack-free
-    ///   prefix (forked at level 1 or deeper);
-    /// - `[1]` — fraction that additionally skipped a shared attack
-    ///   segment (forked mid-attack at level 2).
-    ///
-    /// `[0] >= [1]` always; both are 0.0 for an empty campaign.
-    pub fn level_hit_rates(&self) -> [f64; 2] {
-        let total = self.forked_runs + self.chain_forked_runs + self.scratch_runs;
-        if total == 0 {
-            return [0.0, 0.0];
-        }
-        [
-            (self.forked_runs + self.chain_forked_runs) as f64 / total as f64,
-            self.chain_forked_runs as f64 / total as f64,
-        ]
-    }
-
-    /// Fraction of cache lookups (golden run included) that hit, 0.0–1.0;
-    /// 0.0 when no cache was configured.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses + self.cache_stale;
-        if lookups == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / lookups as f64
-    }
-}
-
-/// One schedulable unit of a [`DagPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DagUnit {
-    /// A single experiment, forked from its attack-free prefix snapshot —
-    /// or simulated from t = 0 under [`ExecutionMode::FromScratch`]. In a
-    /// chained plan: a seed-dependent model, or no sibling shares its
-    /// attack segment.
-    Solo {
-        /// Experiment index in campaign expansion order.
-        index: usize,
-    },
-    /// Experiments sharing `(start, model, value, targets)`: one world
-    /// simulates the common attack segment once and each leaf forks off
-    /// mid-attack at its own end time.
-    Chain {
-        /// Experiment indices, sorted by `(end, index)` so the chain
-        /// advances monotonically. Always ≥ 2 entries.
-        leaves: Vec<usize>,
-    },
-}
-
-impl DagUnit {
-    /// Experiment indices of this unit, in execution order.
-    pub fn indices(&self) -> &[usize] {
-        match self {
-            DagUnit::Solo { index } => std::slice::from_ref(index),
-            DagUnit::Chain { leaves } => leaves,
-        }
-    }
-}
-
-/// The schedulable units of a campaign run — for
-/// [`ExecutionMode::SnapshotDag`], its fork-point tree flattened.
-///
-/// Every mode runs through a plan. Level 1 of the DAG (the attack-free
-/// prefixes, one per distinct start time) is implicit — it is
-/// materialised by [`Engine::prefix_snapshots_chained`] — so a plan only
-/// enumerates the level-2 grouping: [`DagPlan::build`] chains experiments
-/// that share an attack segment, [`DagPlan::unchained`] does not. Building
-/// a plan is pure bookkeeping over the spec list: deterministic, and for
-/// chained plans invariant under permutation of the *grid axes* because
-/// groups live in a [`BTreeMap`] keyed by the attack coordinates rather
-/// than by first-seen order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DagPlan {
-    /// Schedulable units in canonical order: key-sorted when chained, in
-    /// pending order otherwise. Worker threads claim whole units; results
-    /// are independent of the claim order.
-    pub units: Vec<DagUnit>,
-}
-
-/// Grouping key of one experiment: every coordinate of the attack except
-/// its end time. Experiments with equal keys and a seed-invariant model
-/// simulate identical event streams until their respective ends.
-/// `value` is keyed by its bit pattern — grouping needs equality, not
-/// numeric order (`-0.0` vs `0.0` would merely split a chain in two).
-type ChainKey = (SimTime, u8, u8, u64, Vec<u32>);
-
-/// The [`ChainKey`] of `spec`.
-fn chain_key(spec: &AttackSpec) -> ChainKey {
-    let (model, field) = match spec.model {
-        AttackModelKind::Delay => (0u8, 0u8),
-        AttackModelKind::Dos => (1, 0),
-        AttackModelKind::Drop => (2, 0),
-        AttackModelKind::Falsify(FalsifiedField::Position) => (3, 0),
-        AttackModelKind::Falsify(FalsifiedField::Speed) => (3, 1),
-        AttackModelKind::Falsify(FalsifiedField::Acceleration) => (3, 2),
-    };
-    (
-        spec.start,
-        model,
-        field,
-        spec.value.to_bits(),
-        spec.targets.to_vec(),
-    )
-}
-
-impl DagPlan {
-    /// Plans the pending experiments of a campaign: groups them by every
-    /// attack coordinate except the end time, chains every seed-invariant
-    /// group of ≥ 2 leaves (sorted by end time), and leaves everything else
-    /// as solo prefix forks.
-    pub fn build(specs: &[AttackSpec], pending: &[usize]) -> DagPlan {
-        let mut groups: BTreeMap<ChainKey, Vec<usize>> = BTreeMap::new();
-        for &i in pending {
-            groups.entry(chain_key(&specs[i])).or_default().push(i);
-        }
-        let mut units = Vec::new();
-        for (_, mut leaves) in groups {
-            if leaves.len() >= 2 && specs[leaves[0]].model.seed_invariant() {
-                leaves.sort_by_key(|&i| (specs[i].end, i));
-                units.push(DagUnit::Chain { leaves });
-            } else {
-                leaves.sort_unstable();
-                units.extend(leaves.into_iter().map(|index| DagUnit::Solo { index }));
-            }
-        }
-        DagPlan { units }
-    }
-
-    /// Plans the pending experiments without chains: one solo unit per
-    /// experiment, in `pending` order — the plan of every mode except
-    /// [`ExecutionMode::SnapshotDag`].
-    pub fn unchained(pending: &[usize]) -> DagPlan {
-        DagPlan {
-            units: pending
-                .iter()
-                .map(|&index| DagUnit::Solo { index })
-                .collect(),
-        }
-    }
-
-    /// Number of chain units.
-    pub fn chains(&self) -> usize {
-        self.units
-            .iter()
-            .filter(|u| matches!(u, DagUnit::Chain { .. }))
-            .count()
-    }
-
-    /// Experiments executed as chain leaves (level-2 forks).
-    pub fn chained_leaves(&self) -> usize {
-        self.units
-            .iter()
-            .map(|u| match u {
-                DagUnit::Chain { leaves } => leaves.len(),
-                DagUnit::Solo { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Experiments executed as solo prefix forks (level-1 only).
-    pub fn solo_leaves(&self) -> usize {
-        self.units
-            .iter()
-            .filter(|u| matches!(u, DagUnit::Solo { .. }))
-            .count()
-    }
-
-    /// Total experiments covered by the plan.
-    pub fn nr_leaves(&self) -> usize {
-        self.solo_leaves() + self.chained_leaves()
-    }
-
-    /// Depth of the planned DAG (see [`CampaignStats::dag_depth`]).
-    pub fn depth(&self) -> usize {
-        if self.units.is_empty() {
-            0
-        } else if self.chains() > 0 {
-            2
-        } else {
-            1
-        }
-    }
-}
-
-/// Category of a terminal experiment failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FailureKind {
-    /// The experiment panicked; the panic was caught at the
-    /// per-experiment isolation boundary.
-    Panicked,
-    /// The deterministic watchdog tripped: the run exceeded its
-    /// configured sim-event or sim-time budget
-    /// ([`ComfaseError::BudgetExceeded`]).
-    BudgetExceeded,
-    /// A release-mode numeric guard detected non-finite simulation state
-    /// ([`ComfaseError::NumericDiverged`]).
-    NumericDiverged,
-    /// A host-side failure — configuration, I/O, or any other engine
-    /// error that is not a deterministic property of the simulation.
-    HostError,
-}
-comfase_json::variants!(ToJson, FromJson for FailureKind {
-    Panicked, BudgetExceeded, NumericDiverged, HostError,
-});
-
-impl FailureKind {
-    /// Stable name for summaries and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FailureKind::Panicked => "panicked",
-            FailureKind::BudgetExceeded => "budget-exceeded",
-            FailureKind::NumericDiverged => "numeric-diverged",
-            FailureKind::HostError => "host-error",
-        }
-    }
-
-    fn from_error(e: &ComfaseError) -> FailureKind {
-        match e {
-            ComfaseError::BudgetExceeded(_) => FailureKind::BudgetExceeded,
-            ComfaseError::NumericDiverged(_) => FailureKind::NumericDiverged,
-            _ => FailureKind::HostError,
-        }
-    }
-}
-
-/// Structured description of one failed experiment: everything needed to
-/// reproduce it in isolation (spec + seed) plus what went wrong.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentFailure {
-    /// Experiment index within the expanded campaign (the paper's `expNr`).
-    pub index: usize,
-    /// Failure category.
-    pub kind: FailureKind,
-    /// Human-readable payload: the error display or the panic message.
-    pub payload: String,
-    /// Engine seed of the campaign (the experiment's attack-model RNG
-    /// stream is derived from this seed and `index`).
-    pub seed: u64,
-    /// The attack spec of the failed experiment.
-    pub spec: AttackSpec,
-    /// Executions attempted. Always 1: experiments are never retried. The
-    /// field stays so journals keep their `failed` entry format.
-    pub attempts: u32,
-}
-comfase_json::record!(ToJson, FromJson for ExperimentFailure {
-    index, kind, payload, seed, spec, attempts,
-});
-
-/// What the campaign does when an experiment fails terminally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FailurePolicy {
-    /// Stop the whole campaign on the first failure and return its error
-    /// (the pre-supervision behaviour, and the default).
-    #[default]
-    Abort,
-    /// Record the failure as an [`ExperimentFailure`], keep the remaining
-    /// experiments running, and report all failures in
-    /// [`CampaignResult::failures`].
-    Quarantine {
-        /// Abort anyway once *more than* this many experiments have
-        /// failed — a circuit breaker against systematically broken
-        /// campaigns. Use [`FailurePolicy::quarantine`] for "unlimited".
-        max_failures: usize,
-    },
-}
-
-impl FailurePolicy {
-    /// Quarantine with no failure limit.
-    pub fn quarantine() -> FailurePolicy {
-        FailurePolicy::Quarantine {
-            max_failures: usize::MAX,
-        }
-    }
-}
-
 /// Full configuration of a campaign run.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
@@ -651,52 +279,6 @@ pub struct RunConfig {
     /// capture, so a dataset run simulates every pending experiment; it
     /// still stores verdict-only entries when a cache is configured.
     pub dataset: Option<Arc<dyn DatasetSink>>,
-}
-
-/// Deterministic failure-injection hooks for robustness testing.
-///
-/// Chaos hooks fire by experiment index before the experiment simulates
-/// anything, so they are exact and thread-count independent. They exist
-/// to test the campaign supervisor itself (panic isolation, quarantine,
-/// journaling) — production campaigns leave this at `default()`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Experiments that panic when executed.
-    pub panic_on: Vec<usize>,
-    /// Experiments that fail with a synthetic deterministic error.
-    pub fail_on: Vec<usize>,
-    /// Host-I/O fault injection for the distribution layer (claim
-    /// ledger, result cache). Unlike the per-experiment hooks above,
-    /// these fire on *infrastructure* operations, so claim-protocol
-    /// recovery paths are testable the same way experiment panics are.
-    pub io: IoChaosConfig,
-}
-
-/// Fail-once (or fail-N-times) injection knobs for the host-I/O
-/// operations of the distribution layer. Each counter is a budget of
-/// injected failures: the first `n` calls of that operation fail with a
-/// synthetic [`ComfaseError::Io`], then the operation behaves normally.
-///
-/// Cache-store injection is consumed inside the campaign runner (the
-/// injected counter is shared across clones of the [`Campaign`]).
-/// Lease-acquire and heartbeat injection are consumed by the claim ledger
-/// — `comfase-dist` wires them into its `ClaimSource`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IoChaosConfig {
-    /// Fail the first `n` lease acquisitions (including steals).
-    pub fail_lease_acquire: u32,
-    /// Fail the first `n` heartbeat renewals.
-    pub fail_heartbeat: u32,
-    /// Fail the first `n` cache stores. A cache-store failure aborts the
-    /// campaign exactly like a journal I/O error — the recovery path is
-    /// a resume, or a surviving claim worker stealing the unit.
-    pub fail_cache_store: u32,
-}
-
-impl ChaosConfig {
-    fn is_active(&self) -> bool {
-        !(self.panic_on.is_empty() && self.fail_on.is_empty())
-    }
 }
 
 /// Result of one attack injection experiment (one `AttackCampaignLog`
@@ -1344,199 +926,7 @@ impl Campaign {
             }
         }
     }
-
-    /// The per-experiment supervision shared by every unit: runs `run`
-    /// once behind a panic boundary, classifies the finished world from its
-    /// trace fold, and wraps a failure into an [`ExperimentFailure`].
-    // The Err side is deliberately rich (full spec + failure detail for the
-    // journal and the quarantine report); it is built at most once per
-    // failed experiment, so its size is irrelevant to the hot path.
-    #[allow(clippy::result_large_err)]
-    fn supervise<F>(&self, sweep: &Sweep<'_>, index: usize, run: F) -> ExperimentOutcome
-    where
-        F: FnOnce() -> Result<World, ComfaseError>,
-    {
-        let spec = &sweep.specs[index];
-        let collect_metrics = self.engine.obs().metrics;
-        // The campaign shares no mutable state with the experiment (the
-        // engine builds or clones a fresh `World` per run; a chain world is
-        // only mutated *between* supervised calls), so observing the closure
-        // across the unwind boundary is sound: a caught panic leaves no
-        // half-mutated campaign state behind.
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let world = run()?;
-            let traffic = world.traffic();
-            let fold = traffic.fold().expect("campaign worlds fold their trace");
-            let collisions = &traffic.trace().collisions;
-            let verdict = classify_fold(&sweep.golden.trace, fold, collisions, sweep.params);
-            let mut log = world.into_log();
-            let row = collect_metrics.then(|| {
-                let mut row = log.experiment_metrics(index, verdict.class.to_string());
-                // The log holds no samples; the verdict has the fold's value.
-                row.max_decel_mps2 = verdict.max_decel_mps2;
-                row
-            });
-            // Move the capture out of the (about-to-be-dropped) log; `None`
-            // unless the run recorded with dataset capture on.
-            let dataset = log.obs.take_dataset();
-            Ok::<_, ComfaseError>((
-                ExperimentRecord {
-                    index,
-                    spec: spec.clone(),
-                    verdict,
-                },
-                row,
-                dataset,
-            ))
-        }));
-        let (kind, payload, original) = match attempt {
-            Ok(Ok(success)) => return Ok(success),
-            Ok(Err(e)) => (FailureKind::from_error(&e), e.to_string(), Some(e)),
-            Err(panic) => (FailureKind::Panicked, panic_message(panic.as_ref()), None),
-        };
-        Err((
-            ExperimentFailure {
-                index,
-                kind,
-                payload,
-                seed: self.engine.seed(),
-                spec: spec.clone(),
-                attempts: 1,
-            },
-            original,
-        ))
-    }
-
-    /// Executes one [`DagUnit::Chain`]: simulates the shared attack
-    /// segment once, forking each leaf mid-attack at its own end time and
-    /// running it to completion under the standard supervision. Pushes one
-    /// outcome per leaf into the sink as it finishes, and returns `false`
-    /// when the campaign must stop.
-    ///
-    /// Failure semantics mirror solo units exactly:
-    ///
-    /// - a *fault* (budget breach, numeric divergence) sticks to the chain
-    ///   world, so every subsequent leaf forks the stuck world and reports
-    ///   the identical error the from-scratch run would;
-    /// - a *panic* while advancing the chain poisons it: each remaining
-    ///   leaf re-raises the panic message under its own supervision (after
-    ///   its chaos hook, which fires first in every mode), producing the
-    ///   same per-leaf `Panicked` failures as the other modes.
-    fn run_chain(&self, sweep: &Sweep<'_>, leaves: &[usize]) -> bool {
-        let first_spec = &sweep.specs[leaves[0]];
-        debug_assert!(first_spec.model.seed_invariant());
-        let prefix = sweep.prefix(first_spec.start);
-        let budget = self.engine.budget();
-        // Seed-invariant models ignore the interceptor seed, so one
-        // interceptor serves every leaf of the chain.
-        let seed = self.engine.seed() ^ leaves[0] as u64;
-        let advanced = catch_unwind(AssertUnwindSafe(|| {
-            let mut world = prefix.clone();
-            world.set_budget(budget);
-            world.run_until(first_spec.start);
-            world.install_attack(first_spec.build_interceptor(seed));
-            world
-        }));
-        let (mut chain, mut poison): (Option<World>, Option<String>) = match advanced {
-            Ok(world) => (Some(world), None),
-            Err(panic) => (None, Some(panic_message(panic.as_ref()))),
-        };
-        for &leaf in leaves {
-            if sweep.sink.should_stop() {
-                return false;
-            }
-            let spec = &sweep.specs[leaf];
-            // Advance the shared attack segment to this leaf's end (a
-            // no-op for duplicate ends and for faulted worlds).
-            let advance_panic = match chain.as_mut() {
-                Some(world) => {
-                    let end = spec.end.min(world.total_time());
-                    catch_unwind(AssertUnwindSafe(|| world.run_until(end)))
-                        .err()
-                        .map(|panic| panic_message(panic.as_ref()))
-                }
-                None => None,
-            };
-            if let Some(msg) = advance_panic {
-                chain = None;
-                poison = Some(msg);
-            }
-            let outcome = self.supervise(sweep, leaf, || {
-                if self.chaos.is_active() {
-                    self.chaos_hook(leaf)?;
-                }
-                if let Some(msg) = &poison {
-                    // Reproduce the chain-advance panic under this leaf's
-                    // own supervision — the leaf would have hit it during
-                    // its own attack window in the other modes.
-                    panic!("{msg}");
-                }
-                let world = chain.as_mut().expect("unpoisoned chain has a world");
-                let mut leaf_world = world.fork_post_attack();
-                leaf_world.clear_attack();
-                leaf_world.run_to_end();
-                if let Some(fault) = leaf_world.fault() {
-                    return Err(fault.to_error());
-                }
-                Ok(leaf_world)
-            });
-            if !sweep.sink.push(outcome) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Runs one experiment, forking from its prefix snapshot when the
-    /// mode built one and simulating from t = 0 otherwise.
-    fn execute_one(&self, sweep: &Sweep<'_>, index: usize) -> Result<World, ComfaseError> {
-        if self.chaos.is_active() {
-            self.chaos_hook(index)?;
-        }
-        let spec = &sweep.specs[index];
-        let world = if sweep.prefixes.is_empty() {
-            self.folding_world(sweep.golden_speeds)?
-        } else {
-            sweep.prefix(spec.start).clone()
-        };
-        self.engine.experiment(world, spec, index as u64)
-    }
-
-    /// A fresh world of this campaign's engine that folds its trace against
-    /// `golden` instead of recording it. Prefix snapshots start from one, so
-    /// forks, chain worlds and leaves inherit the fold.
-    fn folding_world(&self, golden: &Arc<GoldenSpeeds>) -> Result<World, ComfaseError> {
-        let mut world = self.engine.build_world()?;
-        world.fold_trace(Arc::clone(golden));
-        Ok(world)
-    }
-
-    /// Applies the [`ChaosConfig`] failure injections for `index`.
-    fn chaos_hook(&self, index: usize) -> Result<(), ComfaseError> {
-        if self.chaos.panic_on.contains(&index) {
-            panic!("chaos: injected panic at experiment {index}");
-        }
-        if self.chaos.fail_on.contains(&index) {
-            return Err(ComfaseError::InvalidConfig(format!(
-                "injected failure at experiment {index}"
-            )));
-        }
-        Ok(())
-    }
 }
-
-/// Outcome of one supervised experiment: the classified record (plus its
-/// metrics row when collected and its dataset capture when recorded), or
-/// the structured failure alongside the original error (absent for
-/// panics).
-type ExperimentOutcome = Result<
-    (
-        ExperimentRecord,
-        Option<ExperimentMetrics>,
-        Option<DatasetCapture>,
-    ),
-    (ExperimentFailure, Option<ComfaseError>),
->;
 
 /// Builds the export label for one classified experiment: the attack
 /// specification plus the classified verdict, flattened into the plain
@@ -1804,17 +1194,6 @@ fn store_experiment(
             metrics,
         },
     )
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 #[cfg(test)]
