@@ -80,7 +80,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use comfase_des::sim::EventBudget;
@@ -107,7 +107,7 @@ mod supervise;
 
 pub use plan::{plan_units, CampaignStats, DagPlan, DagUnit, ExecutionMode, WorkUnit};
 use supervise::{panic_message, ExperimentOutcome};
-pub use supervise::{ChaosConfig, ExperimentFailure, FailureKind, FailurePolicy, IoChaosConfig};
+pub use supervise::{ChaosConfig, ExperimentFailure, FailureKind, FailurePolicy};
 
 /// Whether a worker still holds the lease on its current work unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -345,9 +345,6 @@ pub struct Campaign {
     engine: Engine,
     setup: AttackCampaignSetup,
     chaos: ChaosConfig,
-    /// Injected-failure counter for [`IoChaosConfig::fail_cache_store`],
-    /// shared across clones so a re-run observes the consumed budget.
-    chaos_store_used: Arc<AtomicU32>,
 }
 
 impl Campaign {
@@ -364,7 +361,6 @@ impl Campaign {
             engine,
             setup,
             chaos: ChaosConfig::default(),
-            chaos_store_used: Arc::new(AtomicU32::new(0)),
         })
     }
 
@@ -391,13 +387,6 @@ impl Campaign {
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = chaos;
         self
-    }
-
-    /// The installed failure-injection hooks (default when none were).
-    /// Exposed so the distribution layer can wire the
-    /// [`IoChaosConfig`] knobs into its claim ledger.
-    pub fn chaos(&self) -> &ChaosConfig {
-        &self.chaos
     }
 
     /// Installs a per-experiment event budget on the underlying engine —
@@ -773,7 +762,6 @@ impl Campaign {
                 deadline_hit: AtomicBool::new(false),
                 total,
                 failure_policy: config.failure_policy,
-                chaos_store: (self.chaos.io.fail_cache_store, &self.chaos_store_used),
                 dedup: config.work.is_some().then(|| Mutex::new(BTreeSet::new())),
                 observer,
             },
@@ -1010,9 +998,6 @@ struct ResultSink<'a> {
     deadline_hit: AtomicBool,
     total: usize,
     failure_policy: FailurePolicy,
-    /// Cache-store fault injection ([`IoChaosConfig::fail_cache_store`]):
-    /// the failure budget and the shared consumed-count.
-    chaos_store: (u32, &'a AtomicU32),
     /// Indices already pushed by this process — claim-driven runs only.
     /// A unit lost to a stalled heartbeat and later stolen back by the
     /// same process re-executes experiments it already journaled; the
@@ -1093,16 +1078,7 @@ impl ResultSink<'_> {
                 // the user believes is cached, so failures abort the
                 // campaign like journal I/O errors do.
                 if let (Some(cache_store), Some(base)) = (self.cache, self.key_base) {
-                    let (budget, used) = self.chaos_store;
-                    let stored = if budget > 0 && used.fetch_add(1, Ordering::Relaxed) < budget {
-                        Err(ComfaseError::Io(format!(
-                            "chaos: injected cache store failure at experiment {}",
-                            record.index
-                        )))
-                    } else {
-                        store_experiment(cache_store, base, &record, row.as_ref())
-                    };
-                    if let Err(e) = stored {
+                    if let Err(e) = store_experiment(cache_store, base, &record, row.as_ref()) {
                         return self.fail(e);
                     }
                 }
@@ -1591,7 +1567,6 @@ mod tests {
         let c = small_campaign().with_chaos(ChaosConfig {
             panic_on: vec![3],
             fail_on: vec![5],
-            ..ChaosConfig::default()
         });
         let config = RunConfig {
             mode: ExecutionMode::SnapshotDag,

@@ -107,38 +107,14 @@ impl FailurePolicy {
 /// anything, so they are exact and thread-count independent. They exist
 /// to test the campaign supervisor itself (panic isolation, quarantine,
 /// journaling) — production campaigns leave this at `default()`.
+/// Host-I/O faults need no hook here: a test puts a failing cache or work
+/// source into the [`RunConfig`](super::RunConfig).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Experiments that panic when executed.
     pub panic_on: Vec<usize>,
     /// Experiments that fail with a synthetic deterministic error.
     pub fail_on: Vec<usize>,
-    /// Host-I/O fault injection for the distribution layer (claim
-    /// ledger, result cache). Unlike the per-experiment hooks above,
-    /// these fire on *infrastructure* operations, so claim-protocol
-    /// recovery paths are testable the same way experiment panics are.
-    pub io: IoChaosConfig,
-}
-
-/// Fail-once (or fail-N-times) injection knobs for the host-I/O
-/// operations of the distribution layer. Each counter is a budget of
-/// injected failures: the first `n` calls of that operation fail with a
-/// synthetic [`ComfaseError::Io`], then the operation behaves normally.
-///
-/// Cache-store injection is consumed inside the campaign runner (the
-/// injected counter is shared across clones of the [`Campaign`]).
-/// Lease-acquire and heartbeat injection are consumed by the claim ledger
-/// — `comfase-dist` wires them into its `ClaimSource`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IoChaosConfig {
-    /// Fail the first `n` lease acquisitions (including steals).
-    pub fail_lease_acquire: u32,
-    /// Fail the first `n` heartbeat renewals.
-    pub fail_heartbeat: u32,
-    /// Fail the first `n` cache stores. A cache-store failure aborts the
-    /// campaign exactly like a journal I/O error — the recovery path is
-    /// a resume, or a surviving claim worker stealing the unit.
-    pub fail_cache_store: u32,
 }
 
 impl ChaosConfig {

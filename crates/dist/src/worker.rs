@@ -35,12 +35,13 @@
 //! deterministic and the merger admits duplicates only when bit-equal.
 
 use std::collections::BTreeMap;
+#[cfg(test)]
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use comfase::campaign::WorkSource;
-use comfase::prelude::{Campaign, ComfaseError, IoChaosConfig, LeaseState, WorkUnit};
+use comfase::prelude::{Campaign, ComfaseError, LeaseState, WorkUnit};
 
 use crate::claim::{ClaimLedger, LeaseView};
 
@@ -66,9 +67,11 @@ pub struct ClaimSource {
     /// shared across this worker's claiming threads so stall evidence
     /// accumulates once per scan round, not once per thread.
     observed: Mutex<BTreeMap<usize, (u64, u32)>>,
-    chaos: IoChaosConfig,
-    chaos_acquire_used: AtomicU32,
-    chaos_heartbeat_used: AtomicU32,
+    /// Lease acquisitions (steals included) still to fail with an injected
+    /// I/O error, so this crate's tests can drive `claim()`'s retry of
+    /// failed scan rounds.
+    #[cfg(test)]
+    fail_acquires: AtomicU32,
 }
 
 impl ClaimSource {
@@ -82,16 +85,13 @@ impl ClaimSource {
             steal_after,
             scan_interval: DEFAULT_SCAN_INTERVAL,
             observed: Mutex::new(BTreeMap::new()),
-            chaos: IoChaosConfig::default(),
-            chaos_acquire_used: AtomicU32::new(0),
-            chaos_heartbeat_used: AtomicU32::new(0),
+            #[cfg(test)]
+            fail_acquires: AtomicU32::new(0),
         }
     }
 
-    /// Opens (or creates) the ledger at `claim_dir` for `campaign`,
-    /// adopting the campaign's chaos configuration for lease-layer
-    /// fault injection. `unit_size = None` uses
-    /// [`crate::claim::default_unit_size`].
+    /// Opens (or creates) the ledger at `claim_dir` for `campaign`.
+    /// `unit_size = None` uses [`crate::claim::default_unit_size`].
     ///
     /// # Errors
     ///
@@ -107,23 +107,12 @@ impl ClaimSource {
         let total = campaign.nr_experiments();
         let unit_size = unit_size.unwrap_or_else(|| crate::claim::default_unit_size(total));
         let ledger = ClaimLedger::create(claim_dir, campaign.fingerprint()?, total, unit_size)?;
-        Ok(
-            ClaimSource::new(ledger, worker_id, steal_after)
-                .with_chaos(campaign.chaos().io.clone()),
-        )
+        Ok(ClaimSource::new(ledger, worker_id, steal_after))
     }
 
     /// Replaces the scan pacing interval (tests use a short one).
     pub fn with_scan_interval(mut self, interval: Duration) -> Self {
         self.scan_interval = interval;
-        self
-    }
-
-    /// Arms lease-layer chaos: the first `fail_lease_acquire`
-    /// acquire/steal publications and the first `fail_heartbeat`
-    /// renewals fail with an injected I/O error.
-    pub fn with_chaos(mut self, chaos: IoChaosConfig) -> Self {
-        self.chaos = chaos;
         self
     }
 
@@ -143,27 +132,19 @@ impl ClaimSource {
         self.observed.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn chaos_acquire(&self) -> Result<(), ComfaseError> {
-        if self.chaos.fail_lease_acquire > 0
-            && self.chaos_acquire_used.fetch_add(1, Ordering::Relaxed)
-                < self.chaos.fail_lease_acquire
+    /// Spends one of [`ClaimSource::fail_acquires`]'s injected failures,
+    /// if any is left.
+    #[cfg(test)]
+    fn injected_acquire_failure(&self) -> Result<(), ComfaseError> {
+        match self
+            .fail_acquires
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
         {
-            return Err(ComfaseError::Io(
+            Ok(_) => Err(ComfaseError::Io(
                 "chaos: injected lease acquire failure".into(),
-            ));
+            )),
+            Err(_) => Ok(()),
         }
-        Ok(())
-    }
-
-    fn chaos_heartbeat(&self) -> Result<(), ComfaseError> {
-        if self.chaos.fail_heartbeat > 0
-            && self.chaos_heartbeat_used.fetch_add(1, Ordering::Relaxed) < self.chaos.fail_heartbeat
-        {
-            return Err(ComfaseError::Io(
-                "chaos: injected heartbeat renewal failure".into(),
-            ));
-        }
-        Ok(())
     }
 
     /// One acquire-then-stall scan over the ledger. `Ok(Some(_))` on a
@@ -182,7 +163,8 @@ impl ClaimSource {
             all_done = false;
             match self.ledger.lease_view(unit.id)? {
                 LeaseView::Free | LeaseView::Corrupt => {
-                    self.chaos_acquire()?;
+                    #[cfg(test)]
+                    self.injected_acquire_failure()?;
                     if self.ledger.try_acquire(unit, &self.worker_id)? {
                         self.observed().remove(&unit.id);
                         return Ok((Some(*unit), false));
@@ -216,7 +198,8 @@ impl ClaimSource {
                 entry.1 >= self.steal_after
             };
             if stalled {
-                self.chaos_acquire()?;
+                #[cfg(test)]
+                self.injected_acquire_failure()?;
                 // Whoever wins the steal race, this unit's stall
                 // evidence is spent either way.
                 self.observed().remove(&unit.id);
@@ -237,10 +220,10 @@ struct Lease2 {
 
 impl WorkSource for ClaimSource {
     fn claim(&self) -> Result<Option<WorkUnit>, ComfaseError> {
-        // Transient ledger I/O errors (including injected chaos) skip
-        // the round; only a persistent streak — long enough for several
-        // full steal cycles to have happened instead — escapes as an
-        // error, so one flaky scan never aborts a worker.
+        // Transient ledger I/O errors skip the round; only a persistent
+        // streak — long enough for several full steal cycles to have
+        // happened instead — escapes as an error, so one flaky scan never
+        // aborts a worker.
         let max_error_rounds = self.steal_after.saturating_mul(4).max(40);
         let mut error_rounds: u32 = 0;
         loop {
@@ -260,7 +243,6 @@ impl WorkSource for ClaimSource {
     }
 
     fn renew(&self, unit: &WorkUnit) -> Result<LeaseState, ComfaseError> {
-        self.chaos_heartbeat()?;
         self.ledger.renew(unit, &self.worker_id)
     }
 
@@ -351,36 +333,16 @@ mod tests {
     fn chaos_lease_failures_are_retried_within_claim() {
         let dir = tmp_dir("chaos-acquire");
         let ledger = ClaimLedger::create(&dir, FP, 8, 2).unwrap();
-        let source = ClaimSource::new(ledger, "chaotic", 3)
-            .with_scan_interval(Duration::from_millis(1))
-            .with_chaos(IoChaosConfig {
-                fail_lease_acquire: 2,
-                ..IoChaosConfig::default()
-            });
+        let mut source =
+            ClaimSource::new(ledger, "chaotic", 3).with_scan_interval(Duration::from_millis(1));
+        *source.fail_acquires.get_mut() = 2;
         // claim() absorbs the injected failures and still wins a unit.
         let unit = source.claim().unwrap().expect("a unit despite chaos");
-        assert_eq!(source.renew(&unit).unwrap(), LeaseState::Held);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chaos_heartbeat_failure_surfaces_to_the_caller() {
-        let dir = tmp_dir("chaos-heartbeat");
-        let ledger = ClaimLedger::create(&dir, FP, 8, 2).unwrap();
-        let source = ClaimSource::new(ledger, "chaotic", 3)
-            .with_scan_interval(Duration::from_millis(1))
-            .with_chaos(IoChaosConfig {
-                fail_heartbeat: 1,
-                ..IoChaosConfig::default()
-            });
-        let unit = source.claim().unwrap().unwrap();
-        // First renewal: injected failure (the runner treats it as a
-        // lost lease and abandons the unit). Second: healthy again.
-        assert!(source
-            .renew(&unit)
-            .unwrap_err()
-            .to_string()
-            .contains("chaos"));
+        assert_eq!(
+            *source.fail_acquires.get_mut(),
+            0,
+            "both failures were injected"
+        );
         assert_eq!(source.renew(&unit).unwrap(), LeaseState::Held);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,10 @@
 //! Crash-tolerant work stealing: claim-driven campaign execution under
 //! worker death, stalled leases, and injected host-I/O faults.
 //!
+//! Host-I/O faults come from test fakes behind the runner's seams: a
+//! [`WorkSource`] whose first renewals fail, and an [`ExperimentCache`]
+//! whose first experiment stores fail.
+//!
 //! The invariant under test everywhere: however many claim-driven
 //! workers participate, and wherever one of them dies, the surviving
 //! workers complete the campaign **without operator intervention** and
@@ -16,6 +20,7 @@
 //! the CI chaos-steal smoke job.)
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,12 +78,83 @@ fn claim_source(claim_dir: &std::path::Path, campaign: &Campaign, worker: &str) 
 }
 
 /// A claim-driven run config journaling to `journal`.
-fn claim_config(source: ClaimSource, journal: PathBuf, mode: ExecutionMode) -> RunConfig {
+fn claim_config(
+    source: impl WorkSource + 'static,
+    journal: PathBuf,
+    mode: ExecutionMode,
+) -> RunConfig {
     RunConfig {
         mode,
         journal: Some(journal),
         work: Some(Arc::new(source) as Arc<dyn WorkSource>),
         ..RunConfig::default()
+    }
+}
+
+/// Spends one injected failure of `budget`; `false` once it is used up.
+fn spend(budget: &AtomicU32) -> bool {
+    budget
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+        .is_ok()
+}
+
+/// A claim source whose first `failures` renewals fail with an injected
+/// I/O error before they reach the ledger, so the heartbeat does not
+/// advance; the runner treats each like a lost lease.
+#[derive(Debug)]
+struct FailingRenewals {
+    inner: ClaimSource,
+    failures: AtomicU32,
+}
+
+impl FailingRenewals {
+    fn new(inner: ClaimSource, failures: u32) -> FailingRenewals {
+        FailingRenewals {
+            inner,
+            failures: AtomicU32::new(failures),
+        }
+    }
+}
+
+impl WorkSource for FailingRenewals {
+    fn claim(&self) -> Result<Option<WorkUnit>, ComfaseError> {
+        self.inner.claim()
+    }
+
+    fn renew(&self, unit: &WorkUnit) -> Result<LeaseState, ComfaseError> {
+        if spend(&self.failures) {
+            return Err(ComfaseError::Io(
+                "chaos: injected heartbeat renewal failure".into(),
+            ));
+        }
+        self.inner.renew(unit)
+    }
+
+    fn complete(&self, unit: &WorkUnit) -> Result<(), ComfaseError> {
+        self.inner.complete(unit)
+    }
+}
+
+/// A disk cache whose first `failures` stores of experiment entries fail
+/// with an injected I/O error. Golden-run stores always succeed.
+#[derive(Debug)]
+struct FailingStores {
+    inner: DiskCache,
+    failures: AtomicU32,
+}
+
+impl ExperimentCache for FailingStores {
+    fn load(&self, key: &CacheKey) -> CacheLookup {
+        self.inner.load(key)
+    }
+
+    fn store(&self, key: &CacheKey, entry: &CacheEntry) -> Result<(), ComfaseError> {
+        if matches!(entry, CacheEntry::Experiment { .. }) && spend(&self.failures) {
+            return Err(ComfaseError::Io(
+                "chaos: injected cache store failure".into(),
+            ));
+        }
+        self.inner.store(key, entry)
     }
 }
 
@@ -264,14 +340,8 @@ fn heartbeat_chaos_self_heals_by_stealing_the_unit_back() {
 
     let claim_dir = tmp_path("heartbeat-claims");
     let journal = tmp_path("heartbeat.journal");
-    let chaotic = campaign().with_chaos(ChaosConfig {
-        io: IoChaosConfig {
-            fail_heartbeat: 1,
-            ..IoChaosConfig::default()
-        },
-        ..ChaosConfig::default()
-    });
-    let source = claim_source(&claim_dir, &chaotic, "chaotic");
+    let chaotic = campaign();
+    let source = FailingRenewals::new(claim_source(&claim_dir, &chaotic, "chaotic"), 1);
     chaotic
         .run(
             1,
@@ -287,9 +357,9 @@ fn heartbeat_chaos_self_heals_by_stealing_the_unit_back() {
 
 /// Injected cache-store failure aborts the worker like any other host
 /// I/O error; a surviving claim worker sharing the ledger steals the
-/// unit and the merged artifact is unchanged. (The victim's journal
-/// line for the failed store never got written, so recovery is pure
-/// re-execution.)
+/// unit and the merged artifact is unchanged. The victim journals its
+/// first experiment's row and only then fails to store it, so the
+/// survivor's re-execution of that experiment is a bit-equal duplicate.
 #[test]
 fn cache_store_chaos_is_recovered_by_a_surviving_worker() {
     let reference_bytes = reference_bytes();
@@ -298,29 +368,33 @@ fn cache_store_chaos_is_recovered_by_a_surviving_worker() {
     let cache_dir = tmp_path("storechaos-cache");
     let victim_journal = tmp_path("storechaos-victim.journal");
     let survivor_journal = tmp_path("storechaos-survivor.journal");
-    let cache =
-        || Some(Arc::new(DiskCache::create(&cache_dir).unwrap()) as Arc<dyn ExperimentCache>);
+    let disk_cache = || DiskCache::create(&cache_dir).expect("the cache dir is usable");
 
-    // The victim's very first cache store (the golden run's) fails.
-    let victim = campaign().with_chaos(ChaosConfig {
-        io: IoChaosConfig {
-            fail_cache_store: 1,
-            ..IoChaosConfig::default()
-        },
-        ..ChaosConfig::default()
-    });
+    // The golden run stores fine; the victim's first experiment store
+    // fails.
+    let victim = campaign();
     let source = claim_source(&claim_dir, &victim, "victim");
+    let failing = FailingStores {
+        inner: disk_cache(),
+        failures: AtomicU32::new(1),
+    };
     let err = victim
         .run(
             1,
             &RunConfig {
-                cache: cache(),
+                cache: Some(Arc::new(failing)),
                 ..claim_config(source, victim_journal.clone(), ExecutionMode::PrefixFork)
             },
             &NullObserver,
         )
         .expect_err("the injected store failure must abort the victim");
     assert!(err.to_string().contains("chaos"), "got: {err}");
+    let victim_state = read_journal(&victim_journal).expect("the victim journaled");
+    assert_eq!(
+        victim_state.completed.len(),
+        1,
+        "the victim journals one row before its store fails"
+    );
 
     // A clean survivor drains the ledger through the same shared cache.
     let survivor = campaign();
@@ -329,19 +403,14 @@ fn cache_store_chaos_is_recovered_by_a_surviving_worker() {
         .run(
             2,
             &RunConfig {
-                cache: cache(),
+                cache: Some(Arc::new(disk_cache())),
                 ..claim_config(source, survivor_journal.clone(), ExecutionMode::PrefixFork)
             },
             &NullObserver,
         )
         .unwrap();
 
-    let journals: Vec<PathBuf> = [&victim_journal, &survivor_journal]
-        .iter()
-        .filter(|p| p.exists())
-        .map(|p| (*p).clone())
-        .collect();
-    let merged = merge_journals(&journals).unwrap();
+    let merged = merge_journals(&[victim_journal.clone(), survivor_journal.clone()]).unwrap();
     assert_eq!(merged.to_json_bytes(), reference_bytes);
 
     for path in [&victim_journal, &survivor_journal] {
@@ -374,12 +443,10 @@ fn claim_branch_matches_plain_execution_without_a_journal() {
         let claim_dir = tmp_path(&format!("{label}-claims"));
         let c = campaign();
         let ledger = ClaimLedger::create(&claim_dir, 0xfeed, c.nr_experiments(), 3).unwrap();
-        let source = ClaimSource::new(ledger, "nojson", 3)
-            .with_scan_interval(Duration::from_millis(1))
-            .with_chaos(IoChaosConfig {
-                fail_heartbeat,
-                ..IoChaosConfig::default()
-            });
+        let source = FailingRenewals::new(
+            ClaimSource::new(ledger, "nojson", 3).with_scan_interval(Duration::from_millis(1)),
+            fail_heartbeat,
+        );
         let config = RunConfig {
             mode,
             work: Some(Arc::new(source) as Arc<dyn WorkSource>),
