@@ -87,7 +87,7 @@ use comfase_des::sim::EventBudget;
 use comfase_des::time::SimTime;
 use comfase_obs::{
     CampaignMetrics, DatasetHeader, DatasetSink, ExperimentExport, ExperimentLabel,
-    ExperimentMetrics, HostProfiler, ObsConfig, WallDeadline, DATASET_SCHEMA_VERSION,
+    ExperimentMetrics, ObsConfig, WallDeadline, DATASET_SCHEMA_VERSION,
 };
 use comfase_traffic::trace::GoldenSpeeds;
 
@@ -222,17 +222,6 @@ pub trait CampaignObserver: Sync {
 pub struct NullObserver;
 
 impl CampaignObserver for NullObserver {}
-
-/// A [`HostProfiler`] times each campaign phase.
-impl CampaignObserver for HostProfiler {
-    fn phase_started(&self, phase: CampaignPhase) {
-        self.begin(phase.name());
-    }
-
-    fn phase_finished(&self, phase: CampaignPhase) {
-        self.end(phase.name());
-    }
-}
 
 /// Full configuration of a campaign run.
 #[derive(Debug, Clone, Default)]
@@ -459,8 +448,8 @@ impl Campaign {
     /// Runs the campaign on `threads` worker threads under full
     /// supervision: per-experiment panic isolation, failure
     /// classification, the configured failure policy, host-side observer
-    /// hooks (phase boundaries, experiment completions — e.g. a
-    /// [`HostProfiler`] or a progress reporter) and — when
+    /// hooks (phase boundaries, experiment completions — e.g. a phase
+    /// timer or a progress reporter) and — when
     /// [`RunConfig::journal`] is set — checkpointing to an append-only
     /// journal, or resuming from it.
     ///

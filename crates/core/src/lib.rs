@@ -88,7 +88,6 @@ pub mod prelude {
     pub use comfase_des::sim::EventBudget;
     pub use comfase_obs::{
         chrome_trace_json, CampaignMetrics, DatasetSink, DirSink, ExperimentMetrics,
-        FrameBreakdown, HostProfiler, KernelCounters, MetricsSnapshot, NullSink, ObsConfig,
-        WallDeadline,
+        FrameBreakdown, HostProfiler, KernelCounters, MetricsSnapshot, ObsConfig, WallDeadline,
     };
 }

@@ -441,16 +441,6 @@ pub trait DatasetSink: Send + Sync + std::fmt::Debug {
     fn export(&self, export: &ExperimentExport) -> io::Result<()>;
 }
 
-/// The no-op sink: accepts and discards every export.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl DatasetSink for NullSink {
-    fn export(&self, _export: &ExperimentExport) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Sink writing one `exp-<index>.jsonl` shard per experiment into a
 /// directory, via atomic temp+rename publication (the same idempotent
 /// pattern the result cache uses), so any number of workers can export

@@ -33,7 +33,7 @@ pub mod trace;
 
 pub use dataset::{
     render_experiment, DatasetCapture, DatasetHeader, DatasetSink, DirSink, ExperimentExport,
-    ExperimentLabel, FrameFate, FrameRecord, NullSink, StepRecord, DATASET_SCHEMA_VERSION,
+    ExperimentLabel, FrameFate, FrameRecord, StepRecord, DATASET_SCHEMA_VERSION,
 };
 pub use hostprof::{HostProfiler, WallDeadline};
 pub use metrics::{

@@ -210,11 +210,6 @@ impl TrafficSim {
         self.time
     }
 
-    /// The step length (0.01 s).
-    pub fn step_len(&self) -> SimDuration {
-        STEP_LEN
-    }
-
     /// Inserts a vehicle.
     ///
     /// # Errors
