@@ -206,13 +206,19 @@ pub struct JournalWriter {
 
 impl JournalWriter {
     /// Creates (truncating) a journal at `path` and writes the header line.
+    /// The parent directory is fsync'd once the file exists: a claim
+    /// worker's done markers survive a crash, so the journal holding
+    /// those units' rows must too.
     pub fn create(path: &Path, header: &JournalEntry) -> Result<Self, ComfaseError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| io_err(path, &e))?;
-            }
-        }
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::create_dir_all(dir).map_err(|e| io_err(path, &e))?;
         let file = File::create(path).map_err(|e| io_err(path, &e))?;
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err(dir, &e))?;
         let writer = JournalWriter {
             file: Mutex::new(file),
             path: path.to_path_buf(),

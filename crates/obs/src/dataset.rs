@@ -485,7 +485,15 @@ impl DatasetSink for DirSink {
             f.sync_data()?;
         }
         match std::fs::rename(&tmp, &dest) {
-            Ok(()) => Ok(()),
+            // The journal row written after the export is fsync'd, so the
+            // renamed shard's directory entry must be durable first.
+            Ok(()) => {
+                let dir = match dest.parent() {
+                    Some(dir) if !dir.as_os_str().is_empty() => dir,
+                    _ => Path::new("."),
+                };
+                std::fs::File::open(dir)?.sync_all()
+            }
             Err(e) => {
                 let _ = std::fs::remove_file(&tmp);
                 Err(e)
