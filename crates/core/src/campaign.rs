@@ -710,20 +710,6 @@ impl Campaign {
             }
         };
         let plan = plan_of(&pending);
-        // Solo units fork from their prefix snapshot when one was built,
-        // and run from t = 0 otherwise.
-        let forked = !prefixes.is_empty();
-        let stats = CampaignStats {
-            prefix_snapshots: prefixes.len(),
-            forked_runs: if forked { plan.solo_leaves() } else { 0 },
-            scratch_runs: if forked { 0 } else { plan.solo_leaves() },
-            attack_chains: plan.chains(),
-            chain_forked_runs: plan.chained_leaves(),
-            dag_depth: if forked { plan.depth() } else { 0 },
-            cache_hits,
-            cache_misses,
-            cache_stale,
-        };
 
         let done = completed.len();
         let (records, rows): (Vec<_>, Vec<_>) = completed.into_values().unzip();
@@ -764,12 +750,13 @@ impl Campaign {
         };
         let cursor = AtomicUsize::new(0);
         observer.phase_started(CampaignPhase::Experiments);
-        let panics: Vec<_> = std::thread::scope(|scope| {
+        let joined: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| match config.work.as_deref() {
                         None => {
                             self.run_units(&sweep, &plan, &cursor, &|| true);
+                            Vec::new()
                         }
                         Some(source) => self.run_claims(&sweep, source, &pending, &plan_of),
                     })
@@ -777,12 +764,35 @@ impl Campaign {
                 .collect();
             // Joined explicitly, so a worker panic surfaces as an error
             // instead of re-panicking out of the scope.
-            handles.into_iter().filter_map(|h| h.join().err()).collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        if let Some(panic) = panics.first() {
-            return Err(ComfaseError::WorkerFailed(panic_message(panic.as_ref())));
+        let mut ran = Vec::new();
+        for thread in joined {
+            match thread {
+                Ok(plans) => ran.extend(plans),
+                Err(panic) => {
+                    return Err(ComfaseError::WorkerFailed(panic_message(panic.as_ref())))
+                }
+            }
         }
         observer.phase_finished(CampaignPhase::Experiments);
+
+        // An in-process run counts its whole plan; a claim worker counts
+        // the unit plans its threads ran. Solo units fork from their
+        // prefix snapshot when one was built, and run from t = 0 otherwise.
+        if config.work.is_none() {
+            ran.push(plan);
+        }
+        let mut stats = CampaignStats {
+            prefix_snapshots: prefixes.len(),
+            cache_hits,
+            cache_misses,
+            cache_stale,
+            ..CampaignStats::default()
+        };
+        for plan in &ran {
+            stats.count(plan, !prefixes.is_empty());
+        }
 
         let sink = sweep.sink;
         if let Some(e) = into_inner(sink.first_error) {
@@ -863,7 +873,8 @@ impl Campaign {
     /// [`Campaign::run_units`] with lease renewal between plan units, and
     /// marks finished units complete. The plan is built *within* the
     /// unit, so chains never span a claim boundary and a stolen unit
-    /// re-plans identically.
+    /// re-plans identically. Returns the plan of each unit it ran, cut to
+    /// the plan units it started.
     ///
     /// A failed or lost renewal abandons the rest of the unit: everything
     /// already pushed stays journaled, and the unit's next owner
@@ -875,33 +886,40 @@ impl Campaign {
         source: &dyn WorkSource,
         pending: &[usize],
         plan_of: &dyn Fn(&[usize]) -> DagPlan,
-    ) {
+    ) -> Vec<DagPlan> {
+        let mut ran = Vec::new();
         while !sweep.sink.should_stop() {
             let unit = match source.claim() {
                 Ok(Some(unit)) => unit,
-                Ok(None) => return,
+                Ok(None) => break,
                 Err(e) => {
                     sweep.sink.fail(e);
-                    return;
+                    break;
                 }
             };
             let indices: Vec<usize> = (unit.lo..unit.hi)
                 .filter(|i| pending.binary_search(i).is_ok())
                 .collect();
             let renew = || matches!(source.renew(&unit), Ok(LeaseState::Held));
-            match self.run_units(sweep, &plan_of(&indices), &AtomicUsize::new(0), &renew) {
+            let mut plan = plan_of(&indices);
+            let cursor = AtomicUsize::new(0);
+            let outcome = self.run_units(sweep, &plan, &cursor, &renew);
+            plan.units.truncate(cursor.into_inner());
+            ran.push(plan);
+            match outcome {
                 UnitRun::Finished => {
                     if let Err(e) = source.complete(&unit) {
                         sweep.sink.fail(e);
-                        return;
+                        break;
                     }
                 }
                 // Lease lost mid-unit: whoever stole it re-executes the
                 // whole unit; move on.
                 UnitRun::Lost => {}
-                UnitRun::Stopped => return,
+                UnitRun::Stopped => break,
             }
         }
+        ran
     }
 }
 

@@ -78,7 +78,9 @@ pub fn plan_units(total: usize, unit_size: usize) -> Result<Vec<WorkUnit>, Comfa
         .collect())
 }
 
-/// Execution counters of one campaign run.
+/// Execution counters of one campaign run. The run and DAG counters
+/// cover the plan of every pending experiment in an in-process run, and
+/// the plan units a claim-driven worker ran in a claim-driven one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignStats {
     /// Prefix snapshots built (one per distinct attack start time; 0 in
@@ -109,6 +111,19 @@ pub struct CampaignStats {
 }
 
 impl CampaignStats {
+    /// Adds the runs of `plan`, whose solo units fork from a prefix
+    /// snapshot when `forked` and run from t = 0 otherwise.
+    pub(super) fn count(&mut self, plan: &DagPlan, forked: bool) {
+        if forked {
+            self.forked_runs += plan.solo_leaves();
+            self.dag_depth = self.dag_depth.max(plan.depth());
+        } else {
+            self.scratch_runs += plan.solo_leaves();
+        }
+        self.attack_chains += plan.chains();
+        self.chain_forked_runs += plan.chained_leaves();
+    }
+
     /// Fraction of experiments that reused *any* snapshot (0.0–1.0) —
     /// prefix forks and mid-attack chain forks both count.
     pub fn snapshot_hit_rate(&self) -> f64 {

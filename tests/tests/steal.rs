@@ -467,6 +467,38 @@ fn claim_branch_matches_plain_execution_without_a_journal() {
     }
 }
 
+/// A claim worker's stats count the experiments it ran, not the plan of
+/// every pending experiment: a second worker on a ledger the first one
+/// drained claims nothing and reports no runs.
+#[test]
+fn claim_worker_stats_count_only_what_it_ran() {
+    for mode in [
+        ExecutionMode::FromScratch,
+        ExecutionMode::PrefixFork,
+        ExecutionMode::SnapshotDag,
+    ] {
+        let claim_dir = tmp_path(&format!("stats-{mode:?}-claims"));
+        let runs = |worker: &str| {
+            let c = campaign();
+            let config = RunConfig {
+                mode,
+                work: Some(Arc::new(claim_source(&claim_dir, &c, worker)) as Arc<dyn WorkSource>),
+                ..RunConfig::default()
+            };
+            // One thread: with test-speed stealing, a second thread of the
+            // same worker would steal and re-run its sibling's unit.
+            let stats = c
+                .run(1, &config, &NullObserver)
+                .unwrap_or_else(|e| panic!("{worker} failed under {mode:?}: {e}"))
+                .stats;
+            stats.forked_runs + stats.scratch_runs + stats.chain_forked_runs
+        };
+        assert_eq!(runs("first"), 8, "first worker under {mode:?}");
+        assert_eq!(runs("second"), 0, "second worker under {mode:?}");
+        let _ = std::fs::remove_dir_all(&claim_dir);
+    }
+}
+
 /// Claim-driven execution refuses a mis-sized or foreign ledger: the
 /// meta check makes workers of different campaigns (or disagreeing unit
 /// geometries) fail fast instead of corrupting the claim protocol.
