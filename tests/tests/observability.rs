@@ -2,8 +2,11 @@
 //! the deterministic `metrics.json` artifact and the frame-accounting
 //! identity, exercised through the full engine/campaign stack.
 
+use std::sync::{Arc, Mutex};
+
 use comfase::prelude::*;
 use comfase_des::time::{SimDuration, SimTime};
+use comfase_dist::DiskCache;
 
 fn quick_scenario(secs: i64) -> TrafficScenario {
     let mut s = TrafficScenario::paper_default();
@@ -188,4 +191,81 @@ fn golden_run_event_trace_renders() {
     assert!(json.contains("\"traceEvents\":["), "trace events array");
     assert!(json.contains("\"ph\":\"B\""), "begin events present");
     assert!(json.contains("\"ph\":\"i\""), "instant events present");
+}
+
+/// Records every phase hook, in call order.
+#[derive(Default)]
+struct PhaseLog(Mutex<Vec<(CampaignPhase, bool)>>);
+
+impl CampaignObserver for PhaseLog {
+    fn phase_started(&self, phase: CampaignPhase) {
+        self.0.lock().expect("phase log lock").push((phase, true));
+    }
+
+    fn phase_finished(&self, phase: CampaignPhase) {
+        self.0.lock().expect("phase log lock").push((phase, false));
+    }
+}
+
+/// Each of the six phase hooks fires once, in order, in every mode: on a
+/// fresh run (one experiment quarantined), on its resume (which re-runs
+/// that experiment) and on a fully cached run. campaign-bench times its
+/// gated `setup_s` as the Golden plus the Prefixes bracket.
+#[test]
+fn phase_hooks_bracket_each_phase_once_in_order() {
+    use CampaignPhase::{Experiments, Golden, Prefixes};
+    let expected = [
+        (Golden, true),
+        (Golden, false),
+        (Prefixes, true),
+        (Prefixes, false),
+        (Experiments, true),
+        (Experiments, false),
+    ];
+    let dir = std::env::temp_dir().join(format!("comfase-phases-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for mode in [
+        ExecutionMode::FromScratch,
+        ExecutionMode::PrefixFork,
+        ExecutionMode::SnapshotDag,
+    ] {
+        let cache = DiskCache::create(dir.join(format!("{mode:?}-cache")))
+            .expect("the cache dir is usable");
+        let cache: Arc<dyn ExperimentCache> = Arc::new(cache);
+        let fresh = RunConfig {
+            mode,
+            failure_policy: FailurePolicy::quarantine(),
+            journal: Some(dir.join(format!("{mode:?}.journal"))),
+            cache: Some(Arc::clone(&cache)),
+            ..RunConfig::default()
+        };
+        let resumed = RunConfig {
+            resume: true,
+            ..fresh.clone()
+        };
+        let cached = RunConfig {
+            mode,
+            cache: Some(cache),
+            ..RunConfig::default()
+        };
+        let quarantined = metrics_campaign().with_chaos(ChaosConfig {
+            fail_on: vec![5],
+            ..ChaosConfig::default()
+        });
+        // (label, campaign, config, cache hits with the golden run's)
+        for (label, campaign, config, hits) in [
+            ("fresh", quarantined, fresh, 0),
+            ("resumed", metrics_campaign(), resumed, 1),
+            ("cached", metrics_campaign(), cached, 9),
+        ] {
+            let log = PhaseLog::default();
+            let result = campaign
+                .run(2, &config, &log)
+                .unwrap_or_else(|e| panic!("{label} run under {mode:?} failed: {e}"));
+            assert_eq!(result.stats.cache_hits, hits, "{label} run under {mode:?}");
+            let phases = log.0.into_inner().expect("phase log lock");
+            assert_eq!(phases, expected, "{label} run under {mode:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
