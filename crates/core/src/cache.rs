@@ -11,6 +11,10 @@
 //! A campaign exporting a dataset simulates every experiment, because
 //! rendering a shard costs more than the simulation that produces its
 //! rows, and still stores verdict-only entries for plain runs to hit.
+//! The golden run is never cached: every campaign simulates it, which
+//! costs less than loading its whole log would, so the cache counts of
+//! [`CampaignStats`](crate::campaign::CampaignStats) cover experiments
+//! only.
 //!
 //! This module defines only the *types* of that contract — the key
 //! derivation, the cached payloads, and the [`ExperimentCache`] trait the
@@ -43,20 +47,17 @@
 //! which is what lets a stride-5 campaign hit entries written by the full
 //! grid.
 
-use comfase_json::{Error as JsonError, Fields, FromJson, ToJson, Value, Writer};
 use comfase_obs::ExperimentMetrics;
 
 use crate::campaign::ExperimentRecord;
 use crate::error::ComfaseError;
 use crate::fingerprint::{canonical_json, fnv1a64};
-use crate::log::RunLog;
 
 /// Content address of one cached experiment result. See the module docs
 /// for the derivation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
-    /// FNV-1a 64 of the canonical JSON of the attack spec (zero for the
-    /// golden run, which has none).
+    /// FNV-1a 64 of the canonical JSON of the attack spec.
     pub spec_hash: u64,
     /// Engine seed, XOR-mixed with the experiment index for
     /// seed-dependent attack models only.
@@ -76,89 +77,29 @@ impl CacheKey {
         )
     }
 
-    /// Key of the golden (attack-free) run under `config_hash`:
-    /// `spec_hash` 0 marks "no attack".
-    pub fn golden(seed: u64, config_hash: u64) -> CacheKey {
-        CacheKey {
-            spec_hash: 0,
-            seed,
-            config_hash,
-        }
-    }
-
     /// Key of one experiment. `spec_json` must be the canonical JSON of
     /// its [`AttackSpec`](crate::attack::AttackSpec).
     pub fn experiment(spec_json: &[u8], seed_component: u64, config_hash: u64) -> CacheKey {
         CacheKey {
-            spec_hash: fnv1a64(spec_json).max(1),
+            spec_hash: fnv1a64(spec_json),
             seed: seed_component,
             config_hash,
         }
     }
 }
 
-/// One cached payload. Entries echo nothing about the campaign that wrote
-/// them beyond the key — records and rows are index-free (see module
+/// One cached payload: a completed experiment's classified record plus
+/// the metrics row when the writing campaign collected telemetry. Both are
+/// index-free, and an entry never holds a dataset capture (see the module
 /// docs).
 #[derive(Debug, Clone, PartialEq)]
-pub enum CacheEntry {
-    /// A completed experiment: its classified record plus the metrics row
-    /// when the writing campaign collected telemetry. Never a dataset
-    /// capture: dataset runs simulate (see the module docs).
-    Experiment {
-        /// The classified record (spec + verdict).
-        record: ExperimentRecord,
-        /// Per-experiment metrics row, when collected.
-        metrics: Option<ExperimentMetrics>,
-    },
-    /// The golden (attack-free) reference run, stored whole so a fully
-    /// warm campaign re-run performs zero simulations: classification
-    /// parameters and the golden metrics row are recomputed from the log
-    /// (deterministically — JSON round-trips floats bit-exactly).
-    Golden {
-        /// The complete golden run log.
-        log: RunLog,
-    },
+pub struct CacheEntry {
+    /// The classified record (spec + verdict).
+    pub record: ExperimentRecord,
+    /// Per-experiment metrics row, when collected.
+    pub metrics: Option<ExperimentMetrics>,
 }
-
-/// Internally tagged: `{"entry":"experiment",…}` / `{"entry":"golden",…}`.
-impl ToJson for CacheEntry {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.begin_object();
-        match self {
-            CacheEntry::Experiment { record, metrics } => {
-                w.field("entry", "experiment");
-                w.field("record", record);
-                if metrics.is_some() {
-                    w.field("metrics", metrics);
-                }
-            }
-            CacheEntry::Golden { log } => {
-                w.field("entry", "golden");
-                w.field("log", log);
-            }
-        }
-        w.end_object();
-    }
-}
-
-impl FromJson for CacheEntry {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let mut fields = Fields::new(v, "CacheEntry")?;
-        let entry = match fields.get::<String>("entry")?.as_str() {
-            "experiment" => CacheEntry::Experiment {
-                record: fields.get("record")?,
-                metrics: fields.get("metrics")?,
-            },
-            "golden" => CacheEntry::Golden {
-                log: fields.get("log")?,
-            },
-            other => return Err(JsonError::new(format!("unknown cache entry `{other}`"))),
-        };
-        fields.finish()?;
-        Ok(entry)
-    }
-}
+comfase_json::record!(ToJson, FromJson for CacheEntry { record, #[skip_empty] metrics });
 
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,11 +159,6 @@ impl CacheKeyBase {
         };
         CacheKey::experiment(spec_json, seed_component, self.config_hash)
     }
-
-    /// Key of the golden run.
-    pub fn golden_key(&self) -> CacheKey {
-        CacheKey::golden(self.seed, self.config_hash)
-    }
 }
 
 /// Hashes the campaign-constant key components. `obs.dataset` is left
@@ -234,7 +170,7 @@ pub fn config_hash(
     budget: comfase_des::sim::EventBudget,
     obs: comfase_obs::ObsConfig,
 ) -> u64 {
-    use crate::fingerprint::{fnv1a64_extend, FNV_OFFSET};
+    use crate::fingerprint::fnv1a64_extend;
     let mut hash = fnv1a64(b"comfase-cache-config-v2");
     for bytes in [
         canonical_json(scenario),
@@ -246,13 +182,7 @@ pub fn config_hash(
         hash = fnv1a64_extend(hash, &bytes);
     }
     hash = fnv1a64_extend(hash, &[u8::from(obs.metrics)]);
-    hash = fnv1a64_extend(hash, &(obs.trace_capacity as u64).to_le_bytes());
-    // Guard against the (astronomically unlikely) all-zero result so the
-    // golden key's `spec_hash == 0` convention stays unambiguous.
-    if hash == 0 {
-        hash = FNV_OFFSET;
-    }
-    hash
+    fnv1a64_extend(hash, &(obs.trace_capacity as u64).to_le_bytes())
 }
 
 #[cfg(test)]
@@ -269,17 +199,6 @@ mod tests {
         assert_eq!(
             key.stem(),
             "0000000000000001-000000000000abcd-ffffffffffffffff"
-        );
-    }
-
-    #[test]
-    fn golden_key_is_marked_by_zero_spec_hash() {
-        let key = CacheKey::golden(42, 7);
-        assert_eq!(key.spec_hash, 0);
-        let exp = CacheKey::experiment(b"{}", 42, 7);
-        assert_ne!(
-            exp.spec_hash, 0,
-            "experiment keys never collide with golden"
         );
     }
 

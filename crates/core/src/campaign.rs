@@ -247,10 +247,10 @@ pub struct RunConfig {
     /// sim-side [`comfase_des::EventBudget`] is the reproducible
     /// watchdog.
     pub wall_deadline_s: Option<f64>,
-    /// Content-addressed result cache. Experiments (and the golden run)
-    /// whose key is already stored return their journaled rows without
-    /// simulating; fresh results are stored on completion. With a
-    /// [`RunConfig::dataset`] sink, only the golden run is looked up. See
+    /// Content-addressed result cache. Experiments whose key is already
+    /// stored return their journaled rows without simulating; fresh
+    /// results are stored on completion. The golden run is never cached,
+    /// and with a [`RunConfig::dataset`] sink nothing is looked up. See
     /// [`crate::cache`].
     pub cache: Option<Arc<dyn ExperimentCache>>,
     /// Dynamic work source for claim-driven execution (see
@@ -534,57 +534,15 @@ impl Campaign {
         let mut cache_misses: usize = 0;
         let mut cache_stale: usize = 0;
 
-        // Step 2: golden run (once — also on resume: classification
-        // parameters and the golden metrics row are recomputed, which is
-        // deterministic and keeps the journal limited to per-experiment
-        // state). With a cache, the whole golden log is content-addressed:
-        // a hit skips the simulation and recomputes both deterministically
-        // from the stored log.
+        // Step 2: golden run (once — also on resume and with a warm cache:
+        // classification parameters and the golden metrics row are
+        // recomputed, which is deterministic, keeps the journal limited to
+        // per-experiment state and costs less than loading a cached log).
         observer.phase_started(CampaignPhase::Golden);
+        let mut golden = self.engine.golden_run()?;
         // No shard is exported for the golden run: its capture (present
-        // with dataset capture on) is dropped before the log is stored or
-        // kept.
-        let golden_run = || {
-            let mut log = self.engine.golden_run()?;
-            log.obs.dataset = None;
-            Ok::<_, ComfaseError>(log)
-        };
-        let golden = match (config.cache.as_deref(), key_base) {
-            (Some(store), Some(base)) => {
-                let key = base.golden_key();
-                let cached = match store.load(&key) {
-                    CacheLookup::Hit(entry) => match *entry {
-                        CacheEntry::Golden { log } => {
-                            cache_hits += 1;
-                            Some(log)
-                        }
-                        // An experiment payload under the golden key can
-                        // only be corruption; treat it as stale.
-                        CacheEntry::Experiment { .. } => {
-                            cache_stale += 1;
-                            None
-                        }
-                    },
-                    CacheLookup::Miss => {
-                        cache_misses += 1;
-                        None
-                    }
-                    CacheLookup::Stale => {
-                        cache_stale += 1;
-                        None
-                    }
-                };
-                match cached {
-                    Some(log) => log,
-                    None => {
-                        let log = golden_run()?;
-                        store.store(&key, &CacheEntry::Golden { log: log.clone() })?;
-                        log
-                    }
-                }
-            }
-            _ => golden_run()?,
-        };
+        // with dataset capture on) is dropped.
+        golden.obs.dataset = None;
         // Every experiment world folds its trace against these speeds
         // instead of recording it (see `World::fold_trace`).
         let golden_speeds = Arc::new(GoldenSpeeds::tabulate(&golden.trace));
@@ -637,7 +595,7 @@ impl Campaign {
                     let key = base.experiment_key(&spec_json, i, spec.model.seed_invariant());
                     match store.load(&key) {
                         CacheLookup::Hit(entry) => match *entry {
-                            CacheEntry::Experiment {
+                            CacheEntry {
                                 mut record,
                                 metrics,
                             } if record.spec == *spec
@@ -1172,7 +1130,7 @@ fn store_experiment(
     });
     cache_store.store(
         &key,
-        &CacheEntry::Experiment {
+        &CacheEntry {
             record: stored,
             metrics,
         },

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use comfase_json::{Error as JsonError, Fields, FromJson, Value};
-
 use crate::time::SimTime;
 
 /// Numerically stable running summary statistics (Welford's algorithm).
@@ -247,22 +245,6 @@ impl TimeSeries {
 
 comfase_json::record!(ToJson for TimeSeries { times, values });
 
-impl FromJson for TimeSeries {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let mut fields = Fields::new(v, "TimeSeries")?;
-        let times: Vec<SimTime> = fields.get("times")?;
-        let values: Vec<f64> = fields.get("values")?;
-        fields.finish()?;
-        if times.len() != values.len() {
-            return Err(JsonError::new("time series times/values length mismatch"));
-        }
-        if times.windows(2).any(|w| w[1] < w[0]) {
-            return Err(JsonError::new("time series samples out of order"));
-        }
-        Ok(TimeSeries { times, values })
-    }
-}
-
 /// A fixed-bin histogram over a closed value range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -272,7 +254,7 @@ pub struct Histogram {
     underflow: u64,
     overflow: u64,
 }
-comfase_json::record!(ToJson, FromJson for Histogram { lo, hi, bins, underflow, overflow });
+comfase_json::record!(ToJson for Histogram { lo, hi, bins, underflow, overflow });
 
 impl Histogram {
     /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.

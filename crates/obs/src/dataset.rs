@@ -35,7 +35,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use comfase_json::{write_f64, Error as JsonError, Fields, FromJson, ToJson, Value, Writer};
+use comfase_json::{write_f64, Fields, ToJson, Writer};
 
 /// Version of the dataset record schema. Bump on any change to the
 /// rendered line shapes.
@@ -84,7 +84,7 @@ pub struct FrameRecord {
     /// `true` while an attack interceptor was installed on the medium.
     pub attack_active: bool,
 }
-comfase_json::record!(ToJson, FromJson for FrameRecord {
+comfase_json::record!(ToJson for FrameRecord {
     time_ns, tx, rx, delay_ns, snir_db, fate, attack_active,
 });
 
@@ -114,7 +114,7 @@ pub struct StepRecord {
     /// `true` while an attack interceptor was installed on the medium.
     pub attack_active: bool,
 }
-comfase_json::record!(ToJson, FromJson for StepRecord {
+comfase_json::record!(ToJson for StepRecord {
     time_ns, vehicle, pos_m, speed_mps, accel_mps2, leader, gap_m, hard_braking, collision,
     attack_active,
 });
@@ -136,8 +136,8 @@ pub struct DatasetCapture {
     /// Step rows discarded after [`STEPS_CAP`].
     pub steps_dropped: u64,
 }
-comfase_json::record!(ToJson, FromJson for DatasetCapture {
-    #[skip_empty] frames, #[skip_empty] steps, #[default] frames_dropped, #[default] steps_dropped,
+comfase_json::record!(ToJson for DatasetCapture {
+    #[skip_empty] frames, #[skip_empty] steps, frames_dropped, steps_dropped,
 });
 
 impl DatasetCapture {
@@ -239,15 +239,7 @@ fn push_line(out: &mut String, payload: &str) {
 }
 
 impl FrameFate {
-    const ALL: [FrameFate; 5] = [
-        FrameFate::Received,
-        FrameFate::LostSnir,
-        FrameFate::LostSensitivity,
-        FrameFate::NumericFault,
-        FrameFate::RxInactive,
-    ];
-
-    /// The snake_case wire tag used in rendered rows and cache entries.
+    /// The snake_case wire tag used in rendered rows and run logs.
     pub fn wire_tag(self) -> &'static str {
         match self {
             FrameFate::Received => "received",
@@ -265,19 +257,10 @@ impl ToJson for FrameFate {
     }
 }
 
-impl FromJson for FrameFate {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        FrameFate::ALL
-            .into_iter()
-            .find(|fate| v.as_str() == Some(fate.wire_tag()))
-            .ok_or_else(|| JsonError::new("unknown frame fate"))
-    }
-}
-
 // The line payloads below are written field by field: the merged corpus
 // must be byte-identical across worker counts, execution modes and
 // toolchain versions, so the line schema is spelled out here (not derived
-// from the record types, whose cache-entry shape may evolve on its own) and
+// from the record types, whose run-log shape may evolve on its own) and
 // pinned by the golden tests at the bottom of the file. The row lines are
 // the bulk of a shard, so their constant keys and fate tags are literal
 // text and only the values go through the shared codec. It spells a
@@ -433,7 +416,7 @@ pub fn shard_file_name(index: usize) -> String {
 ///
 /// Implementations must be safe to call from multiple worker threads and
 /// must tolerate the same experiment being exported more than once with
-/// identical bytes (steal re-execution, cache replay after a resume).
+/// identical bytes (steal re-execution, a re-run into the same directory).
 pub trait DatasetSink: Send + Sync + std::fmt::Debug {
     /// Exports one labeled experiment. Called once per finished
     /// experiment, before its journal row is appended, so a resumed

@@ -31,7 +31,7 @@ pub struct AppStats {
     /// of the staleness failsafe.
     pub degraded_steps: u64,
 }
-comfase_json::record!(ToJson, FromJson for AppStats {
+comfase_json::record!(ToJson for AppStats {
     beacons_sent, beacons_used, beacons_ignored, degraded_steps,
 });
 

@@ -83,7 +83,7 @@ pub struct TrafficStats {
     /// [`HARD_DECEL_MPS2`].
     pub hard_decel_samples: u64,
 }
-comfase_json::record!(ToJson, FromJson for TrafficStats { steps, collisions, hard_decel_samples });
+comfase_json::record!(ToJson for TrafficStats { steps, collisions, hard_decel_samples });
 
 /// The step length, SUMO/Plexe's 0.01 s. Whatever drives a
 /// [`TrafficSim`] schedules its steps and sizes its control loops with it.

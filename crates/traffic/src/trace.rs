@@ -24,7 +24,7 @@ pub struct VehicleTrace {
     /// Front-bumper position samples, metres.
     pub pos: TimeSeries,
 }
-comfase_json::record!(ToJson, FromJson for VehicleTrace { speed, accel, pos });
+comfase_json::record!(ToJson for VehicleTrace { speed, accel, pos });
 
 impl VehicleTrace {
     /// Creates an empty trace with room for `samples` samples per series.
@@ -69,22 +69,8 @@ pub struct TrafficTrace {
     /// this capacity. Purely a performance hint, so not part of the log.
     capacity_hint: usize,
 }
-// The capacity hint is not part of the log: written without it, read
-// back with none.
+// The capacity hint is not part of the log, so it is not written.
 comfase_json::record!(ToJson for TrafficTrace { per_vehicle, collisions });
-
-impl comfase_json::FromJson for TrafficTrace {
-    fn from_json(v: &comfase_json::Value) -> Result<Self, comfase_json::Error> {
-        let mut fields = comfase_json::Fields::new(v, "TrafficTrace")?;
-        let trace = TrafficTrace {
-            per_vehicle: fields.get("per_vehicle")?,
-            collisions: fields.get("collisions")?,
-            capacity_hint: 0,
-        };
-        fields.finish()?;
-        Ok(trace)
-    }
-}
 
 // Manual equality: the capacity hint is an allocation detail, so a trace
 // recorded with pre-sized buffers equals the same trace recorded without.

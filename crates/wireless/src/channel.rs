@@ -142,10 +142,10 @@ pub struct ChannelStats {
     /// counters stay strategy-independent.
     pub links_pruned_by_grid: u64,
 }
-comfase_json::record!(ToJson, FromJson for ChannelStats {
-    transmissions, links_planned, links_dropped_by_interceptor, #[default] links_below_noise,
+comfase_json::record!(ToJson for ChannelStats {
+    transmissions, links_planned, links_dropped_by_interceptor, links_below_noise,
     links_delay_modified, links_payload_modified, received, lost_sensitivity, lost_snir,
-    #[default] tx_unregistered, #[default] links_pruned_by_grid,
+    tx_unregistered, links_pruned_by_grid,
 });
 
 #[derive(Debug, Clone)]

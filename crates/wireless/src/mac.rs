@@ -147,8 +147,8 @@ pub struct MacStats {
     /// interval or guard window), as opposed to a busy medium.
     pub deferrals_guard: u64,
 }
-comfase_json::record!(ToJson, FromJson for MacStats {
-    enqueued, sent, dropped_queue_full, deferrals, #[default] deferrals_guard,
+comfase_json::record!(ToJson for MacStats {
+    enqueued, sent, dropped_queue_full, deferrals, deferrals_guard,
 });
 
 #[derive(Debug, Clone, Copy, PartialEq)]

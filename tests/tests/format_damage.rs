@@ -1,6 +1,6 @@
 //! Damaged persisted formats must be rejected, never misread.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! 1. **Damaged keys.** A key whose name was damaged (or duplicated by a
 //!    splice) must not decode as "field absent, use the default": a
@@ -9,15 +9,18 @@
 //!    result cache treats such an entry as stale.
 //! 2. **Mutation sweep.** A deterministic mutator (every truncation plus
 //!    seeded byte flips and splices, seeded by `comfase_des::rng`) runs
-//!    over one sample of each format: a journal line, a cache file of each
-//!    entry kind (an experiment verdict, and a golden run log with its
-//!    recorded trace series), a lease, a ledger meta and a dataset shard
-//!    header. Nothing may panic, every strict truncation is rejected, and
-//!    the ledger accepts only canonical bytes.
+//!    over one sample of each format: a journal line, a cache file, a
+//!    lease, a ledger meta and a dataset shard header. Nothing may panic,
+//!    every strict truncation is rejected, and the ledger accepts only
+//!    canonical bytes.
+//! 3. **Old cache form.** Cache files written before the golden run
+//!    stopped being cached carry an `"entry"` tag (and one of them a whole
+//!    golden run log); they load as stale and are rewritten, never hit.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use comfase::journal::JournalEntry;
 use comfase::prelude::*;
@@ -127,7 +130,7 @@ fn sample_spec() -> AttackSpec {
 }
 
 fn sample_entry() -> CacheEntry {
-    CacheEntry::Experiment {
+    CacheEntry {
         record: ExperimentRecord {
             index: 0,
             spec: sample_spec(),
@@ -154,17 +157,6 @@ const KEY: CacheKey = CacheKey {
     seed: 42,
     config_hash: 7,
 };
-
-/// A golden entry holding the log of a 50 ms run: every series of every
-/// platoon vehicle has a few samples.
-fn golden_entry() -> CacheEntry {
-    let mut scenario = TrafficScenario::paper_default();
-    scenario.total_sim_time = SimTime::from_millis(50);
-    let engine =
-        Engine::new(scenario, CommModel::paper_default(), 42).expect("the test scenario is valid");
-    let log = engine.golden_run().expect("the golden run completes");
-    CacheEntry::Golden { log }
-}
 
 /// A cache holding `entry` under [`KEY`], and its one file.
 fn stored_cache(name: &str, entry: &CacheEntry) -> (DiskCache, PathBuf) {
@@ -241,10 +233,7 @@ fn mutated_journal_lines_never_panic_and_truncations_never_decode() {
                 nr_collisions: 0,
             },
         },
-        metrics: match sample_entry() {
-            CacheEntry::Experiment { metrics, .. } => metrics,
-            CacheEntry::Golden { .. } => None,
-        },
+        metrics: sample_entry().metrics,
     };
     let line = comfase_json::to_string(&completed(3));
     let other = comfase_json::to_string(&completed(4));
@@ -284,32 +273,93 @@ fn mutated_cache_files_never_panic_and_truncations_are_stale() {
     sweep_cache_file("mutated-cache", &sample_entry(), &sample_entry(), &mut rng);
 }
 
-#[test]
-fn mutated_golden_cache_files_never_panic_and_truncations_are_stale() {
-    let mut rng = RngStream::new(0x676f_6c64_656e);
-    sweep_cache_file("mutated-golden", &golden_entry(), &sample_entry(), &mut rng);
+/// Every file under a cache root, sorted by path.
+fn cache_files(root: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = fs::read_dir(root)
+        .expect("the cache root is readable")
+        .flat_map(|dir| {
+            fs::read_dir(dir.expect("the fan-out dir is listed").path())
+                .expect("the fan-out dir is readable")
+        })
+        .map(|file| file.expect("the entry is readable").path())
+        .collect();
+    files.sort();
+    files
 }
 
-/// A golden entry whose first speed series has two sample times swapped,
-/// or is one value short, is stale: it must never load as a hit.
+/// Cache entries written before the golden run stopped being cached were
+/// tagged, `{"key":…,"entry":{"entry":"experiment",…}}`, and the golden
+/// run had an entry of its own holding its whole log. Such a file loads
+/// as stale, never as a hit: a campaign over a cache of tagged entries
+/// counts them stale, simulates them and rewrites them, and the next run
+/// hits them all and writes the same `metrics.json`.
 #[test]
-fn a_golden_series_out_of_order_or_a_value_short_is_stale() {
-    let (cache, file) = stored_cache("damaged-golden", &golden_entry());
-    let text = fs::read_to_string(&file).unwrap();
-    let times = text.find("\"speed\":{\"times\":[").unwrap() + "\"speed\":{\"times\":[".len();
-    let first = times + text[times..].find(',').unwrap();
-    let second = first + 1 + text[first + 1..].find([',', ']']).unwrap();
-    let (a, b) = (&text[times..first], &text[first + 1..second]);
-    assert_ne!(a, b, "the first two sample times differ");
-    let swapped = format!("{}{b},{a}{}", &text[..times], &text[second..]);
-    fs::write(&file, swapped).unwrap();
+fn cache_files_of_the_tagged_form_are_stale_and_rewritten() {
+    let reference = campaign()
+        .run(2, &RunConfig::default(), &NullObserver)
+        .expect("the reference campaign runs");
+    let reference_bytes = reference.metrics.as_ref().unwrap().to_json_bytes();
+    let total = reference.records.len();
+    let root = tmp("tagged-cache");
+    let run = || {
+        let cache: Arc<dyn ExperimentCache> =
+            Arc::new(DiskCache::create(&root).expect("the cache dir is creatable"));
+        let config = RunConfig {
+            cache: Some(cache),
+            ..RunConfig::default()
+        };
+        campaign()
+            .run(2, &config, &NullObserver)
+            .expect("the cached campaign runs")
+    };
+    let simulated = |result: &CampaignResult| {
+        result.stats.forked_runs + result.stats.scratch_runs + result.stats.chain_forked_runs
+    };
+
+    let cold = run();
+    assert_eq!(cold.stats.cache_misses, total);
+    let files = cache_files(&root);
+    assert_eq!(files.len(), total, "one file per experiment");
+    for file in &files {
+        let doc = fs::read_to_string(file).unwrap();
+        assert!(!doc.contains("\"entry\":{\"entry\":"), "untagged: {doc}");
+        let tagged = doc.replacen("\"entry\":{", "\"entry\":{\"entry\":\"experiment\",", 1);
+        fs::write(file, tagged).unwrap();
+    }
+
+    let over_tagged = run();
+    assert_eq!(
+        (
+            over_tagged.stats.cache_hits,
+            over_tagged.stats.cache_misses,
+            over_tagged.stats.cache_stale
+        ),
+        (0, 0, total)
+    );
+    assert_eq!(simulated(&over_tagged), total);
+    let warm = run();
+    assert_eq!(warm.stats.cache_hits, total);
+    assert_eq!(simulated(&warm), 0);
+    for result in [&over_tagged, &warm] {
+        assert_eq!(
+            result.metrics.as_ref().unwrap().to_json_bytes(),
+            reference_bytes
+        );
+    }
+
+    // The golden run's own entry, whatever its key, is stale as well.
+    let stem = KEY.stem();
+    let golden_file = root.join(&stem[..2]).join(format!("{stem}.json"));
+    fs::create_dir_all(golden_file.parent().unwrap()).unwrap();
+    let golden_doc = format!(
+        "{{\"key\":{},\"entry\":{{\"entry\":\"golden\",\"log\":{}}}}}",
+        comfase_json::to_string(&KEY),
+        comfase_json::to_string(&reference.golden)
+    );
+    fs::write(&golden_file, golden_doc).unwrap();
+    let cache = DiskCache::create(&root).unwrap();
     assert_eq!(cache.load(&KEY), CacheLookup::Stale);
-    let values = text.find("\"values\":[").unwrap() + "\"values\":[".len();
-    let next = values + text[values..].find(',').unwrap() + 1;
-    let short = format!("{}{}", &text[..values], &text[next..]);
-    fs::write(&file, short).unwrap();
-    assert_eq!(cache.load(&KEY), CacheLookup::Stale);
-    fs::remove_dir_all(cache.root()).unwrap();
+    fs::remove_dir_all(&root).unwrap();
 }
 
 const FP: u64 = 0xc1a1_0000_0000_0042;

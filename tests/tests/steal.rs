@@ -135,8 +135,8 @@ impl WorkSource for FailingRenewals {
     }
 }
 
-/// A disk cache whose first `failures` stores of experiment entries fail
-/// with an injected I/O error. Golden-run stores always succeed.
+/// A disk cache whose first `failures` stores fail with an injected I/O
+/// error.
 #[derive(Debug)]
 struct FailingStores {
     inner: DiskCache,
@@ -149,7 +149,7 @@ impl ExperimentCache for FailingStores {
     }
 
     fn store(&self, key: &CacheKey, entry: &CacheEntry) -> Result<(), ComfaseError> {
-        if matches!(entry, CacheEntry::Experiment { .. }) && spend(&self.failures) {
+        if spend(&self.failures) {
             return Err(ComfaseError::Io(
                 "chaos: injected cache store failure".into(),
             ));
