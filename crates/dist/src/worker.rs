@@ -55,8 +55,8 @@ pub const DEFAULT_STEAL_AFTER: u32 = 20;
 /// A [`WorkSource`] backed by a shared-filesystem [`ClaimLedger`].
 ///
 /// One `ClaimSource` serves all threads of one worker process: threads
-/// claim units concurrently, each renewing the lease of the unit it is
-/// executing between experiments.
+/// claim units one scan round at a time, each renewing the lease of the
+/// unit it is executing between experiments.
 #[derive(Debug)]
 pub struct ClaimSource {
     ledger: ClaimLedger,
@@ -65,7 +65,9 @@ pub struct ClaimSource {
     scan_interval: Duration,
     /// Per-unit `(last observed heartbeat_seq, consecutive stall rounds)`,
     /// shared across this worker's claiming threads so stall evidence
-    /// accumulates once per scan round, not once per thread.
+    /// accumulates once per scan round, not once per thread. Each round
+    /// holds its lock throughout, so this worker's threads scan one at a
+    /// time.
     observed: Mutex<BTreeMap<usize, (u64, u32)>>,
     /// Lease acquisitions (steals included) still to fail with an injected
     /// I/O error, so this crate's tests can drive `claim()`'s retry of
@@ -127,7 +129,7 @@ impl ClaimSource {
     }
 
     /// The shared stall observations; a poisoned lock still holds
-    /// consistent counters, since each critical section is one update.
+    /// consistent counters, since each one changes in a single step.
     fn observed(&self) -> MutexGuard<'_, BTreeMap<usize, (u64, u32)>> {
         self.observed.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -151,13 +153,17 @@ impl ClaimSource {
     /// won unit, `Ok(None)` when this round yielded nothing (the caller
     /// decides between sleeping and returning based on `all_done`).
     fn scan_round(&self) -> Result<(Option<WorkUnit>, bool), ComfaseError> {
+        // One round at a time in this process: its threads all stamp the
+        // same worker id, so the ledger's read-back confirm cannot tell
+        // two of them apart, and both would win a free unit they race for.
+        let mut observed = self.observed();
         let mut all_done = true;
         let mut deferred: Vec<(WorkUnit, Lease2)> = Vec::new();
         // Acquire pass: free (or corrupt-leased) units first — stealing
         // is the fallback, not the fast path.
         for unit in self.ledger.units() {
             if self.ledger.is_done(unit.id) {
-                self.observed().remove(&unit.id);
+                observed.remove(&unit.id);
                 continue;
             }
             all_done = false;
@@ -166,7 +172,7 @@ impl ClaimSource {
                     #[cfg(test)]
                     self.injected_acquire_failure()?;
                     if self.ledger.try_acquire(unit, &self.worker_id)? {
-                        self.observed().remove(&unit.id);
+                        observed.remove(&unit.id);
                         return Ok((Some(*unit), false));
                     }
                 }
@@ -188,7 +194,6 @@ impl ClaimSource {
         // for `steal_after` consecutive rounds.
         for (unit, lease) in deferred {
             let stalled = {
-                let mut observed = self.observed();
                 let entry = observed.entry(unit.id).or_insert((lease.seq, 0));
                 if entry.0 == lease.seq {
                     entry.1 = entry.1.saturating_add(1);
@@ -202,7 +207,7 @@ impl ClaimSource {
                 self.injected_acquire_failure()?;
                 // Whoever wins the steal race, this unit's stall
                 // evidence is spent either way.
-                self.observed().remove(&unit.id);
+                observed.remove(&unit.id);
                 if self.ledger.steal(&unit, &self.worker_id)? {
                     return Ok((Some(unit), false));
                 }
@@ -345,5 +350,35 @@ mod tests {
         );
         assert_eq!(source.renew(&unit).unwrap(), LeaseState::Held);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every thread of one worker stamps the same id, so the ledger's
+    /// read-back cannot tell two of them apart: threads racing for one
+    /// free unit must still leave exactly one winner.
+    #[test]
+    fn threads_of_one_worker_never_both_win_a_free_unit() {
+        for trial in 0..20 {
+            let dir = tmp_dir(&format!("race-{trial}"));
+            let ledger = ClaimLedger::create(&dir, FP, 1, 1).unwrap();
+            let source = ClaimSource::new(ledger, "w", 5);
+            let barrier = std::sync::Barrier::new(4);
+            let winners = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..4)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            source.scan_round().unwrap().0.is_some()
+                        })
+                    })
+                    .collect();
+                racers
+                    .into_iter()
+                    .map(|racer| racer.join().unwrap())
+                    .filter(|&won| won)
+                    .count()
+            });
+            assert_eq!(winners, 1, "trial {trial}: {winners} threads won the unit");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }
