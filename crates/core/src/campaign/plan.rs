@@ -99,8 +99,8 @@ pub struct CampaignStats {
     /// Depth of the executed snapshot DAG: 0 when nothing was forked,
     /// 1 with prefix-level reuse only, 2 when attack-segment chains ran.
     pub dag_depth: usize,
-    /// Experiments (plus the golden run) answered from the result cache
-    /// without simulating.
+    /// Experiments answered from the result cache without simulating. The
+    /// golden run is never cached, so it is in none of the cache counts.
     pub cache_hits: usize,
     /// Cache lookups that found no entry.
     pub cache_misses: usize,
@@ -149,8 +149,8 @@ impl CampaignStats {
         ]
     }
 
-    /// Fraction of cache lookups (golden run included) that hit, 0.0–1.0;
-    /// 0.0 when no cache was configured.
+    /// Fraction of experiment cache lookups that hit, 0.0–1.0; 0.0 when
+    /// no cache was configured or nothing was looked up.
     pub fn cache_hit_rate(&self) -> f64 {
         let lookups = self.cache_hits + self.cache_misses + self.cache_stale;
         if lookups == 0 {

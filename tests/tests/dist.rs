@@ -239,7 +239,7 @@ fn warm_cache_performs_zero_simulations_and_reproduces_the_bytes() {
         assert_eq!(
             warm.stats.forked_runs + warm.stats.scratch_runs + warm.stats.chain_forked_runs,
             0,
-            "a fully warm cache performs zero simulations under {mode:?}"
+            "a fully warm cache simulates no experiment under {mode:?}"
         );
         assert!((warm.stats.cache_hit_rate() - 1.0).abs() < f64::EPSILON);
         assert_eq!(
