@@ -90,14 +90,13 @@ use comfase::analysis;
 use comfase::campaign::{Campaign, CampaignObserver, CampaignPhase, CampaignResult};
 use comfase::config::AttackCampaignSetup;
 use comfase::prelude::{
-    chrome_trace_json, CommModel, DatasetSink, DirSink, Engine, EventBudget, ExecutionMode,
-    ExperimentCache, FailurePolicy, HostProfiler, IndexingMode, NullObserver, ObsConfig, RunConfig,
-    TrafficScenario,
+    chrome_trace_json, CommModel, DatasetSink, Engine, EventBudget, ExecutionMode, ExperimentCache,
+    FailurePolicy, HostProfiler, IndexingMode, NullObserver, ObsConfig, RunConfig, TrafficScenario,
 };
 use comfase::report;
 use comfase_bench::{delay_campaign, dos_campaign, paper_engine, REPRO_SEED};
 use comfase_dist::{
-    merge_dataset_dirs, merge_journals_detailed, worker::DEFAULT_STEAL_AFTER, ClaimSource,
+    merge_dataset_dirs, merge_journals, worker::DEFAULT_STEAL_AFTER, ClaimSource, DirSink,
     DiskCache,
 };
 use comfase_json::Value;
@@ -683,7 +682,7 @@ fn main() {
     // and exit — nothing is simulated.
     if !opts.merge.is_empty() {
         eprintln!("merging {} worker journal(s)...", opts.merge.len());
-        let metrics = match merge_journals_detailed(&opts.merge) {
+        let metrics = match merge_journals(&opts.merge) {
             Ok(metrics) => metrics,
             Err(failure) if opts.format_json => {
                 // Machine-readable refusal: the exact coverage shortfall

@@ -26,7 +26,7 @@ use comfase_traffic::simulation::{LeaderLookup, TrafficSim};
 use comfase_traffic::vehicle::{Vehicle, VehicleId, VehicleSpec};
 use comfase_wireless::channel::{ChannelStats, FanoutStrategy, Medium};
 use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
-use comfase_wireless::pathloss::FreeSpace;
+use comfase_wireless::pathloss::{FreeSpace, PathLoss};
 use comfase_wireless::phy::PhyConfig;
 use comfase_wireless::units::CCH_FREQ_HZ;
 
@@ -87,7 +87,7 @@ fn beacon(src: u32, sequence: u64, now: SimTime) -> Wsm {
 fn run_substrates(fleet: usize, rounds: usize, indexed: bool) -> SubstrateRun {
     let mut sim = TrafficSim::new(Road::paper_highway(), RngStream::new(7));
     let mut medium = Medium::with_models(
-        Box::new(FreeSpace { alpha: SCALE_ALPHA }),
+        PathLoss::FreeSpace(FreeSpace { alpha: SCALE_ALPHA }),
         CCH_FREQ_HZ,
         PhyConfig::default(),
     );

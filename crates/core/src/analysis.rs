@@ -147,65 +147,6 @@ pub fn collider_split(records: &[ExperimentRecord]) -> ColliderSplit {
     split
 }
 
-/// Severity grade of one experiment — the paper grades severity "based on
-/// the magnitude of vehicle decelerations and collision incidents"
-/// (§III-A Step 4). Higher is worse; collisions additionally carry the
-/// impact speed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SeverityGrade {
-    /// No behavioural change at all.
-    Unaffected,
-    /// Behaviour changed within the golden envelope.
-    Disturbed,
-    /// Uncomfortable braking (above golden max, at most 5 m/s²).
-    HardBraking {
-        /// Peak deceleration, m/s².
-        decel_mps2: f64,
-    },
-    /// Emergency braking (above 5 m/s²) without collision.
-    EmergencyBraking {
-        /// Peak deceleration, m/s².
-        decel_mps2: f64,
-    },
-    /// A collision occurred.
-    Collision {
-        /// Relative speed at impact, m/s (collider minus victim).
-        impact_speed_mps: f64,
-    },
-}
-
-impl SeverityGrade {
-    /// Ordinal rank (0 = unaffected … 4 = collision).
-    pub fn rank(&self) -> u8 {
-        match self {
-            SeverityGrade::Unaffected => 0,
-            SeverityGrade::Disturbed => 1,
-            SeverityGrade::HardBraking { .. } => 2,
-            SeverityGrade::EmergencyBraking { .. } => 3,
-            SeverityGrade::Collision { .. } => 4,
-        }
-    }
-}
-
-/// Grades one verdict (paper Step 4's severity grading).
-pub fn severity_grade(verdict: &crate::classify::Verdict) -> SeverityGrade {
-    if let Some(c) = &verdict.first_collision {
-        return SeverityGrade::Collision {
-            impact_speed_mps: c.collider_speed_mps - c.victim_speed_mps,
-        };
-    }
-    match verdict.class {
-        Classification::NonEffective => SeverityGrade::Unaffected,
-        Classification::Negligible => SeverityGrade::Disturbed,
-        Classification::Benign => SeverityGrade::HardBraking {
-            decel_mps2: verdict.max_decel_mps2,
-        },
-        Classification::Severe => SeverityGrade::EmergencyBraking {
-            decel_mps2: verdict.max_decel_mps2,
-        },
-    }
-}
-
 /// Finds the saturation point of a severe-count curve: the smallest key
 /// beyond which the severe count never deviates from its value there by
 /// more than `tolerance` (as a fraction of the bucket size). The paper's
@@ -402,27 +343,6 @@ mod tests {
         // attack start (see `record`).
         assert_eq!(stats.count(), 3);
         assert!((stats.mean() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn severity_grades_rank_correctly() {
-        let r = sample();
-        let grades: Vec<SeverityGrade> = r.iter().map(|x| severity_grade(&x.verdict)).collect();
-        assert_eq!(grades[6], SeverityGrade::Unaffected);
-        assert_eq!(grades[0], SeverityGrade::Disturbed);
-        assert!(matches!(grades[1], SeverityGrade::HardBraking { .. }));
-        // record 7 is severe without collision -> emergency braking.
-        assert!(matches!(grades[7], SeverityGrade::EmergencyBraking { .. }));
-        match grades[2] {
-            SeverityGrade::Collision { impact_speed_mps } => {
-                assert!((impact_speed_mps - 1.0).abs() < 1e-12);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(grades[2].rank() > grades[7].rank());
-        assert!(grades[7].rank() > grades[1].rank());
-        assert!(grades[1].rank() > grades[0].rank());
-        assert!(grades[0].rank() > grades[6].rank());
     }
 
     #[test]

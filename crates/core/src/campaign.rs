@@ -86,8 +86,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use comfase_des::sim::EventBudget;
 use comfase_des::time::SimTime;
 use comfase_obs::{
-    CampaignMetrics, DatasetHeader, DatasetSink, ExperimentExport, ExperimentLabel,
-    ExperimentMetrics, ObsConfig, WallDeadline, DATASET_SCHEMA_VERSION,
+    CampaignMetrics, DatasetHeader, ExperimentExport, ExperimentLabel, ExperimentMetrics,
+    ObsConfig, WallDeadline, DATASET_SCHEMA_VERSION,
 };
 use comfase_traffic::trace::GoldenSpeeds;
 
@@ -162,6 +162,23 @@ pub trait WorkSource: Send + Sync + std::fmt::Debug {
     /// marked complete would be stolen and pointlessly re-executed
     /// forever.
     fn complete(&self, unit: &WorkUnit) -> Result<(), ComfaseError>;
+}
+
+/// Destination for exported experiments ([`RunConfig::dataset`]).
+///
+/// Implementations must be safe to call from multiple worker threads and
+/// must tolerate the same experiment being exported more than once with
+/// identical bytes (steal re-execution, a re-run into the same directory).
+/// `comfase-dist` implements it as a directory of shards.
+pub trait DatasetSink: Send + Sync + std::fmt::Debug {
+    /// Exports one labeled experiment. Called once per finished
+    /// experiment, before its journal row is appended, so a resumed
+    /// campaign never leaves a journaled row without its shard.
+    ///
+    /// # Errors
+    ///
+    /// [`ComfaseError::Io`]; the campaign aborts with the error.
+    fn export(&self, export: &ExperimentExport) -> Result<(), ComfaseError>;
 }
 
 /// The coarse phases of a campaign run, in execution order.
@@ -1025,7 +1042,7 @@ impl ResultSink<'_> {
                         capture: dataset.unwrap_or_default(),
                     });
                     if let Err(e) = exported {
-                        return self.fail(ComfaseError::Io(format!("dataset export failed: {e}")));
+                        return self.fail(e);
                     }
                 }
                 if let Some(journal) = self.journal {

@@ -180,8 +180,8 @@ impl Engine {
 
     /// The three phases of one experiment on `world`, which is at t = 0 or
     /// at an attack-free point no later than `attack.start`; returns the
-    /// finished world. [`Engine::run_experiment`],
-    /// [`Engine::run_experiment_from`] and the campaign runner share it.
+    /// finished world. [`Engine::run_experiment`] and the campaign runner
+    /// share it.
     pub(crate) fn experiment(
         &self,
         mut world: World,
@@ -204,29 +204,13 @@ impl Engine {
         }
     }
 
-    /// Builds an attack-free prefix snapshot: a [`World`] simulated from
-    /// t = 0 to `until` with the pristine communication model.
-    ///
-    /// A campaign with many experiments sharing the same `attack.start`
-    /// builds this once and forks each experiment from it with
-    /// [`Engine::run_experiment_from`], skipping the shared prefix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates world-construction failures.
-    pub fn prefix_snapshot(&self, until: SimTime) -> Result<World, ComfaseError> {
-        let mut world = self.build_world()?;
-        world.run_until(until);
-        Ok(world)
-    }
-
     /// Builds one attack-free prefix snapshot per entry of `starts`
     /// (ascending, deduplicated) by advancing a *single* world through the
     /// sorted start times and snapshotting at each — the level-1 chain of
     /// the snapshot DAG. Splitting `run_until` at the snapshot points is
-    /// event-exact, so `result[i]` is bit-identical to
-    /// [`Engine::prefix_snapshot`]`(starts[i])` at the cost of one pass
-    /// over `[0, starts.last()]` instead of one pass per start.
+    /// event-exact, so `result[i]` is bit-identical to a world simulated
+    /// from t = 0 to `starts[i]` alone, at the cost of one pass over
+    /// `[0, starts.last()]` instead of one pass per start.
     ///
     /// # Errors
     ///
@@ -247,32 +231,6 @@ impl Engine {
             snapshots.push(world.clone());
         }
         snapshots
-    }
-
-    /// Step 3, one experiment, resumed from a prefix snapshot.
-    ///
-    /// `prefix` must be a snapshot produced by
-    /// [`Engine::prefix_snapshot`]`(attack.start)` on this engine; the run
-    /// is then bit-identical to [`Engine::run_experiment`] with the same
-    /// `attack` and `experiment_index`, at a fraction of the cost — a
-    /// faulting experiment reproduces the identical error, because all
-    /// fault state (event counters, numeric guards) is simulation state
-    /// carried by the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ComfaseError::BudgetExceeded`] /
-    /// [`ComfaseError::NumericDiverged`] when the run faults.
-    pub fn run_experiment_from(
-        &self,
-        prefix: &World,
-        attack: &AttackSpec,
-        experiment_index: u64,
-    ) -> Result<RunLog, ComfaseError> {
-        // The prefix already covers [0, attack.start), so the first phase
-        // has nothing left to simulate.
-        self.experiment(prefix.clone(), attack, experiment_index)
-            .map(World::into_log)
     }
 
     /// Step 4 for one experiment: classify against a golden run.
@@ -403,15 +361,22 @@ mod tests {
             end: SimTime::from_secs(22),
         };
         let scratch = e.run_experiment(&attack, 3).unwrap();
-        let prefix = e.prefix_snapshot(attack.start).unwrap();
-        let forked = e.run_experiment_from(&prefix, &attack, 3).unwrap();
+        let prefix = e
+            .prefix_snapshots_chained(&[attack.start])
+            .unwrap()
+            .remove(0);
+        let fork = || {
+            e.experiment(prefix.clone(), &attack, 3)
+                .map(World::into_log)
+                .unwrap()
+        };
+        let forked = fork();
         assert_eq!(
             scratch, forked,
             "fork-resumed run must equal the from-scratch run"
         );
         // The prefix is reusable: forking again gives the same log.
-        let again = e.run_experiment_from(&prefix, &attack, 3).unwrap();
-        assert_eq!(forked, again);
+        assert_eq!(forked, fork());
     }
 
     #[test]

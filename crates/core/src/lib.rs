@@ -70,8 +70,9 @@ pub mod prelude {
     pub use crate::cache::{CacheEntry, CacheKey, CacheKeyBase, CacheLookup, ExperimentCache};
     pub use crate::campaign::{
         plan_units, Campaign, CampaignObserver, CampaignPhase, CampaignResult, CampaignStats,
-        ChaosConfig, DagPlan, DagUnit, ExecutionMode, ExperimentFailure, ExperimentRecord,
-        FailureKind, FailurePolicy, LeaseState, NullObserver, RunConfig, WorkSource, WorkUnit,
+        ChaosConfig, DagPlan, DagUnit, DatasetSink, ExecutionMode, ExperimentFailure,
+        ExperimentRecord, FailureKind, FailurePolicy, LeaseState, NullObserver, RunConfig,
+        WorkSource, WorkUnit,
     };
     pub use crate::classify::{Classification, ClassificationParams, Verdict};
     pub use crate::config::{
@@ -87,7 +88,7 @@ pub mod prelude {
     pub use crate::world::{IndexingMode, JammerSpec, RunFault, RunFaultKind, World};
     pub use comfase_des::sim::EventBudget;
     pub use comfase_obs::{
-        chrome_trace_json, CampaignMetrics, DatasetSink, DirSink, ExperimentMetrics,
-        FrameBreakdown, HostProfiler, KernelCounters, MetricsSnapshot, ObsConfig, WallDeadline,
+        chrome_trace_json, CampaignMetrics, ExperimentMetrics, FrameBreakdown, HostProfiler,
+        KernelCounters, MetricsSnapshot, ObsConfig, WallDeadline,
     };
 }

@@ -16,7 +16,7 @@ use comfase_wireless::decider::{DeciderResult, LossReason};
 use comfase_wireless::frame::{AccessCategory, NodeId, Wsm};
 use comfase_wireless::geom::Position;
 use comfase_wireless::mac::{Mac, MacAction};
-use comfase_wireless::pathloss::PathLossModel;
+use comfase_wireless::pathloss::PathLoss;
 use comfase_wireless::phy::PhyConfig;
 use comfase_wireless::units::CCH_FREQ_HZ;
 
@@ -74,7 +74,7 @@ pub(crate) struct Radio<A> {
 
 impl<A> Radio<A> {
     /// A stack on the WAVE control channel with Veins' default PHY.
-    pub(crate) fn new(pathloss: Box<dyn PathLossModel>) -> Self {
+    pub(crate) fn new(pathloss: PathLoss) -> Self {
         Radio {
             medium: Medium::with_models(pathloss, CCH_FREQ_HZ, PhyConfig::default()),
             nodes: BTreeMap::new(),
@@ -357,7 +357,7 @@ mod tests {
     fn send_then_cut_off(silence: bool) -> (u32, u64) {
         let mut sim: Simulator<RadioEvent> = Simulator::new(1);
         let mut obs = SimRecorder::new(ObsConfig::metrics_only());
-        let mut radio: Radio<u32> = Radio::new(Box::new(FreeSpace::default()));
+        let mut radio: Radio<u32> = Radio::new(PathLoss::FreeSpace(FreeSpace::default()));
         for (node, x) in [(1, 0.0), (2, 20.0)] {
             let mac = Mac::new(MacConfig::default(), sim.rng(StreamId(node.into())));
             radio.add_node(node, mac, 0);

@@ -42,7 +42,7 @@ use comfase_wireless::channel::{ChannelInterceptor, LinkFate};
 use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
 use comfase_wireless::geom::Position;
 use comfase_wireless::mac::{Mac, MacConfig};
-use comfase_wireless::pathloss::FreeSpace;
+use comfase_wireless::pathloss::{FreeSpace, PathLoss};
 
 use crate::error::ComfaseError;
 use crate::log::RunLog;
@@ -368,7 +368,7 @@ impl TeleopWorld {
         ))?;
         traffic.set_external_control(VehicleId(OBSTACLE_VEHICLE))?;
 
-        let mut radio = Radio::new(Box::new(FreeSpace::default()));
+        let mut radio = Radio::new(PathLoss::FreeSpace(FreeSpace::default()));
         let mac = |stream| Mac::new(MacConfig::default(), sim.rng(StreamId(stream)));
         radio.add_node(TELEOP_VEHICLE, mac(1), ());
         radio.add_node(OPERATOR_NODE, mac(2), ());

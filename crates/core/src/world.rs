@@ -37,9 +37,7 @@ use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
 use comfase_wireless::geom::Position;
 use comfase_wireless::mac::{Mac, MacConfig};
 use comfase_wireless::mac1609::ChannelSchedule;
-use comfase_wireless::pathloss::{
-    FreeSpace, LogNormalShadowing, PathLossModel, TwoRayInterference,
-};
+use comfase_wireless::pathloss::{FreeSpace, LogNormalShadowing, PathLoss, TwoRayInterference};
 
 use crate::config::{CommModel, ManeuverKind, TrafficScenario, WirelessModelKind};
 use crate::error::ComfaseError;
@@ -154,16 +152,16 @@ struct Member {
     monitor: Option<SafetyMonitor>,
 }
 
-fn build_maneuver(kind: ManeuverKind, base_speed: f64) -> Box<dyn Maneuver> {
+fn build_maneuver(kind: ManeuverKind, base_speed: f64) -> Maneuver {
     match kind {
-        ManeuverKind::ConstantSpeed => Box::new(ConstantSpeed {
+        ManeuverKind::ConstantSpeed => Maneuver::ConstantSpeed(ConstantSpeed {
             speed_mps: base_speed,
         }),
         ManeuverKind::Sinusoidal {
             amplitude_mps,
             freq_hz,
             start_s,
-        } => Box::new(Sinusoidal {
+        } => Maneuver::Sinusoidal(Sinusoidal {
             base_mps: base_speed,
             amplitude_mps,
             freq_hz,
@@ -172,7 +170,7 @@ fn build_maneuver(kind: ManeuverKind, base_speed: f64) -> Box<dyn Maneuver> {
         ManeuverKind::Braking {
             brake_at_s,
             decel_mps2,
-        } => Box::new(Braking {
+        } => Maneuver::Braking(Braking {
             cruise_mps: base_speed,
             brake_at: SimTime::from_secs_f64(brake_at_s),
             decel_mps2,
@@ -186,11 +184,15 @@ fn background_vehicle_id(platoon_members: &[u32], i: usize) -> u32 {
     platoon_members.iter().copied().max().unwrap_or(0) + 1 + i as u32
 }
 
-fn build_pathloss(kind: WirelessModelKind) -> Box<dyn PathLossModel> {
+fn build_pathloss(kind: WirelessModelKind) -> PathLoss {
     match kind {
-        WirelessModelKind::FreeSpace => Box::new(FreeSpace::default()),
-        WirelessModelKind::TwoRayInterference => Box::new(TwoRayInterference::default()),
-        WirelessModelKind::LogNormalShadowing => Box::new(LogNormalShadowing::default()),
+        WirelessModelKind::FreeSpace => PathLoss::FreeSpace(FreeSpace::default()),
+        WirelessModelKind::TwoRayInterference => {
+            PathLoss::TwoRayInterference(TwoRayInterference::default())
+        }
+        WirelessModelKind::LogNormalShadowing => {
+            PathLoss::LogNormalShadowing(LogNormalShadowing::default())
+        }
     }
 }
 
@@ -914,7 +916,10 @@ mod tests {
         let mut scenario = TrafficScenario::paper_default();
         scenario.total_sim_time = SimTime::from_secs(5);
         let mut w = World::new(&scenario, &comm, 1).unwrap();
-        assert_eq!(w.medium().pathloss_name(), "LogNormalShadowing");
+        assert_eq!(
+            w.medium().pathloss(),
+            PathLoss::LogNormalShadowing(LogNormalShadowing::default())
+        );
         w.run_to_end();
         let log = w.into_log();
         // At platooning distances shadowing rarely kills frames, but the

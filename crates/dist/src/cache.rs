@@ -46,7 +46,7 @@ pub struct DiskCache {
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Publishes `dest` atomically, the one write path of this crate (cache
-/// entries, claim-ledger files, the dataset corpus and manifest).
+/// entries, claim-ledger files, dataset shards, corpus and manifest).
 ///
 /// `write` fills a unique `.tmp-*` file in `dest`'s directory, which is
 /// fsync'd and renamed over `dest`; the directory is then fsync'd too, so
@@ -57,7 +57,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 pub(crate) fn publish(
     dest: &Path,
     write: impl FnOnce(&mut File) -> std::io::Result<()>,
-    io_err: fn(&Path, &std::io::Error) -> ComfaseError,
+    io_err: impl Fn(&Path, &std::io::Error) -> ComfaseError,
 ) -> Result<(), ComfaseError> {
     let dir = match dest.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,

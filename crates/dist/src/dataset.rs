@@ -1,10 +1,11 @@
-// comfase-lint: host-region(reason = "dataset corpus assembly: durable file I/O over shards already rendered by the deterministic obs-side renderer; this module only validates, orders and concatenates bytes, so it can never alter what a simulation produced")
+// comfase-lint: host-region(reason = "dataset shard publication and corpus assembly: durable file I/O over shards rendered by the deterministic obs-side renderer; this module only writes, validates, orders and concatenates those bytes, so it can never alter what a simulation produced")
 
-//! Reassembling exported dataset shards into one corpus.
+//! Writing dataset shards and reassembling them into one corpus.
 //!
 //! Campaign workers export one `exp-<index>.jsonl` shard per experiment
-//! (see `comfase_obs::dataset`), whether they run as a single process or
-//! as claim-driven workers sharing a directory. The merge
+//! through a [`DirSink`] (rendered by `comfase_obs::dataset`), whether
+//! they run as a single process or as claim-driven workers sharing a
+//! directory. The merge
 //! validates the shard set and concatenates it — in experiment-index
 //! order — into `corpus.jsonl`, plus a `manifest.json` recording
 //! per-shard and whole-corpus FNV-1a 64 hashes.
@@ -31,12 +32,50 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use comfase::campaign::DatasetSink;
 use comfase::fingerprint::{fnv1a64, fnv1a64_extend, FNV_OFFSET};
 use comfase::prelude::ComfaseError;
-use comfase_obs::dataset::{parse_header, split_line, DatasetHeader, DATASET_SCHEMA_VERSION};
+use comfase_obs::dataset::{
+    parse_header, render_experiment, shard_file_name, split_line, DatasetHeader, ExperimentExport,
+    DATASET_SCHEMA_VERSION,
+};
 
 use crate::cache::publish;
 use crate::merge::{index_ranges, IndexRange};
+
+/// Sink writing one `exp-<index>.jsonl` shard per experiment into a
+/// directory through the crate's atomic publish path (temp file, fsync,
+/// rename, directory fsync; the temp file is removed on any error), so any
+/// number of workers can export into the same directory concurrently and a
+/// re-export replaces a shard with the same bytes.
+#[derive(Debug)]
+pub struct DirSink {
+    root: PathBuf,
+}
+
+impl DirSink {
+    /// Opens (creating if needed) a dataset directory.
+    ///
+    /// # Errors
+    ///
+    /// [`ComfaseError::Io`] when the directory cannot be created.
+    pub fn create(root: impl Into<PathBuf>) -> Result<Self, ComfaseError> {
+        let root = root.into();
+        fs::create_dir_all(&root).map_err(|e| io_err(&root, &e))?;
+        Ok(DirSink { root })
+    }
+}
+
+impl DatasetSink for DirSink {
+    fn export(&self, export: &ExperimentExport) -> Result<(), ComfaseError> {
+        let shard = self.root.join(shard_file_name(export.label.index));
+        publish(
+            &shard,
+            |f| f.write_all(&render_experiment(export)),
+            |_, e| ComfaseError::Io(format!("dataset shard {}: {e}", shard.display())),
+        )
+    }
+}
 
 /// Result of a successful corpus merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,9 +326,7 @@ pub fn merge_dataset_dirs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comfase_obs::dataset::{
-        render_experiment, shard_file_name, DatasetCapture, ExperimentExport, ExperimentLabel,
-    };
+    use comfase_obs::dataset::{DatasetCapture, ExperimentLabel};
 
     fn tmp_root(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -420,5 +457,42 @@ mod tests {
         let err = merge_dataset_dirs(&[shards], &root.join("m")).unwrap_err();
         assert!(err.to_string().contains("should be named"), "got: {err}");
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_sink_publishes_idempotently() {
+        let dir = tmp_root("sink");
+        let sink = DirSink::create(&dir).expect("sink opens");
+        let export = export(2, 8);
+        sink.export(&export).expect("first export");
+        let first = fs::read(dir.join(shard_file_name(2))).expect("shard exists");
+        // Re-export (steal re-execution) replaces the shard with the same
+        // bytes and leaves no temp files behind.
+        sink.export(&export).expect("second export");
+        let second = fs::read(dir.join(shard_file_name(2))).expect("shard exists");
+        assert_eq!(first, second);
+        assert!(temp_files(&dir).is_empty(), "temp files must not survive");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_sink_failure_names_the_shard_and_leaves_no_temp_file() {
+        let dir = tmp_root("sink-fail");
+        let sink = DirSink::create(&dir).expect("sink opens");
+        // A directory in the shard's place makes the rename fail after the
+        // temp file was written.
+        fs::create_dir_all(dir.join(shard_file_name(3)).join("occupied")).unwrap();
+        let err = sink.export(&export(3, 8)).unwrap_err().to_string();
+        assert!(err.contains(&shard_file_name(3)), "{err}");
+        assert!(temp_files(&dir).is_empty(), "temp files must not survive");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn temp_files(dir: &Path) -> Vec<fs::DirEntry> {
+        fs::read_dir(dir)
+            .expect("readable")
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+            .collect()
     }
 }

@@ -27,10 +27,11 @@
 //!    by `(spec, seed, configuration)` return their journaled rows
 //!    without simulating on a re-run, with size-bounded garbage
 //!    collection ([`DiskCache::gc`]) for long-lived shared caches.
-//! 4. **Dataset merger** ([`dataset`]) — reassembles per-experiment
-//!    `exp-*.jsonl` dataset shards (see `comfase_obs::dataset`) into one
-//!    `corpus.jsonl` + `manifest.json`, byte-identical regardless of how
-//!    many workers exported them, under the same identity/coverage/
+//! 4. **Dataset shards** ([`dataset`]) — [`DirSink`] publishes one
+//!    `exp-*.jsonl` shard per experiment (rendered by
+//!    `comfase_obs::dataset`), and the merger reassembles the shards into
+//!    one `corpus.jsonl` + `manifest.json`, byte-identical regardless of
+//!    how many workers exported them, under the same identity/coverage/
 //!    equal-or-reject rules as the journal merger.
 //!
 //! Everything here is host-side tooling; no simulation state lives in
@@ -50,9 +51,8 @@ pub mod worker;
 
 pub use cache::{DiskCache, GcStats};
 pub use claim::{default_unit_size, ClaimLedger, Lease, LeaseView};
-pub use dataset::{merge_dataset_dirs, DatasetMergeReport};
+pub use dataset::{merge_dataset_dirs, DatasetMergeReport, DirSink};
 pub use merge::{
-    index_ranges, merge_journals, merge_journals_detailed, merge_states, merge_states_detailed,
-    CoverageGap, IndexRange, MergeFailure,
+    index_ranges, merge_journals, merge_states, CoverageGap, IndexRange, MergeFailure,
 };
 pub use worker::ClaimSource;

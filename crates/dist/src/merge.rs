@@ -131,28 +131,18 @@ impl From<ComfaseError> for MergeFailure {
 ///
 /// # Errors
 ///
-/// [`ComfaseError::Io`] for unreadable or malformed journals;
-/// [`ComfaseError::InvalidConfig`] when the journals are well-formed but
-/// do not assemble into one complete campaign (see the module docs for
-/// the full list of refusals).
-pub fn merge_journals<P: AsRef<Path>>(paths: &[P]) -> Result<CampaignMetrics, ComfaseError> {
-    merge_journals_detailed(paths).map_err(|f| f.error)
-}
-
-/// As [`merge_journals`], but a coverage-gap refusal carries the exact
-/// missing ranges as data ([`MergeFailure::gap`]).
-///
-/// # Errors
-///
-/// As for [`merge_journals`].
-pub fn merge_journals_detailed<P: AsRef<Path>>(
-    paths: &[P],
-) -> Result<CampaignMetrics, MergeFailure> {
+/// A [`MergeFailure`] whose error is [`ComfaseError::Io`] for unreadable
+/// or malformed journals, or [`ComfaseError::InvalidConfig`] when the
+/// journals are well-formed but do not assemble into one complete
+/// campaign (see the module docs for the full list of refusals). A
+/// coverage-gap refusal carries the exact missing ranges as data
+/// ([`MergeFailure::gap`]).
+pub fn merge_journals<P: AsRef<Path>>(paths: &[P]) -> Result<CampaignMetrics, MergeFailure> {
     let states = paths
         .iter()
         .map(|p| read_journal(p.as_ref()))
         .collect::<Result<Vec<_>, _>>()?;
-    merge_states_detailed(&states)
+    merge_states(&states)
 }
 
 /// Merges already-parsed journal states. Separated from
@@ -162,16 +152,7 @@ pub fn merge_journals_detailed<P: AsRef<Path>>(
 /// # Errors
 ///
 /// As for [`merge_journals`].
-pub fn merge_states(states: &[JournalState]) -> Result<CampaignMetrics, ComfaseError> {
-    merge_states_detailed(states).map_err(|f| f.error)
-}
-
-/// As [`merge_states`], with the structured coverage gap on refusal.
-///
-/// # Errors
-///
-/// As for [`merge_journals`].
-pub fn merge_states_detailed(states: &[JournalState]) -> Result<CampaignMetrics, MergeFailure> {
+pub fn merge_states(states: &[JournalState]) -> Result<CampaignMetrics, MergeFailure> {
     if states.is_empty() {
         return Err(
             ComfaseError::InvalidConfig("merge requires at least one journal".into()).into(),
@@ -394,8 +375,8 @@ mod tests {
         }
     }
 
-    fn is_invalid(err: ComfaseError) -> bool {
-        matches!(err, ComfaseError::InvalidConfig(_))
+    fn is_invalid(failure: MergeFailure) -> bool {
+        matches!(failure.error, ComfaseError::InvalidConfig(_))
     }
 
     #[test]
@@ -432,8 +413,8 @@ mod tests {
         let msg = err.to_string();
         assert!(is_invalid(err));
         assert!(msg.contains("2-3"), "unexpected message: {msg}");
-        // The detailed API carries the gap as data.
-        let failure = merge_states_detailed(&[a]).unwrap_err();
+        // The failure carries the gap as data.
+        let failure = merge_states(&[a]).unwrap_err();
         let gap = failure.gap.expect("a coverage gap carries structure");
         assert_eq!(gap.total, 4);
         assert_eq!(gap.covered, 2);
@@ -446,7 +427,7 @@ mod tests {
         let total = 12;
         // Covered: 0, 2-3, 7, 11 → missing runs 1, 4-6, 8-10.
         let a = state(total, &[0, 2, 3, 7, 11]);
-        let failure = merge_states_detailed(&[a]).unwrap_err();
+        let failure = merge_states(&[a]).unwrap_err();
         let gap = failure.gap.unwrap();
         assert_eq!(
             gap.missing,
@@ -462,7 +443,7 @@ mod tests {
             "merged journals cover 5/12 experiments; missing indices 1, 4-6, 8-10"
         );
         // Non-gap refusals carry no structure.
-        let plain = merge_states_detailed(&[]).unwrap_err();
+        let plain = merge_states(&[]).unwrap_err();
         assert!(plain.gap.is_none());
     }
 
@@ -471,7 +452,7 @@ mod tests {
         // Machine-readable (`--format json`): the gap serializes with
         // half-open ranges.
         let a = state(12, &[0, 2, 3, 7, 11]);
-        let gap = merge_states_detailed(&[a]).unwrap_err().gap.unwrap();
+        let gap = merge_states(&[a]).unwrap_err().gap.unwrap();
         let json = comfase_json::to_string(&gap);
         assert!(json.contains("\"missing\":[{\"lo\":1,\"hi\":2}"), "{json}");
     }
@@ -497,7 +478,15 @@ mod tests {
     #[test]
     fn entries_that_disagree_with_their_index_are_rejected_as_corrupt() {
         let total = 3;
-        let is_corrupt = |s: JournalState| matches!(merge_states(&[s]), Err(ComfaseError::Io(_)));
+        let is_corrupt = |s: JournalState| {
+            matches!(
+                merge_states(&[s]),
+                Err(MergeFailure {
+                    error: ComfaseError::Io(_),
+                    ..
+                })
+            )
+        };
         // A metrics row moved to another index: the journal still covers
         // 0..3, but the artifact would list experiment 2's row twice.
         let mut moved = state(total, &[0, 1, 2]);

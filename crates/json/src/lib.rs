@@ -370,15 +370,9 @@ impl FromJson for String {
     }
 }
 
-impl ToJson for Cow<'_, str> {
+impl<T: ToJson + ?Sized> ToJson for &T {
     fn write_json(&self, w: &mut Writer<'_>) {
-        self.as_ref().write_json(w);
-    }
-}
-
-impl FromJson for Cow<'static, str> {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        String::from_json(v).map(Cow::Owned)
+        (**self).write_json(w);
     }
 }
 

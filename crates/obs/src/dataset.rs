@@ -1,4 +1,3 @@
-// comfase-lint: host-region(reason = "dataset sinks write JSONL shards to disk; the record/capture types above the sink boundary are pure sim state and stay under the full rule set")
 //! Streaming attack-labeled dataset export.
 //!
 //! Campaign execution is a data factory: every PHY frame decision and every
@@ -13,13 +12,16 @@
 //!   snapshot forks, so a forked run and a from-scratch run capture
 //!   byte-identical rows. Rows are label-free — the attack/verdict labels
 //!   are only known at the campaign layer and are stamped at export time.
-//! - **Host-side export** — a [`DatasetSink`] receives one
-//!   `(label, capture)` pair per finished experiment and writes it as a
-//!   length-delimited JSON-lines shard (`exp-<index>.jsonl`) via atomic
-//!   temp+rename publication, so concurrent workers (including steal
-//!   re-executions of the same experiment) can export into one directory
-//!   without coordination: identical inputs render identical bytes, and a
-//!   re-published shard simply replaces itself.
+//! - **Rendering for export** — [`render_experiment`] turns one
+//!   [`ExperimentExport`] (campaign identity, label, capture) into a
+//!   length-delimited JSON-lines shard. The campaign hands each finished
+//!   experiment to a `comfase::campaign::DatasetSink`; the
+//!   `comfase_dist::DirSink` writes it as `exp-<index>.jsonl` through an
+//!   atomic temp-file-plus-rename publication, so concurrent workers
+//!   (including steal re-executions of the same experiment) can export into
+//!   one directory without coordination: identical inputs render identical
+//!   bytes, and a re-published shard simply replaces itself. This module
+//!   does no I/O.
 //!
 //! Every shard opens with a schema header stamped with the campaign
 //! fingerprint (the same identity the journal header carries), so a merge
@@ -31,9 +33,6 @@
 //! execution mode, or steal events.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use comfase_json::{write_f64, Fields, ToJson, Writer};
 
@@ -412,79 +411,6 @@ pub fn shard_file_name(index: usize) -> String {
     format!("exp-{index:06}.jsonl")
 }
 
-/// Destination for exported experiments.
-///
-/// Implementations must be safe to call from multiple worker threads and
-/// must tolerate the same experiment being exported more than once with
-/// identical bytes (steal re-execution, a re-run into the same directory).
-pub trait DatasetSink: Send + Sync + std::fmt::Debug {
-    /// Exports one labeled experiment. Called once per finished
-    /// experiment, before its journal row is appended, so a resumed
-    /// campaign never leaves a journaled row without its shard.
-    fn export(&self, export: &ExperimentExport) -> io::Result<()>;
-}
-
-/// Sink writing one `exp-<index>.jsonl` shard per experiment into a
-/// directory, via atomic temp+rename publication (the same idempotent
-/// pattern the result cache uses), so any number of workers can export
-/// into the same directory concurrently.
-#[derive(Debug)]
-pub struct DirSink {
-    root: PathBuf,
-}
-
-/// Per-process temp-file sequence, shared by every [`DirSink`] of the
-/// process (combined with the pid) so two sinks over one directory —
-/// claim workers in one process — never collide on a temp name.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl DirSink {
-    /// Opens (creating if needed) a dataset directory.
-    pub fn create(root: impl Into<PathBuf>) -> io::Result<Self> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)?;
-        Ok(DirSink { root })
-    }
-
-    /// The directory shards are written into.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-}
-
-impl DatasetSink for DirSink {
-    fn export(&self, export: &ExperimentExport) -> io::Result<()> {
-        let bytes = render_experiment(export);
-        let dest = self.root.join(shard_file_name(export.label.index));
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.root.join(format!(".tmp-{}-{seq}", std::process::id()));
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
-        }
-        match std::fs::rename(&tmp, &dest) {
-            // The journal row written after the export is fsync'd, so the
-            // renamed shard's directory entry must be durable first.
-            Ok(()) => {
-                let dir = match dest.parent() {
-                    Some(dir) if !dir.as_os_str().is_empty() => dir,
-                    _ => Path::new("."),
-                };
-                std::fs::File::open(dir)?.sync_all()
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,27 +581,5 @@ mod tests {
         assert!(String::from_utf8(render_experiment(&export))
             .unwrap()
             .contains("\"kind\":\"dropped\""));
-    }
-
-    #[test]
-    fn dir_sink_publishes_idempotently() {
-        let dir = std::env::temp_dir().join(format!("comfase-dataset-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sink = DirSink::create(&dir).expect("sink opens");
-        let export = sample_export(2);
-        sink.export(&export).expect("first export");
-        let first = std::fs::read(dir.join(shard_file_name(2))).expect("shard exists");
-        // Re-export (steal re-execution) replaces the shard with the same
-        // bytes and leaves no temp files behind.
-        sink.export(&export).expect("second export");
-        let second = std::fs::read(dir.join(shard_file_name(2))).expect("shard exists");
-        assert_eq!(first, second);
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .expect("readable")
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
-            .collect();
-        assert!(leftovers.is_empty(), "temp files must not survive");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

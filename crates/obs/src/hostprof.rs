@@ -57,21 +57,6 @@ impl HostProfiler {
         }
     }
 
-    /// Elapsed seconds of a still-open phase (most recently begun with
-    /// `name`), without ending it. `None` if no such phase is open.
-    ///
-    /// This is the clock primitive behind [`WallDeadline`]: the read uses
-    /// the start stamp taken by [`HostProfiler::begin`], keeping every
-    /// wall-clock access inside this sanctioned module.
-    pub fn open_elapsed_seconds(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .open
-            .iter()
-            .rfind(|(n, _)| n == name)
-            .map(|(_, started)| started.elapsed().as_secs_f64())
-    }
-
     /// Finished phases in completion order, as `(name, seconds)`.
     pub fn report(&self) -> Vec<(String, f64)> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -93,41 +78,24 @@ impl HostProfiler {
 /// journal for resume. The *reproducible* watchdog is the sim-side event
 /// budget (`comfase_des::EventBudget`), which trips identically on every
 /// host and thread count.
-///
-/// Built on [`HostProfiler`] so the wall-clock reads stay inside the one
-/// sanctioned clock module.
 #[derive(Debug)]
 pub struct WallDeadline {
-    clock: HostProfiler,
+    started: Instant,
     budget_s: f64,
 }
-
-/// Phase name the deadline stopwatch runs under.
-const DEADLINE_PHASE: &str = "wall-deadline";
 
 impl WallDeadline {
     /// Starts a deadline expiring `budget_s` wall-clock seconds from now.
     pub fn after_secs(budget_s: f64) -> Self {
-        let clock = HostProfiler::new();
-        clock.begin(DEADLINE_PHASE);
-        WallDeadline { clock, budget_s }
-    }
-
-    /// The configured budget in seconds.
-    pub fn budget_seconds(&self) -> f64 {
-        self.budget_s
-    }
-
-    /// Wall-clock seconds elapsed since the deadline was started.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.clock
-            .open_elapsed_seconds(DEADLINE_PHASE)
-            .unwrap_or(0.0)
+        WallDeadline {
+            started: Instant::now(),
+            budget_s,
+        }
     }
 
     /// `true` once the budget has elapsed.
     pub fn expired(&self) -> bool {
-        self.elapsed_seconds() >= self.budget_s
+        self.started.elapsed().as_secs_f64() >= self.budget_s
     }
 }
 
@@ -166,22 +134,8 @@ mod tests {
     }
 
     #[test]
-    fn open_phase_elapsed_is_readable_without_ending_it() {
-        let p = HostProfiler::new();
-        assert_eq!(p.open_elapsed_seconds("campaign"), None);
-        p.begin("campaign");
-        let secs = p.open_elapsed_seconds("campaign").unwrap();
-        assert!(secs >= 0.0);
-        // Still open: nothing finished yet.
-        assert!(p.report().is_empty());
-    }
-
-    #[test]
     fn generous_deadline_does_not_expire() {
-        let d = WallDeadline::after_secs(3600.0);
-        assert_eq!(d.budget_seconds(), 3600.0);
-        assert!(!d.expired());
-        assert!(d.elapsed_seconds() < 3600.0);
+        assert!(!WallDeadline::after_secs(3600.0).expired());
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub mod recorder;
 pub mod trace;
 
 pub use dataset::{
-    render_experiment, DatasetCapture, DatasetHeader, DatasetSink, DirSink, ExperimentExport,
-    ExperimentLabel, FrameFate, FrameRecord, StepRecord, DATASET_SCHEMA_VERSION,
+    render_experiment, DatasetCapture, DatasetHeader, ExperimentExport, ExperimentLabel, FrameFate,
+    FrameRecord, StepRecord, DATASET_SCHEMA_VERSION,
 };
 pub use hostprof::{HostProfiler, WallDeadline};
 pub use metrics::{

@@ -17,7 +17,6 @@
 //! depend only on the seed and the configuration, never on wall time,
 //! thread count, or execution mode (fork vs. scratch).
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use comfase_des::stats::Histogram;
@@ -245,7 +244,7 @@ impl SimRecorder {
         self.events.push(TraceEvent {
             time,
             track,
-            name: Cow::Borrowed(name),
+            name,
             kind,
         });
     }

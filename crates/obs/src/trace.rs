@@ -9,8 +9,6 @@
 //! Format understood by `chrome://tracing` and <https://ui.perfetto.dev>:
 //! each world track (vehicle, jammer, kernel) becomes one timeline row.
 
-use std::borrow::Cow;
-
 use comfase_json::Writer;
 
 use comfase_des::time::SimTime;
@@ -47,7 +45,7 @@ pub struct TraceEvent {
     /// reserved track such as [`TRACK_KERNEL`]).
     pub track: u32,
     /// Event name (static in the instrumented code).
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Point or span edge.
     pub kind: TraceKind,
 }
@@ -72,7 +70,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     w.begin_array();
     for e in events {
         w.begin_object();
-        w.field("name", e.name.as_ref());
+        w.field("name", e.name);
         w.field("cat", "sim");
         w.field("ph", e.kind.phase());
         w.key("ts");
@@ -118,7 +116,7 @@ mod tests {
         TraceEvent {
             time: SimTime::from_nanos(ns),
             track,
-            name: Cow::Borrowed(name),
+            name,
             kind,
         }
     }

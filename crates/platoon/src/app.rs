@@ -14,7 +14,7 @@ use comfase_des::time::{SimDuration, SimTime};
 
 use crate::beacon::PlatoonBeacon;
 use crate::controller::{
-    ControllerInput, ControllerKind, EgoState, LongitudinalController, RadarReading, RadioData,
+    Controller, ControllerInput, ControllerKind, EgoState, RadarReading, RadioData,
 };
 use crate::maneuver::{LeaderControl, Maneuver};
 
@@ -36,14 +36,14 @@ comfase_json::record!(ToJson for AppStats {
 });
 
 /// Role of the vehicle in the platoon.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum Role {
     Leader {
-        maneuver: Box<dyn Maneuver>,
+        maneuver: Maneuver,
         control: LeaderControl,
     },
     Follower {
-        controller: Box<dyn LongitudinalController>,
+        controller: Controller,
         leader: u32,
         predecessor: u32,
         last_leader: Option<PlatoonBeacon>,
@@ -54,27 +54,7 @@ enum Role {
         /// predecessor still uses fresh leader data). `None` reproduces
         /// the paper's unprotected system.
         staleness_timeout: Option<SimDuration>,
-        /// Control steps in which at least one source was substituted.
-        degraded_steps: u64,
     },
-}
-
-impl std::fmt::Debug for Role {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Role::Leader { .. } => f.write_str("Leader"),
-            Role::Follower {
-                leader,
-                predecessor,
-                ..
-            } => {
-                write!(
-                    f,
-                    "Follower {{ leader: {leader}, predecessor: {predecessor} }}"
-                )
-            }
-        }
-    }
 }
 
 /// The platooning application of one vehicle.
@@ -92,7 +72,7 @@ pub struct PlatoonApp {
 
 impl PlatoonApp {
     /// Creates the leader application driving the given maneuver.
-    pub fn leader(vehicle: u32, maneuver: Box<dyn Maneuver>) -> Self {
+    pub fn leader(vehicle: u32, maneuver: Maneuver) -> Self {
         PlatoonApp {
             vehicle,
             role: Role::Leader {
@@ -132,7 +112,6 @@ impl PlatoonApp {
                 last_leader: None,
                 last_pred: None,
                 staleness_timeout,
-                degraded_steps: 0,
             },
             seq: 0,
             stats: AppStats::default(),
@@ -214,15 +193,12 @@ impl PlatoonApp {
         dt_s: f64,
     ) -> f64 {
         match &mut self.role {
-            Role::Leader { maneuver, control } => {
-                control.accel(maneuver.as_ref(), now, ego.speed_mps)
-            }
+            Role::Leader { maneuver, control } => control.accel(maneuver, now, ego.speed_mps),
             Role::Follower {
                 controller,
                 last_leader,
                 last_pred,
                 staleness_timeout,
-                degraded_steps,
                 ..
             } => {
                 // With no beacons yet (simulation start) assume a settled
@@ -271,8 +247,7 @@ impl PlatoonApp {
                     },
                 };
                 if pred_stale || lead_stale {
-                    *degraded_steps += 1;
-                    self.stats.degraded_steps = *degraded_steps;
+                    self.stats.degraded_steps += 1;
                 }
                 let input = ControllerInput {
                     ego,
@@ -309,6 +284,10 @@ impl PlatoonApp {
 mod tests {
     use super::*;
     use crate::maneuver::ConstantSpeed;
+
+    fn cruise(speed_mps: f64) -> Maneuver {
+        Maneuver::ConstantSpeed(ConstantSpeed { speed_mps })
+    }
 
     fn beacon(vehicle: u32, speed: f64, accel: f64) -> PlatoonBeacon {
         PlatoonBeacon {
@@ -463,7 +442,7 @@ mod tests {
 
     #[test]
     fn leader_tracks_maneuver() {
-        let mut app = PlatoonApp::leader(1, Box::new(ConstantSpeed { speed_mps: 30.0 }));
+        let mut app = PlatoonApp::leader(1, cruise(30.0));
         assert!(app.is_leader());
         let a = app.control(SimTime::ZERO, ego(25.0), None, 0.01);
         assert!(a > 0.0);
@@ -473,7 +452,7 @@ mod tests {
 
     #[test]
     fn leader_ignores_beacons() {
-        let mut app = PlatoonApp::leader(1, Box::new(ConstantSpeed { speed_mps: 30.0 }));
+        let mut app = PlatoonApp::leader(1, cruise(30.0));
         app.on_beacon(beacon(2, 10.0, -5.0));
         assert_eq!(app.stats().beacons_ignored, 1);
         assert!(app.leader_knowledge().is_none());

@@ -15,8 +15,9 @@
 //!   V2V data entirely (the resilient comparison point used by related
 //!   work).
 //!
-//! Controllers are pure functions of their inputs plus (for Ploeg) a small
-//! internal state; beacon bookkeeping lives in [`crate::app`].
+//! Controllers are pure functions of their inputs plus (for MS-CACC and
+//! Ploeg) a small internal state, held by value in [`Controller`]; beacon
+//! bookkeeping lives in [`crate::app`].
 
 /// Ego vehicle state as seen by a controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,25 +64,30 @@ pub struct ControllerInput {
     pub dt_s: f64,
 }
 
-/// A longitudinal platooning controller for follower vehicles.
-pub trait LongitudinalController: std::fmt::Debug + Send + Sync {
-    /// Desired acceleration for this step, m/s² (clamped by dynamics).
-    fn desired_accel(&mut self, input: &ControllerInput) -> f64;
-
-    /// Controller name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Resets internal state (used when re-running scenarios).
-    fn reset(&mut self) {}
-
-    /// Clones the controller — including its internal state — into a new
-    /// box (needed to snapshot a running follower application).
-    fn clone_box(&self) -> Box<dyn LongitudinalController>;
+/// A longitudinal platooning controller for follower vehicles, with its
+/// parameters and internal state. It is `Copy`, so snapshotting a running
+/// follower application copies the controller state by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Controller {
+    /// Constant-spacing CACC (Plexe default).
+    PathCacc(PathCacc),
+    /// Milanés–Shladover CACC.
+    MsCacc(MsCacc),
+    /// Ploeg CACC.
+    Ploeg(Ploeg),
+    /// Radar-only ACC.
+    Acc(Acc),
 }
 
-impl Clone for Box<dyn LongitudinalController> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+impl Controller {
+    /// Desired acceleration for this step, m/s² (clamped by dynamics).
+    pub fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
+        match self {
+            Controller::PathCacc(c) => c.desired_accel(input),
+            Controller::MsCacc(c) => c.desired_accel(input),
+            Controller::Ploeg(c) => c.desired_accel(input),
+            Controller::Acc(c) => c.desired_accel(input),
+        }
     }
 }
 
@@ -123,10 +129,9 @@ impl PathCacc {
         let alpha5 = -self.omega_n * self.omega_n;
         (alpha1, alpha2, alpha3, alpha4, alpha5)
     }
-}
 
-impl LongitudinalController for PathCacc {
-    fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
+    /// Desired acceleration for this step, m/s².
+    pub fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
         let (a1, a2, a3, a4, a5) = self.gains();
         // ε as in Rajamani: positive when the gap is smaller than desired.
         let epsilon = self.spacing_m - input.radar.gap_m;
@@ -136,14 +141,6 @@ impl LongitudinalController for PathCacc {
             + a3 * epsilon_dot
             + a4 * (input.ego.speed_mps - input.radio.leader_speed_mps)
             + a5 * epsilon
-    }
-
-    fn name(&self) -> &'static str {
-        "PathCACC"
-    }
-
-    fn clone_box(&self) -> Box<dyn LongitudinalController> {
-        Box::new(*self)
     }
 }
 
@@ -177,8 +174,9 @@ impl Default for MsCacc {
     }
 }
 
-impl LongitudinalController for MsCacc {
-    fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
+impl MsCacc {
+    /// Desired acceleration for this step, m/s².
+    pub fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
         let v = input.ego.speed_mps;
         let setpoint = self.setpoint_mps.get_or_insert(v);
         let gap_err = input.radar.gap_m - self.standstill_m - self.time_gap_s * v;
@@ -187,18 +185,6 @@ impl LongitudinalController for MsCacc {
         // Convert the speed setpoint to an acceleration command with a
         // proportional inner loop (Plexe uses the engine's own loop).
         (*setpoint - v) / input.dt_s.max(1e-3) * 0.1
-    }
-
-    fn name(&self) -> &'static str {
-        "MS-CACC"
-    }
-
-    fn reset(&mut self) {
-        self.setpoint_mps = None;
-    }
-
-    fn clone_box(&self) -> Box<dyn LongitudinalController> {
-        Box::new(*self)
     }
 }
 
@@ -230,8 +216,9 @@ impl Default for Ploeg {
     }
 }
 
-impl LongitudinalController for Ploeg {
-    fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
+impl Ploeg {
+    /// Desired acceleration for this step, m/s².
+    pub fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
         let e = input.radar.gap_m - self.standstill_m - self.time_gap_s * input.ego.speed_mps;
         let e_dot = -input.radar.closing_speed_mps - self.time_gap_s * input.ego.accel_mps2;
         // ḣu = (1/h)(−u + kp·e + kd·ė + a_pred)
@@ -239,18 +226,6 @@ impl LongitudinalController for Ploeg {
             / self.time_gap_s;
         self.u_mps2 += u_dot * input.dt_s;
         self.u_mps2
-    }
-
-    fn name(&self) -> &'static str {
-        "Ploeg"
-    }
-
-    fn reset(&mut self) {
-        self.u_mps2 = 0.0;
-    }
-
-    fn clone_box(&self) -> Box<dyn LongitudinalController> {
-        Box::new(*self)
     }
 }
 
@@ -278,18 +253,11 @@ impl Default for Acc {
     }
 }
 
-impl LongitudinalController for Acc {
-    fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
+impl Acc {
+    /// Desired acceleration for this step, m/s².
+    pub fn desired_accel(&mut self, input: &ControllerInput) -> f64 {
         let desired_gap = self.standstill_m + self.time_gap_s * input.ego.speed_mps;
         self.k1 * (input.radar.gap_m - desired_gap) - self.k2 * input.radar.closing_speed_mps
-    }
-
-    fn name(&self) -> &'static str {
-        "ACC"
-    }
-
-    fn clone_box(&self) -> Box<dyn LongitudinalController> {
-        Box::new(*self)
     }
 }
 
@@ -311,12 +279,12 @@ comfase_json::variants!(ToJson for ControllerKind { PathCacc, MsCacc, Ploeg, Acc
 
 impl ControllerKind {
     /// Instantiates the controller with its default parameters.
-    pub fn build(self) -> Box<dyn LongitudinalController> {
+    pub fn build(self) -> Controller {
         match self {
-            ControllerKind::PathCacc => Box::new(PathCacc::default()),
-            ControllerKind::MsCacc => Box::new(MsCacc::default()),
-            ControllerKind::Ploeg => Box::new(Ploeg::default()),
-            ControllerKind::Acc => Box::new(Acc::default()),
+            ControllerKind::PathCacc => Controller::PathCacc(PathCacc::default()),
+            ControllerKind::MsCacc => Controller::MsCacc(MsCacc::default()),
+            ControllerKind::Ploeg => Controller::Ploeg(Ploeg::default()),
+            ControllerKind::Acc => Controller::Acc(Acc::default()),
         }
     }
 }
@@ -404,21 +372,11 @@ mod tests {
 
     #[test]
     fn ms_cacc_regulates_time_gap() {
-        let mut c = MsCacc::default();
         // 27.78 m/s * 0.6 s + 2 m standstill = 18.67 m desired gap.
-        let tight = c.desired_accel(&steady_input(10.0));
-        c.reset();
-        let wide = c.desired_accel(&steady_input(30.0));
+        let tight = MsCacc::default().desired_accel(&steady_input(10.0));
+        let wide = MsCacc::default().desired_accel(&steady_input(30.0));
         assert!(tight < 0.0, "too close: {tight}");
         assert!(wide > 0.0, "too far: {wide}");
-    }
-
-    #[test]
-    fn ms_cacc_reset_clears_setpoint() {
-        let mut c = MsCacc::default();
-        c.desired_accel(&steady_input(10.0));
-        c.reset();
-        assert_eq!(c.setpoint_mps, None);
     }
 
     #[test]
@@ -479,13 +437,18 @@ mod tests {
 
     #[test]
     fn kind_builds_all_controllers() {
-        for (kind, name) in [
-            (ControllerKind::PathCacc, "PathCACC"),
-            (ControllerKind::MsCacc, "MS-CACC"),
-            (ControllerKind::Ploeg, "Ploeg"),
-            (ControllerKind::Acc, "ACC"),
-        ] {
-            assert_eq!(kind.build().name(), name);
-        }
+        assert_eq!(
+            ControllerKind::PathCacc.build(),
+            Controller::PathCacc(PathCacc::default())
+        );
+        assert_eq!(
+            ControllerKind::MsCacc.build(),
+            Controller::MsCacc(MsCacc::default())
+        );
+        assert_eq!(
+            ControllerKind::Ploeg.build(),
+            Controller::Ploeg(Ploeg::default())
+        );
+        assert_eq!(ControllerKind::Acc.build(), Controller::Acc(Acc::default()));
     }
 }

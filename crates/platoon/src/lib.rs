@@ -48,7 +48,7 @@ pub mod platoon;
 
 pub use app::PlatoonApp;
 pub use beacon::PlatoonBeacon;
-pub use controller::{ControllerKind, LongitudinalController};
+pub use controller::{Controller, ControllerKind};
 pub use maneuver::{Braking, ConstantSpeed, Maneuver, Sinusoidal};
 pub use monitor::{MonitorDecision, SafetyMonitor, SafetyMonitorConfig};
 pub use platoon::PlatoonSpec;

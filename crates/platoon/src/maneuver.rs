@@ -10,24 +10,33 @@
 use comfase_des::time::SimTime;
 
 /// A leader speed profile.
-pub trait Maneuver: std::fmt::Debug + Send + Sync {
-    /// Desired leader speed at `t`, m/s.
-    fn desired_speed(&self, t: SimTime) -> f64;
-
-    /// Desired leader acceleration at `t` (feedforward), m/s².
-    fn desired_accel(&self, t: SimTime) -> f64;
-
-    /// Maneuver name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Clones the maneuver into a new box (needed to snapshot a running
-    /// leader application).
-    fn clone_box(&self) -> Box<dyn Maneuver>;
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Maneuver {
+    /// Constant cruise speed.
+    ConstantSpeed(ConstantSpeed),
+    /// The paper's sinusoidal oscillation.
+    Sinusoidal(Sinusoidal),
+    /// Cruise, then brake hard.
+    Braking(Braking),
 }
 
-impl Clone for Box<dyn Maneuver> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+impl Maneuver {
+    /// Desired leader speed at `t`, m/s.
+    pub fn desired_speed(&self, t: SimTime) -> f64 {
+        match self {
+            Maneuver::ConstantSpeed(m) => m.desired_speed(t),
+            Maneuver::Sinusoidal(m) => m.desired_speed(t),
+            Maneuver::Braking(m) => m.desired_speed(t),
+        }
+    }
+
+    /// Desired leader acceleration at `t` (feedforward), m/s².
+    pub fn desired_accel(&self, t: SimTime) -> f64 {
+        match self {
+            Maneuver::ConstantSpeed(m) => m.desired_accel(t),
+            Maneuver::Sinusoidal(m) => m.desired_accel(t),
+            Maneuver::Braking(m) => m.desired_accel(t),
+        }
     }
 }
 
@@ -38,21 +47,15 @@ pub struct ConstantSpeed {
     pub speed_mps: f64,
 }
 
-impl Maneuver for ConstantSpeed {
-    fn desired_speed(&self, _t: SimTime) -> f64 {
+impl ConstantSpeed {
+    /// Desired leader speed at `t`, m/s.
+    pub fn desired_speed(&self, _t: SimTime) -> f64 {
         self.speed_mps
     }
 
-    fn desired_accel(&self, _t: SimTime) -> f64 {
+    /// Desired leader acceleration at `t`, m/s².
+    pub fn desired_accel(&self, _t: SimTime) -> f64 {
         0.0
-    }
-
-    fn name(&self) -> &'static str {
-        "ConstantSpeed"
-    }
-
-    fn clone_box(&self) -> Box<dyn Maneuver> {
-        Box::new(*self)
     }
 }
 
@@ -91,10 +94,9 @@ impl Sinusoidal {
     fn omega(&self) -> f64 {
         2.0 * std::f64::consts::PI * self.freq_hz
     }
-}
 
-impl Maneuver for Sinusoidal {
-    fn desired_speed(&self, t: SimTime) -> f64 {
+    /// Desired leader speed at `t`, m/s.
+    pub fn desired_speed(&self, t: SimTime) -> f64 {
         if t < self.start {
             return self.base_mps;
         }
@@ -102,20 +104,13 @@ impl Maneuver for Sinusoidal {
         self.base_mps + self.amplitude_mps * (self.omega() * dt).sin()
     }
 
-    fn desired_accel(&self, t: SimTime) -> f64 {
+    /// Desired leader acceleration at `t`, m/s².
+    pub fn desired_accel(&self, t: SimTime) -> f64 {
         if t < self.start {
             return 0.0;
         }
         let dt = (t - self.start).as_secs_f64();
         self.amplitude_mps * self.omega() * (self.omega() * dt).cos()
-    }
-
-    fn name(&self) -> &'static str {
-        "Sinusoidal"
-    }
-
-    fn clone_box(&self) -> Box<dyn Maneuver> {
-        Box::new(*self)
     }
 }
 
@@ -131,8 +126,9 @@ pub struct Braking {
     pub decel_mps2: f64,
 }
 
-impl Maneuver for Braking {
-    fn desired_speed(&self, t: SimTime) -> f64 {
+impl Braking {
+    /// Desired leader speed at `t`, m/s.
+    pub fn desired_speed(&self, t: SimTime) -> f64 {
         if t < self.brake_at {
             self.cruise_mps
         } else {
@@ -140,20 +136,13 @@ impl Maneuver for Braking {
         }
     }
 
-    fn desired_accel(&self, t: SimTime) -> f64 {
+    /// Desired leader acceleration at `t`, m/s².
+    pub fn desired_accel(&self, t: SimTime) -> f64 {
         if t < self.brake_at || self.desired_speed(t) <= 0.0 {
             0.0
         } else {
             -self.decel_mps2
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "Braking"
-    }
-
-    fn clone_box(&self) -> Box<dyn Maneuver> {
-        Box::new(*self)
     }
 }
 
@@ -173,7 +162,7 @@ impl Default for LeaderControl {
 
 impl LeaderControl {
     /// Commanded acceleration for the leader at `t` given its current speed.
-    pub fn accel(&self, maneuver: &dyn Maneuver, t: SimTime, speed_mps: f64) -> f64 {
+    pub fn accel(&self, maneuver: &Maneuver, t: SimTime, speed_mps: f64) -> f64 {
         maneuver.desired_accel(t) + self.kp * (maneuver.desired_speed(t) - speed_mps)
     }
 }
@@ -247,7 +236,7 @@ mod tests {
     #[test]
     fn leader_control_tracks_desired_speed() {
         let ctl = LeaderControl::default();
-        let m = ConstantSpeed { speed_mps: 30.0 };
+        let m = Maneuver::ConstantSpeed(ConstantSpeed { speed_mps: 30.0 });
         // Below target -> accelerate; above -> brake.
         assert!(ctl.accel(&m, SimTime::ZERO, 25.0) > 0.0);
         assert!(ctl.accel(&m, SimTime::ZERO, 35.0) < 0.0);
@@ -261,7 +250,7 @@ mod tests {
         let t = SimTime::from_secs(17);
         // At the cycle start the speed matches base, so the command is
         // exactly the feedforward.
-        let a = ctl.accel(&m, t, m.base_mps);
+        let a = ctl.accel(&Maneuver::Sinusoidal(m), t, m.base_mps);
         assert!((a - m.desired_accel(t)).abs() < 1e-9);
     }
 }

@@ -8,10 +8,9 @@ use comfase_des::rng::{RngStream, StreamId};
 use comfase_des::time::SimTime;
 use comfase_platoon::beacon::PlatoonBeacon;
 use comfase_platoon::controller::{
-    Acc, ControllerInput, EgoState, LongitudinalController, MsCacc, PathCacc, Ploeg, RadarReading,
-    RadioData,
+    Acc, Controller, ControllerInput, EgoState, MsCacc, PathCacc, Ploeg, RadarReading, RadioData,
 };
-use comfase_platoon::maneuver::{Maneuver, Sinusoidal};
+use comfase_platoon::maneuver::Sinusoidal;
 use comfase_platoon::monitor::{MonitorDecision, SafetyMonitor, SafetyMonitorConfig};
 use comfase_platoon::platoon::PlatoonSpec;
 
@@ -66,18 +65,16 @@ fn controllers_are_finite() {
     for case in 0..CASES {
         let mut g = RngStream::derive(SEED, StreamId(case));
         let input = arb_input(&mut g);
-        let mut controllers: Vec<Box<dyn LongitudinalController>> = vec![
-            Box::new(PathCacc::default()),
-            Box::new(MsCacc::default()),
-            Box::new(Ploeg::default()),
-            Box::new(Acc::default()),
-        ];
-        for c in &mut controllers {
+        for mut c in [
+            Controller::PathCacc(PathCacc::default()),
+            Controller::MsCacc(MsCacc::default()),
+            Controller::Ploeg(Ploeg::default()),
+            Controller::Acc(Acc::default()),
+        ] {
             let a = c.desired_accel(&input);
             assert!(
                 a.is_finite(),
-                "case {case}: {} produced {a} for {input:?}",
-                c.name()
+                "case {case}: {c:?} produced {a} for {input:?}"
             );
         }
     }

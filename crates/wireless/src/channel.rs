@@ -22,7 +22,7 @@ use crate::decider::{Decider, DeciderResult, Interferer, LossReason};
 use crate::frame::{NodeId, Wsm};
 use crate::geom::Position;
 use crate::grid::NeighborGrid;
-use crate::pathloss::{FreeSpace, PathLossModel};
+use crate::pathloss::{FreeSpace, PathLoss};
 use crate::phy::{frame_duration, PhyConfig};
 use crate::units::{Dbm, Milliwatts, CCH_FREQ_HZ, SPEED_OF_LIGHT_MPS};
 
@@ -170,10 +170,7 @@ struct Ongoing {
 /// snapshot and a from-scratch run fan out identically).
 #[derive(Debug)]
 pub struct Medium {
-    /// Immutable after construction, so forks share it by reference
-    /// instead of deep-copying (`PathLossModel` only exposes `&self`
-    /// methods).
-    pathloss: std::sync::Arc<dyn PathLossModel>,
+    pathloss: PathLoss,
     freq_hz: f64,
     phy: PhyConfig,
     /// Built from `phy`, which never changes after construction.
@@ -209,7 +206,7 @@ impl Clone for Medium {
              fork before installing the attack"
         );
         Medium {
-            pathloss: std::sync::Arc::clone(&self.pathloss),
+            pathloss: self.pathloss,
             freq_hz: self.freq_hz,
             phy: self.phy,
             decider: self.decider,
@@ -231,7 +228,7 @@ impl Medium {
     /// loss and Veins-default PHY parameters.
     pub fn new() -> Self {
         Medium::with_models(
-            Box::new(FreeSpace::default()),
+            PathLoss::FreeSpace(FreeSpace::default()),
             CCH_FREQ_HZ,
             PhyConfig::default(),
         )
@@ -239,9 +236,9 @@ impl Medium {
 
     /// Creates a medium with explicit models — the paper's `wirelessModel`
     /// configuration.
-    pub fn with_models(pathloss: Box<dyn PathLossModel>, freq_hz: f64, phy: PhyConfig) -> Self {
+    pub fn with_models(pathloss: PathLoss, freq_hz: f64, phy: PhyConfig) -> Self {
         let mut m = Medium {
-            pathloss: pathloss.into(),
+            pathloss,
             freq_hz,
             phy,
             decider: Decider::new(&phy),
@@ -305,9 +302,9 @@ impl Medium {
         &self.phy
     }
 
-    /// Name of the installed path loss model.
-    pub fn pathloss_name(&self) -> &'static str {
-        self.pathloss.name()
+    /// The installed path loss model.
+    pub fn pathloss(&self) -> PathLoss {
+        self.pathloss
     }
 
     /// Statistics so far.
@@ -898,7 +895,8 @@ mod tests {
                 cs_threshold: Dbm(threshold),
                 ..PhyConfig::default()
             };
-            let mut m = Medium::with_models(Box::new(FreeSpace::default()), CCH_FREQ_HZ, phy);
+            let mut m =
+                Medium::with_models(PathLoss::FreeSpace(FreeSpace::default()), CCH_FREQ_HZ, phy);
             m.update_position(NodeId(1), Position::on_road(0.0, 0.0));
             m.update_position(NodeId(2), Position::on_road(40.0, 0.0));
             let out = m.transmit(NodeId(1), wsm(1), SimTime::ZERO);

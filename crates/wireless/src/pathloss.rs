@@ -11,40 +11,44 @@ use crate::units::{wavelength_m, Dbm, Milliwatts};
 
 /// An analogue wireless channel model — the paper's `wirelessModel`
 /// configuration parameter.
-pub trait PathLossModel: std::fmt::Debug + Send + Sync {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PathLoss {
+    /// Free-space (Friis) path loss.
+    FreeSpace(FreeSpace),
+    /// Two-ray ground-reflection interference.
+    TwoRayInterference(TwoRayInterference),
+    /// Free space with log-normal shadowing.
+    LogNormalShadowing(LogNormalShadowing),
+}
+
+impl PathLoss {
     /// Received power at `rx` for a transmission of `tx_power` from `tx`.
-    fn received_power(
+    pub fn received_power(
         &self,
         tx_power: Milliwatts,
         freq_hz: f64,
         tx: &Position,
         rx: &Position,
-    ) -> Milliwatts;
+    ) -> Milliwatts {
+        match self {
+            PathLoss::FreeSpace(m) => m.received_power(tx_power, freq_hz, tx, rx),
+            PathLoss::TwoRayInterference(m) => m.received_power(tx_power, freq_hz, tx, rx),
+            PathLoss::LogNormalShadowing(m) => m.received_power(tx_power, freq_hz, tx, rx),
+        }
+    }
 
     /// A conservative range bound: for any pair of positions whose ground
     /// (2D) distance exceeds the returned value, `received_power` is
-    /// guaranteed strictly below `threshold`. `None` means no finite bound
-    /// is known and callers must assume every node is reachable. The grid
-    /// fan-out index uses this (inverted at the fan-out pruning threshold)
-    /// as its cell size.
-    fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
-        let _ = (tx_power, freq_hz, threshold);
-        None
-    }
-
-    /// Model name for configuration dumps.
-    fn name(&self) -> &'static str;
-
-    /// Clones the model into a new box (needed to snapshot a [`Medium`]
-    /// that owns its model as a trait object).
-    ///
-    /// [`Medium`]: crate::channel::Medium
-    fn clone_box(&self) -> Box<dyn PathLossModel>;
-}
-
-impl Clone for Box<dyn PathLossModel> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+    /// guaranteed strictly below `threshold`. `None` means the inputs admit
+    /// no finite bound and callers must assume every node is reachable.
+    /// The grid fan-out index uses this (inverted at the fan-out pruning
+    /// threshold) as its cell size.
+    pub fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
+        match self {
+            PathLoss::FreeSpace(m) => m.max_range_m(tx_power, freq_hz, threshold),
+            PathLoss::TwoRayInterference(m) => m.max_range_m(tx_power, freq_hz, threshold),
+            PathLoss::LogNormalShadowing(m) => m.max_range_m(tx_power, freq_hz, threshold),
+        }
     }
 }
 
@@ -90,8 +94,9 @@ impl Default for FreeSpace {
     }
 }
 
-impl PathLossModel for FreeSpace {
-    fn received_power(
+impl FreeSpace {
+    /// Received power at `rx` for a transmission of `tx_power` from `tx`.
+    pub fn received_power(
         &self,
         tx_power: Milliwatts,
         freq_hz: f64,
@@ -107,16 +112,9 @@ impl PathLossModel for FreeSpace {
         tx_power * factor.min(1.0)
     }
 
-    fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
+    /// A conservative range bound, as [`PathLoss::max_range_m`].
+    pub fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
         friis_range_m(self.alpha, tx_power, freq_hz, threshold)
-    }
-
-    fn name(&self) -> &'static str {
-        "FreeSpace"
-    }
-
-    fn clone_box(&self) -> Box<dyn PathLossModel> {
-        Box::new(*self)
     }
 }
 
@@ -134,8 +132,9 @@ impl Default for TwoRayInterference {
     }
 }
 
-impl PathLossModel for TwoRayInterference {
-    fn received_power(
+impl TwoRayInterference {
+    /// Received power at `rx` for a transmission of `tx_power` from `tx`.
+    pub fn received_power(
         &self,
         tx_power: Milliwatts,
         freq_hz: f64,
@@ -167,7 +166,8 @@ impl PathLossModel for TwoRayInterference {
         tx_power * factor.min(1.0)
     }
 
-    fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
+    /// A conservative range bound, as [`PathLoss::max_range_m`].
+    pub fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
         // |Γ| ≤ 1, so |re| ≤ 2/d_los and |im| ≤ 1/d_ref ≤ 1/d_los, giving
         // magnitude² ≤ 5/d_los² — i.e. two-ray can never exceed free space
         // (α = 2) by more than 10·log10(5) ≈ 7 dB of constructive fading.
@@ -175,14 +175,6 @@ impl PathLossModel for TwoRayInterference {
         // conservative ground-distance bound (d_los ≥ ground distance).
         let envelope_db = 10.0 * 5f64.log10();
         friis_range_m(2.0, tx_power, freq_hz, Dbm(threshold.0 - envelope_db))
-    }
-
-    fn name(&self) -> &'static str {
-        "TwoRayInterference"
-    }
-
-    fn clone_box(&self) -> Box<dyn PathLossModel> {
-        Box::new(*self)
     }
 }
 
@@ -243,10 +235,9 @@ impl LogNormalShadowing {
         let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         n * self.sigma_db
     }
-}
 
-impl PathLossModel for LogNormalShadowing {
-    fn received_power(
+    /// Received power at `rx` for a transmission of `tx_power` from `tx`.
+    pub fn received_power(
         &self,
         tx_power: Milliwatts,
         freq_hz: f64,
@@ -259,7 +250,8 @@ impl PathLossModel for LogNormalShadowing {
         Milliwatts((median.0 * factor).min(tx_power.0))
     }
 
-    fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
+    /// A conservative range bound, as [`PathLoss::max_range_m`].
+    pub fn max_range_m(&self, tx_power: Milliwatts, freq_hz: f64, threshold: Dbm) -> Option<f64> {
         let worst_gain_db = Self::MAX_SHADOW_SIGMAS * self.sigma_db.abs();
         friis_range_m(
             self.alpha,
@@ -267,14 +259,6 @@ impl PathLossModel for LogNormalShadowing {
             freq_hz,
             Dbm(threshold.0 - worst_gain_db),
         )
-    }
-
-    fn name(&self) -> &'static str {
-        "LogNormalShadowing"
-    }
-
-    fn clone_box(&self) -> Box<dyn PathLossModel> {
-        Box::new(*self)
     }
 }
 
@@ -356,13 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn model_names() {
-        assert_eq!(FreeSpace::default().name(), "FreeSpace");
-        assert_eq!(TwoRayInterference::default().name(), "TwoRayInterference");
-        assert_eq!(LogNormalShadowing::default().name(), "LogNormalShadowing");
-    }
-
-    #[test]
     fn shadowing_is_deterministic_and_correlated() {
         let m = LogNormalShadowing::default();
         // Same cell -> same draw.
@@ -389,17 +366,16 @@ mod tests {
     fn max_range_is_conservative_for_all_models() {
         let tx = Dbm(13.0).to_milliwatts();
         let threshold = Dbm(-120.0);
-        let models: Vec<Box<dyn PathLossModel>> = vec![
-            Box::new(FreeSpace::default()),
-            Box::new(FreeSpace { alpha: 3.0 }),
-            Box::new(TwoRayInterference::default()),
-            Box::new(LogNormalShadowing::default()),
-        ];
-        for m in &models {
+        for m in [
+            PathLoss::FreeSpace(FreeSpace::default()),
+            PathLoss::FreeSpace(FreeSpace { alpha: 3.0 }),
+            PathLoss::TwoRayInterference(TwoRayInterference::default()),
+            PathLoss::LogNormalShadowing(LogNormalShadowing::default()),
+        ] {
             let range = m
                 .max_range_m(tx, CCH_FREQ_HZ, threshold)
-                .unwrap_or_else(|| panic!("{} should have a finite range", m.name()));
-            assert!(range >= 1.0 && range.is_finite(), "{}: {range}", m.name());
+                .unwrap_or_else(|| panic!("{m:?} should have a finite range"));
+            assert!(range >= 1.0 && range.is_finite(), "{m:?}: {range}");
             // Sample ground distances beyond the bound: received power must
             // stay strictly below the threshold.
             for k in 1..=50 {
@@ -407,8 +383,7 @@ mod tests {
                 let rx = m.received_power(tx, CCH_FREQ_HZ, &p(0.0), &p(d));
                 assert!(
                     rx.to_dbm().0 < threshold.0,
-                    "{} at {d:.1} m received {:.2} dBm >= {:.2} dBm (range {range:.1})",
-                    m.name(),
+                    "{m:?} at {d:.1} m received {:.2} dBm >= {:.2} dBm (range {range:.1})",
                     rx.to_dbm().0,
                     threshold.0
                 );

@@ -12,9 +12,7 @@ use comfase_des::time::SimTime;
 use comfase_wireless::channel::{FanoutStrategy, Medium};
 use comfase_wireless::frame::{NodeId, WaveChannel, Wsm};
 use comfase_wireless::geom::Position;
-use comfase_wireless::pathloss::{
-    FreeSpace, LogNormalShadowing, PathLossModel, TwoRayInterference,
-};
+use comfase_wireless::pathloss::{FreeSpace, LogNormalShadowing, PathLoss, TwoRayInterference};
 use comfase_wireless::phy::PhyConfig;
 use comfase_wireless::units::CCH_FREQ_HZ;
 
@@ -22,13 +20,13 @@ const SEED: u64 = 42;
 const CASES: u64 = 256;
 
 /// A randomly parameterised path-loss model covering every implementation.
-fn any_model(g: &mut RngStream) -> Box<dyn PathLossModel> {
+fn any_model(g: &mut RngStream) -> PathLoss {
     match g.below(3) {
-        0 => Box::new(FreeSpace {
+        0 => PathLoss::FreeSpace(FreeSpace {
             alpha: g.uniform_range(2.0, 3.5),
         }),
-        1 => Box::new(TwoRayInterference::default()),
-        _ => Box::new(LogNormalShadowing {
+        1 => PathLoss::TwoRayInterference(TwoRayInterference::default()),
+        _ => PathLoss::LogNormalShadowing(LogNormalShadowing {
             alpha: g.uniform_range(2.0, 3.0),
             sigma_db: g.uniform_range(1.0, 8.0),
             correlation_m: 50.0,
@@ -58,8 +56,8 @@ fn beacon(src: u32) -> Wsm {
     }
 }
 
-fn medium(model: &dyn PathLossModel, strategy: FanoutStrategy) -> Medium {
-    let mut m = Medium::with_models(model.clone_box(), CCH_FREQ_HZ, PhyConfig::default());
+fn medium(model: PathLoss, strategy: FanoutStrategy) -> Medium {
+    let mut m = Medium::with_models(model, CCH_FREQ_HZ, PhyConfig::default());
     m.set_fanout_strategy(strategy);
     m
 }
@@ -75,8 +73,8 @@ fn grid_fan_out_matches_brute_force() {
         let fleet = any_fleet(&mut g);
         let model = any_model(&mut g);
         let inputs = format!("case {case}: {model:?} over {fleet:?}");
-        let mut grid = medium(model.as_ref(), FanoutStrategy::Grid);
-        let mut brute = medium(model.as_ref(), FanoutStrategy::BruteForce);
+        let mut grid = medium(model, FanoutStrategy::Grid);
+        let mut brute = medium(model, FanoutStrategy::BruteForce);
         for (i, (x, y)) in fleet.iter().enumerate() {
             let pos = Position::on_road(*x, *y);
             grid.update_position(NodeId(i as u32), pos);
@@ -128,9 +126,9 @@ fn grid_tracks_moves_and_removals() {
         let alpha = g.uniform_range(2.0, 3.5);
         let inputs =
             format!("case {case}: alpha {alpha}, {fleet:?} moved by {moves:?}, {gone} removed");
-        let model = FreeSpace { alpha };
-        let mut grid = medium(&model, FanoutStrategy::Grid);
-        let mut brute = medium(&model, FanoutStrategy::BruteForce);
+        let model = PathLoss::FreeSpace(FreeSpace { alpha });
+        let mut grid = medium(model, FanoutStrategy::Grid);
+        let mut brute = medium(model, FanoutStrategy::BruteForce);
         for (i, (x, y)) in fleet.iter().enumerate() {
             let pos = Position::on_road(*x, *y);
             grid.update_position(NodeId(i as u32), pos);
@@ -161,8 +159,8 @@ fn cloned_medium_keeps_its_index() {
         let fleet = any_fleet(&mut g);
         let alpha = g.uniform_range(2.0, 3.5);
         let inputs = format!("case {case}: alpha {alpha}, {fleet:?}");
-        let model = FreeSpace { alpha };
-        let mut original = medium(&model, FanoutStrategy::Grid);
+        let model = PathLoss::FreeSpace(FreeSpace { alpha });
+        let mut original = medium(model, FanoutStrategy::Grid);
         for (i, (x, y)) in fleet.iter().enumerate() {
             original.update_position(NodeId(i as u32), Position::on_road(*x, *y));
         }

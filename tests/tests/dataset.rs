@@ -15,7 +15,7 @@ use std::time::Duration;
 use comfase::campaign::WorkSource;
 use comfase::prelude::*;
 use comfase_des::time::SimTime;
-use comfase_dist::{merge_dataset_dirs, ClaimSource, DiskCache};
+use comfase_dist::{merge_dataset_dirs, ClaimSource, DirSink, DiskCache};
 
 fn quick_scenario(secs: i64) -> TrafficScenario {
     let mut s = TrafficScenario::paper_default();

@@ -291,10 +291,10 @@ fn merge_rejects_journals_of_different_campaigns() {
         };
         campaign.run(2, &config, &NullObserver).unwrap();
     }
-    let err = merge_journals(&[path_a.clone(), path_b.clone()]).unwrap_err();
+    let failure = merge_journals(&[path_a.clone(), path_b.clone()]).unwrap_err();
     assert!(
-        matches!(err, ComfaseError::InvalidConfig(_)),
-        "foreign journals must be an InvalidConfig error, got {err:?}"
+        matches!(failure.error, ComfaseError::InvalidConfig(_)),
+        "foreign journals must be an InvalidConfig error, got {failure:?}"
     );
     let _ = std::fs::remove_file(&path_a);
     let _ = std::fs::remove_file(&path_b);

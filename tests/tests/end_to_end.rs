@@ -4,6 +4,7 @@
 use comfase::analysis;
 use comfase::prelude::*;
 use comfase_des::time::{SimDuration, SimTime};
+use comfase_platoon::ControllerKind;
 use comfase_traffic::VehicleId;
 
 fn quick_scenario(secs: i64) -> TrafficScenario {
@@ -273,6 +274,87 @@ fn forking_campaign_is_identical_to_from_scratch_campaign() {
     assert_eq!(forked.stats.prefix_snapshots, 2);
     assert_eq!(forked.stats.forked_runs, 8);
     assert_eq!(scratch.stats.scratch_runs, 8);
+}
+
+/// Forks copy every model by value. For each follower controller (the
+/// stateful `MsCacc` and `Ploeg` included), each non-sinusoidal leader
+/// maneuver and each non-free-space channel model, `PrefixFork` and
+/// `SnapshotDag` campaigns (the latter forking mid-attack) reproduce the
+/// from-scratch records and `metrics.json` bytes.
+#[test]
+fn forking_campaign_is_identical_for_every_model_variant() {
+    let setup = AttackCampaignSetup {
+        attack_model: AttackModelKind::Delay,
+        target_vehicles: vec![2],
+        attack_values: vec![0.4, 1.6],
+        attack_starts_s: vec![17.0],
+        attack_durations_s: vec![2.0, 8.0],
+    };
+    let mut variants = Vec::new();
+    for controller in [
+        ControllerKind::PathCacc,
+        ControllerKind::MsCacc,
+        ControllerKind::Ploeg,
+        ControllerKind::Acc,
+    ] {
+        let mut scenario = quick_scenario(30);
+        scenario.platoon.controller = controller;
+        variants.push((scenario, CommModel::paper_default()));
+    }
+    for maneuver in [
+        ManeuverKind::ConstantSpeed,
+        ManeuverKind::Braking {
+            brake_at_s: 18.0,
+            decel_mps2: 2.0,
+        },
+    ] {
+        let mut scenario = quick_scenario(30);
+        scenario.maneuver = maneuver;
+        variants.push((scenario, CommModel::paper_default()));
+    }
+    for wireless_model in [
+        WirelessModelKind::TwoRayInterference,
+        WirelessModelKind::LogNormalShadowing,
+    ] {
+        let comm = CommModel {
+            wireless_model,
+            ..CommModel::paper_default()
+        };
+        variants.push((quick_scenario(30), comm));
+    }
+    for (scenario, comm) in variants {
+        let variant = format!(
+            "{:?} / {:?} / {:?}",
+            scenario.platoon.controller, scenario.maneuver, comm.wireless_model
+        );
+        let engine = Engine::new(scenario, comm, 42).expect("the variant is valid");
+        let campaign = Campaign::new(engine, setup.clone())
+            .expect("the campaign is valid")
+            .with_obs(ObsConfig::metrics_only());
+        let run = |mode| {
+            let result = campaign
+                .run_with_observer(2, mode, &NullObserver)
+                .expect("the campaign runs");
+            let metrics = result.metrics.as_ref().expect("telemetry was enabled");
+            let bytes = metrics.to_json_bytes();
+            (result, bytes)
+        };
+        let (scratch, scratch_bytes) = run(ExecutionMode::FromScratch);
+        for mode in [ExecutionMode::PrefixFork, ExecutionMode::SnapshotDag] {
+            let (forked, forked_bytes) = run(mode);
+            assert_eq!(forked.records, scratch.records, "{variant} under {mode:?}");
+            assert!(
+                forked_bytes == scratch_bytes,
+                "{variant}: metrics.json differs under {mode:?}"
+            );
+            if mode == ExecutionMode::SnapshotDag {
+                assert!(
+                    forked.stats.chain_forked_runs > 0,
+                    "{variant}: no fork mid-attack"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -94,8 +94,11 @@ fn assert_resume_and_merge_refuse(path: &Path) {
         .run(2, &resume, &NullObserver)
         .expect_err("resume refuses the journal");
     assert!(matches!(err, ComfaseError::Io(_)), "resume: {err:?}");
-    let err = merge_journals(&[path]).expect_err("merge refuses the journal");
-    assert!(matches!(err, ComfaseError::Io(_)), "merge: {err:?}");
+    let failure = merge_journals(&[path]).expect_err("merge refuses the journal");
+    assert!(
+        matches!(failure.error, ComfaseError::Io(_)),
+        "merge: {failure:?}"
+    );
     fs::remove_file(path).expect("the journal is removable");
 }
 

@@ -398,10 +398,10 @@ fn killed_claim_worker_resumes_and_merges_byte_identically() {
 
     // Merging the incomplete journal refuses instead of producing a
     // partial artifact.
-    let err = merge_journals(std::slice::from_ref(&journal)).unwrap_err();
+    let failure = merge_journals(std::slice::from_ref(&journal)).unwrap_err();
     assert!(
-        matches!(err, ComfaseError::InvalidConfig(_)),
-        "incomplete coverage must be an InvalidConfig error, got {err:?}"
+        matches!(failure.error, ComfaseError::InvalidConfig(_)),
+        "incomplete coverage must be an InvalidConfig error, got {failure:?}"
     );
 
     // The restarted worker resumes its journal and drains the ledger.
