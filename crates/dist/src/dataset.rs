@@ -471,28 +471,12 @@ mod tests {
         sink.export(&export).expect("second export");
         let second = fs::read(dir.join(shard_file_name(2))).expect("shard exists");
         assert_eq!(first, second);
-        assert!(temp_files(&dir).is_empty(), "temp files must not survive");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dir_sink_failure_names_the_shard_and_leaves_no_temp_file() {
-        let dir = tmp_root("sink-fail");
-        let sink = DirSink::create(&dir).expect("sink opens");
-        // A directory in the shard's place makes the rename fail after the
-        // temp file was written.
-        fs::create_dir_all(dir.join(shard_file_name(3)).join("occupied")).unwrap();
-        let err = sink.export(&export(3, 8)).unwrap_err().to_string();
-        assert!(err.contains(&shard_file_name(3)), "{err}");
-        assert!(temp_files(&dir).is_empty(), "temp files must not survive");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    fn temp_files(dir: &Path) -> Vec<fs::DirEntry> {
-        fs::read_dir(dir)
+        let leftovers: Vec<_> = fs::read_dir(&dir)
             .expect("readable")
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
-            .collect()
+            .collect();
+        assert!(leftovers.is_empty(), "temp files must not survive");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -416,3 +416,34 @@ fn export_without_capture_is_refused() {
     assert!(matches!(err, ComfaseError::InvalidConfig(_)), "{err:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A shard that cannot be published aborts the campaign: the error names
+/// the shard, and its temp file is gone.
+#[test]
+fn a_failed_shard_export_aborts_the_campaign_naming_the_shard() {
+    let dir = tmp_path("blocked-shards");
+    // A directory in shard 3's place makes its publication fail.
+    let blocked = dir.join("exp-000003.jsonl");
+    std::fs::create_dir_all(blocked.join("occupied")).expect("the blocker is creatable");
+    let err = campaign()
+        .run(
+            1,
+            &export_config(&dir, ExecutionMode::FromScratch),
+            &NullObserver,
+        )
+        .expect_err("a failed export must abort the campaign");
+    match &err {
+        ComfaseError::Io(msg) => assert!(msg.contains("exp-000003.jsonl"), "{msg}"),
+        other => panic!("expected an i/o error, got {other:?}"),
+    }
+    let temp_files = std::fs::read_dir(&dir)
+        .expect("the shard dir is readable")
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+        .count();
+    assert_eq!(
+        temp_files, 0,
+        "the failed shard's temp file must be removed"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
