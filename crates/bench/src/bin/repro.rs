@@ -24,16 +24,20 @@
 //!       [--chrome-trace FILE]  write a golden-run event trace loadable in
 //!                              chrome://tracing or ui.perfetto.dev
 //!       [--journal PATH]  checkpoint the delay campaign to an append-only
-//!                         journal (one fsync'd line per finished experiment)
-//!       [--resume]    skip experiments the journal already records as
-//!                     completed (requires --journal); the merged metrics
-//!                     artifact is byte-identical to an uninterrupted run
+//!                         journal (one fsync'd line per finished experiment).
+//!                         An existing journal of the same campaign is
+//!                         continued: the experiments it records as completed
+//!                         are skipped, and the metrics artifact is
+//!                         byte-identical to an uninterrupted run; a journal
+//!                         of another campaign is refused. Delete the file
+//!                         or pass a new path for a fresh run
 //!       [--claim-dir DIR]  split the delay campaign across worker
 //!                     processes: claim work units dynamically through a
 //!                     shared claim ledger (requires --journal; merge the
 //!                     worker journals afterwards with --merge); killed
-//!                     workers' units are stolen by survivors and the
-//!                     merged artifact stays byte-identical to a
+//!                     workers' units are stolen by survivors, a killed
+//!                     worker restarted on its journal keeps its rows, and
+//!                     the merged artifact stays byte-identical to a
 //!                     single-process run
 //!       [--worker-id ID]  this worker's lease identity (default:
 //!                     worker-<pid>)
@@ -76,9 +80,6 @@
 //!                     (default: abort on the first failure)
 //!       [--max-events N]  deterministic per-experiment watchdog: fail any
 //!                         experiment whose simulation delivers > N events
-//!       [--wall-deadline SECS]  stop claiming new experiments after SECS
-//!                               wall-clock seconds (host-side, graceful;
-//!                               pairs with --journal/--resume)
 //! ```
 
 use std::collections::BTreeMap;
@@ -111,7 +112,6 @@ struct Options {
     quiet: bool,
     chrome_trace: Option<std::path::PathBuf>,
     journal: Option<std::path::PathBuf>,
-    resume: bool,
     claim_dir: Option<std::path::PathBuf>,
     worker_id: Option<String>,
     steal_after: u32,
@@ -124,7 +124,6 @@ struct Options {
     cache_gc: Option<u64>,
     failure_policy: FailurePolicy,
     max_events: Option<u64>,
-    wall_deadline: Option<f64>,
     fleets: Vec<usize>,
 }
 
@@ -180,7 +179,6 @@ fn parse_args() -> Options {
     let mut quiet = false;
     let mut chrome_trace = None;
     let mut journal = None;
-    let mut resume = false;
     let mut claim_dir = None;
     let mut worker_id = None;
     let mut steal_after = DEFAULT_STEAL_AFTER;
@@ -193,7 +191,6 @@ fn parse_args() -> Options {
     let mut cache_gc = None;
     let mut failure_policy = FailurePolicy::Abort;
     let mut max_events = None;
-    let mut wall_deadline = None;
     let mut fleets = vec![50usize, 200, 1000];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -202,7 +199,6 @@ fn parse_args() -> Options {
             "--metrics" => metrics = true,
             "--progress" => progress = true,
             "--quiet" => quiet = true,
-            "--resume" => resume = true,
             "--journal" => {
                 journal = Some(std::path::PathBuf::from(
                     args.next()
@@ -289,16 +285,6 @@ fn parse_args() -> Options {
                         .unwrap_or_else(|| die("--max-events needs a positive integer")),
                 );
             }
-            "--wall-deadline" => {
-                wall_deadline = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|s| *s > 0.0)
-                        .unwrap_or_else(|| {
-                            die("--wall-deadline needs a positive number of seconds")
-                        }),
-                );
-            }
             "--chrome-trace" => {
                 chrome_trace = Some(std::path::PathBuf::from(
                     args.next()
@@ -350,10 +336,10 @@ fn parse_args() -> Options {
                      --delay-summary|--dos-summary|--bench-campaign|--bench-scale] \
                      [--stride N] [--threads N] [--fleets A,B,..]\n\
                      \x20      [--metrics] [--progress|--quiet] [--chrome-trace FILE] [--csv DIR]\n\
-                     \x20      [--journal PATH] [--resume] [--cache-dir DIR]\n\
+                     \x20      [--journal PATH] [--cache-dir DIR]  (--journal continues an existing journal)\n\
                      \x20      [--claim-dir DIR] [--worker-id ID] [--steal-after N] [--claim-units N]\n\
                      \x20      [--failure-policy abort|quarantine[:N]]\n\
-                     \x20      [--max-events N] [--wall-deadline SECS] [--format text|json]\n\
+                     \x20      [--max-events N] [--format text|json]\n\
                      \x20      [--dataset-dir DIR] [--dataset-merge DIR..]\n\
                      \x20      [--merge JOURNAL..]  (merges worker journals and exits)\n\
                      \x20      [--cache-gc MAX_BYTES]  (collects the cache and exits)"
@@ -368,9 +354,6 @@ fn parse_args() -> Options {
     }
     if progress && quiet {
         die("--progress and --quiet are mutually exclusive");
-    }
-    if resume && journal.is_none() {
-        die("--resume requires --journal");
     }
     if claim_dir.is_some() && journal.is_none() {
         die("--claim-dir requires --journal (the worker journal is what --merge consumes)");
@@ -391,7 +374,6 @@ fn parse_args() -> Options {
         quiet,
         chrome_trace,
         journal,
-        resume,
         claim_dir,
         worker_id,
         steal_after,
@@ -404,7 +386,6 @@ fn parse_args() -> Options {
         cache_gc,
         failure_policy,
         max_events,
-        wall_deadline,
         fleets,
     }
 }
@@ -470,9 +451,7 @@ fn run_config(opts: &Options, with_journal: bool) -> RunConfig {
         } else {
             None
         },
-        resume: with_journal && opts.resume,
         cache: cache_store(opts),
-        wall_deadline_s: opts.wall_deadline,
         ..RunConfig::default()
     }
 }
@@ -559,7 +538,8 @@ fn run_delay(opts: &Options, observer: &ReproObserver) -> CampaignResult {
         );
     }
     // Streaming dataset exporter: one shard file per experiment, written
-    // before the experiment's journal row so a resume never leaves holes.
+    // before the experiment's journal row so a continued journal never
+    // leaves holes.
     let dataset = opts.dataset_dir.as_ref().map(|dir| {
         let sink =
             DirSink::create(dir).unwrap_or_else(|e| die(&format!("cannot open dataset dir: {e}")));

@@ -56,9 +56,9 @@
 //! second attempt would fail the same way.
 //!
 //! With a journal path configured, every finished experiment is
-//! checkpointed to an append-only fsync'd journal
-//! ([`crate::journal`]) and a killed campaign can be resumed
-//! ([`RunConfig::resume`]), reproducing the uninterrupted run's metrics
+//! checkpointed to an append-only fsync'd journal ([`crate::journal`]),
+//! and a run on the journal of a killed campaign continues it
+//! ([`RunConfig::journal`]), reproducing the uninterrupted run's metrics
 //! byte-for-byte.
 //!
 //! # Distribution
@@ -87,7 +87,7 @@ use comfase_des::sim::EventBudget;
 use comfase_des::time::SimTime;
 use comfase_obs::{
     CampaignMetrics, DatasetHeader, ExperimentExport, ExperimentLabel, ExperimentMetrics,
-    ObsConfig, WallDeadline, DATASET_SCHEMA_VERSION,
+    ObsConfig, DATASET_SCHEMA_VERSION,
 };
 use comfase_traffic::trace::GoldenSpeeds;
 
@@ -98,7 +98,9 @@ use crate::config::AttackCampaignSetup;
 use crate::engine::Engine;
 use crate::error::ComfaseError;
 use crate::fingerprint;
-use crate::journal::{read_journal, JournalEntry, JournalWriter, JOURNAL_SCHEMA_VERSION};
+use crate::journal::{
+    read_journal, JournalEntry, JournalHeader, JournalState, JournalWriter, JOURNAL_SCHEMA_VERSION,
+};
 use crate::log::RunLog;
 use crate::world::World;
 
@@ -172,7 +174,7 @@ pub trait WorkSource: Send + Sync + std::fmt::Debug {
 /// `comfase-dist` implements it as a directory of shards.
 pub trait DatasetSink: Send + Sync + std::fmt::Debug {
     /// Exports one labeled experiment. Called once per finished
-    /// experiment, before its journal row is appended, so a resumed
+    /// experiment, before its journal row is appended, so a continued
     /// campaign never leaves a journaled row without its shard.
     ///
     /// # Errors
@@ -248,22 +250,15 @@ pub struct RunConfig {
     /// What to do when an experiment fails.
     pub failure_policy: FailurePolicy,
     /// Checkpoint journal path. When set, every finished experiment is
-    /// appended (fsync'd) to this file; see [`crate::journal`].
+    /// appended (fsync'd) to this file; see [`crate::journal`]. A file
+    /// that already holds a complete line is continued: it must belong
+    /// to this campaign and be undamaged, the experiments it records as
+    /// completed are skipped (their journaled records and metrics are
+    /// merged into the result), and failed and missing ones are (re-)run.
+    /// No file, an empty one, or one whose first line was torn starts a
+    /// fresh journal. For a fresh run over an old journal, delete the
+    /// file or pass a new path.
     pub journal: Option<PathBuf>,
-    /// Resume from the journal at [`RunConfig::journal`]: experiments it
-    /// records as completed are skipped (their journaled records and
-    /// metrics are merged into the result); failed and missing ones are
-    /// (re-)run. Requires `journal` to be set; a missing journal file is
-    /// treated as a fresh run.
-    pub resume: bool,
-    /// Optional host wall-clock deadline in seconds. When it expires,
-    /// workers stop claiming new experiments and the campaign returns
-    /// [`ComfaseError::BudgetExceeded`]; with a journal configured, the
-    /// finished experiments are checkpointed and the campaign can be
-    /// resumed. Host-side and therefore *not* deterministic — the
-    /// sim-side [`comfase_des::EventBudget`] is the reproducible
-    /// watchdog.
-    pub wall_deadline_s: Option<f64>,
     /// Content-addressed result cache. Experiments whose key is already
     /// stored return their journaled rows without simulating; fresh
     /// results are stored on completion. The golden run is never cached,
@@ -278,7 +273,7 @@ pub struct RunConfig {
     pub work: Option<Arc<dyn WorkSource>>,
     /// Streaming dataset export: every finished experiment's labeled
     /// capture is rendered and handed to this sink *before* its journal
-    /// row is appended (so a resumed campaign never has a journaled row
+    /// row is appended (so a continued campaign never has a journaled row
     /// without its shard). Requires the engine's
     /// [`ObsConfig::dataset`](comfase_obs::ObsConfig) capture flag —
     /// without it there would be nothing to export. Cache entries hold no
@@ -424,7 +419,7 @@ impl Campaign {
     /// seed, traffic scenario, communication model, attack setup, event
     /// budget and telemetry config (see [`crate::fingerprint`]). Folded
     /// into journal headers and claim ledgers so artifacts from a
-    /// different configuration refuse to resume or merge.
+    /// different configuration refuse to continue or merge.
     ///
     /// # Errors
     ///
@@ -468,16 +463,16 @@ impl Campaign {
     /// hooks (phase boundaries, experiment completions — e.g. a phase
     /// timer or a progress reporter) and — when
     /// [`RunConfig::journal`] is set — checkpointing to an append-only
-    /// journal, or resuming from it.
+    /// journal, or continuing the one already there.
     ///
     /// # Errors
     ///
     /// Under [`FailurePolicy::Abort`], the first experiment failure;
     /// under [`FailurePolicy::Quarantine`], only campaign-level errors
     /// (configuration, golden-run or prefix failures, journal I/O, the
-    /// quarantine circuit breaker, an expired wall deadline). On resume,
-    /// also a journal that is unreadable, corrupt, or written by a
-    /// different campaign. `threads == 0` is
+    /// quarantine circuit breaker). With a journal file that holds a
+    /// complete line, also a journal that is unreadable, corrupt, or
+    /// written by a different campaign. `threads == 0` is
     /// [`ComfaseError::InvalidConfig`].
     pub fn run(
         &self,
@@ -519,21 +514,33 @@ impl Campaign {
             total,
         };
 
-        // Resume: start from the journal's completed entries, after
-        // checking that it belongs to this campaign and that every entry
-        // agrees with the index it is journaled under.
-        let mut completed = BTreeMap::new();
-        if config.resume {
-            let path = config.journal.as_deref().ok_or_else(|| {
-                ComfaseError::InvalidConfig("resume requires a journal path".into())
-            })?;
-            if path.exists() {
+        // A journal file holding a complete line is continued from its
+        // completed entries, after checking that it belongs to this
+        // campaign and that every entry agrees with the index it is
+        // journaled under. Nothing complete (no file, an empty one, a torn
+        // header) starts a fresh journal.
+        let header = JournalHeader {
+            schema_version: JOURNAL_SCHEMA_VERSION,
+            seed: self.engine.seed(),
+            total,
+            fingerprint,
+            setup: self.setup.clone(),
+        };
+        let continued = match config.journal.as_deref() {
+            Some(path) if path.exists() => {
                 let state = read_journal(path)?;
-                state.check_identity(self.engine.seed(), total, &self.setup, fingerprint)?;
-                state.check_entries(total, Some(&specs))?;
-                completed = state.completed;
+                (state != JournalState::default()).then_some(state)
             }
+            _ => None,
+        };
+        if let Some(state) = &continued {
+            state.check_identity(&header)?;
+            state.check_entries(total, Some(&specs))?;
         }
+        // Whether the continued journal holds the golden row; `None` for a
+        // fresh journal.
+        let golden_journaled = continued.as_ref().map(|state| state.golden.is_some());
+        let mut completed = continued.map(|state| state.completed).unwrap_or_default();
 
         // Content-addressed cache: the key components constant across this
         // campaign's experiments.
@@ -551,10 +558,11 @@ impl Campaign {
         let mut cache_misses: usize = 0;
         let mut cache_stale: usize = 0;
 
-        // Step 2: golden run (once — also on resume and with a warm cache:
-        // classification parameters and the golden metrics row are
-        // recomputed, which is deterministic, keeps the journal limited to
-        // per-experiment state and costs less than loading a cached log).
+        // Step 2: golden run (once — also on a continued journal and with
+        // a warm cache: classification parameters and the golden metrics
+        // row are recomputed, which is deterministic, keeps the journal
+        // limited to per-experiment state and costs less than loading a
+        // cached log).
         observer.phase_started(CampaignPhase::Golden);
         let mut golden = self.engine.golden_run()?;
         // No shard is exported for the golden run: its capture (present
@@ -568,36 +576,35 @@ impl Campaign {
         let golden_row =
             collect_metrics.then(|| golden.experiment_metrics(0, "Golden".to_string()));
 
-        // Journal writer: create with a header (followed by the golden
-        // metrics row, which the journal merger needs to rebuild the
-        // campaign artifact) on a fresh run, append on resume. Opened
+        // Journal writer: a fresh journal gets the header followed by the
+        // golden metrics row, which the journal merger needs to rebuild the
+        // campaign artifact; a continued one is appended to, and gets the
+        // golden row if a kill cut the journal after its header. Opened
         // before the experiment phase so an unwritable journal fails fast
         // instead of after hours of simulation.
-        let journal = match config.journal.as_deref() {
-            Some(path) if config.resume && path.exists() => Some(JournalWriter::append_to(path)?),
-            Some(path) => {
-                let writer = JournalWriter::create(
-                    path,
-                    &JournalEntry::Header {
-                        schema_version: JOURNAL_SCHEMA_VERSION,
-                        seed: self.engine.seed(),
-                        total,
-                        fingerprint,
-                        setup: self.setup.clone(),
-                    },
-                )?;
-                writer.append(&JournalEntry::Golden {
-                    metrics: golden_row.clone(),
-                })?;
+        let golden_entry = || JournalEntry::Golden {
+            metrics: golden_row.clone(),
+        };
+        let journal = match (config.journal.as_deref(), golden_journaled) {
+            (Some(path), Some(journaled)) => {
+                let writer = JournalWriter::append_to(path)?;
+                if collect_metrics && !journaled {
+                    writer.append(&golden_entry())?;
+                }
                 Some(writer)
             }
-            None => None,
+            (Some(path), None) => {
+                let writer = JournalWriter::create(path, &JournalEntry::Header(header))?;
+                writer.append(&golden_entry())?;
+                Some(writer)
+            }
+            (None, _) => None,
         };
 
         // Cache phase: resolve still-pending experiments against the
         // store before simulating anything. Hits are journaled (in
         // ascending index order — deterministic) and folded into the
-        // completed state exactly like resumed entries; the stored
+        // completed state exactly like continued entries; the stored
         // index-free record and row are rewritten to this campaign's
         // index. A dataset run looks nothing up: entries hold no capture,
         // so every experiment it exports must simulate.
@@ -708,8 +715,6 @@ impl Campaign {
                 done: AtomicUsize::new(done),
                 nr_failed: AtomicUsize::new(0),
                 abort: AtomicBool::new(false),
-                deadline: config.wall_deadline_s.map(WallDeadline::after_secs),
-                deadline_hit: AtomicBool::new(false),
                 total,
                 failure_policy: config.failure_policy,
                 dedup: config.work.is_some().then(|| Mutex::new(BTreeSet::new())),
@@ -773,27 +778,13 @@ impl Campaign {
         if let Some(e) = into_inner(sink.first_error) {
             return Err(e);
         }
-        if sink.deadline_hit.load(Ordering::Relaxed) {
-            let d = sink.done.load(Ordering::Relaxed);
-            if d < total {
-                return Err(ComfaseError::BudgetExceeded(format!(
-                    "wall-clock deadline of {:.1}s reached after {d}/{total} experiments{}",
-                    config.wall_deadline_s.unwrap_or(0.0),
-                    if config.journal.is_some() {
-                        "; completed work is journaled — resume to continue"
-                    } else {
-                        ""
-                    }
-                )));
-            }
-        }
         let mut records = into_inner(sink.records);
         records.sort_by_key(|r| r.index);
         let mut failures = into_inner(sink.failures);
         failures.sort_by_key(|f| f.index);
         // CampaignMetrics::build re-sorts the rows by experiment index, so
         // the artifact is independent of worker-thread completion order —
-        // and, on resume, of which rows came from the journal.
+        // and, on a continued journal, of which rows came from it.
         let metrics = collect_metrics
             .then(|| CampaignMetrics::build(into_inner(sink.metrics_rows), golden_row));
         Ok(CampaignResult {
@@ -924,7 +915,7 @@ enum UnitRun {
     /// The claim was lost (or its renewal failed) mid-unit: abandon the
     /// unit without completing it and claim the next one.
     Lost,
-    /// The campaign is stopping (abort, deadline); the worker exits.
+    /// The campaign is aborting; the worker exits.
     Stopped,
 }
 
@@ -959,7 +950,7 @@ impl Sweep<'_> {
 /// Shared result-handling state of the experiment phase, used by every
 /// worker: journaling, caching, dataset export, record/failure
 /// accumulation, the failure policy (including the quarantine circuit
-/// breaker), observer callbacks, and the abort/deadline controls.
+/// breaker), observer callbacks, and the abort flag.
 struct ResultSink<'a> {
     journal: Option<&'a JournalWriter>,
     cache: Option<&'a dyn ExperimentCache>,
@@ -976,8 +967,6 @@ struct ResultSink<'a> {
     done: AtomicUsize,
     nr_failed: AtomicUsize,
     abort: AtomicBool,
-    deadline: Option<WallDeadline>,
-    deadline_hit: AtomicBool,
     total: usize,
     failure_policy: FailurePolicy,
     /// Indices already pushed by this process — claim-driven runs only.
@@ -997,20 +986,9 @@ impl ResultSink<'_> {
         false
     }
 
-    /// `true` when workers must stop claiming work — the abort flag is
-    /// raised or the wall deadline expired (which is latched so the
-    /// campaign reports it after the scope ends).
+    /// `true` once the abort flag is raised: workers stop claiming work.
     fn should_stop(&self) -> bool {
-        if self.abort.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(d) = &self.deadline {
-            if d.expired() {
-                self.deadline_hit.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
+        self.abort.load(Ordering::Relaxed)
     }
 
     /// Records one experiment outcome: exports, journals and caches it,
@@ -1031,7 +1009,7 @@ impl ResultSink<'_> {
         match outcome {
             Ok((record, row, dataset)) => {
                 // Dataset export comes first: once the journal records the
-                // experiment as completed, a resume will never re-run it,
+                // experiment as completed, a continuation never re-runs it,
                 // so its shard must already be on disk by then. Sinks are
                 // idempotent for identical bytes, so the crash window
                 // (shard written, journal row lost) re-exports harmlessly.

@@ -1,13 +1,13 @@
 // comfase-lint: host-region(reason = "journal writer: durable append-only file I/O at the campaign boundary; entries are keyed by experiment index so replay order cannot affect merged metrics")
 
-//! Append-only campaign journal for checkpoint/resume.
+//! Append-only campaign journal for checkpoint and continuation.
 //!
 //! A campaign run with a journal path writes one JSON line per *finished*
 //! experiment — completed or failed — to an append-only file, fsync'd after
 //! every line. If the process is killed (OOM, SIGKILL, power loss), a later
-//! run with [`RunConfig::resume`](crate::campaign::RunConfig::resume) set
-//! replays the journal, skips the experiments already completed, re-runs
-//! the failed and missing ones, and produces a
+//! run on the same [`RunConfig::journal`](crate::campaign::RunConfig::journal)
+//! continues the journal: it skips the experiments already completed,
+//! re-runs the failed and missing ones, and produces a
 //! [`CampaignResult`](crate::campaign::CampaignResult) whose metrics are
 //! **byte-identical** to an uninterrupted run:
 //!
@@ -19,8 +19,8 @@
 //!   back to the same bits), so journaled rows merge bit-for-bit with
 //!   fresh ones;
 //! - the header pins the campaign identity (engine seed, experiment count,
-//!   attack campaign setup) and resume refuses a journal written by a
-//!   different campaign;
+//!   attack campaign setup), and a run refuses to continue a journal
+//!   written by a different campaign;
 //! - every entry must agree with the index it is journaled under
 //!   ([`JournalState::check_entries`]), and an entry with an unknown or
 //!   duplicated key does not decode at all, so a damaged line that still
@@ -30,7 +30,7 @@
 //!
 //! Every entry is written as one newline-terminated line, so a kill can
 //! only leave an *unterminated* tail behind. The reader ignores that tail
-//! (the experiment it described is simply re-run), and a resuming writer
+//! (the experiment it described is simply re-run), and a continuing writer
 //! cuts it off before appending, so the next entry starts on a line of its
 //! own. A terminated line that does not parse was not torn by a kill; it
 //! is reported as a corrupt journal.
@@ -51,7 +51,7 @@ use crate::config::AttackCampaignSetup;
 use crate::error::ComfaseError;
 
 /// Version stamp written in the journal header; bumped on breaking layout
-/// changes so a resume against an old journal fails loudly.
+/// changes so continuing or merging an old journal fails loudly.
 ///
 /// v2: the header carries the canonical campaign fingerprint (full-config
 /// identity — see [`crate::fingerprint`]), and a `golden` entry with the
@@ -70,23 +70,8 @@ pub const JOURNAL_SCHEMA_VERSION: u32 = 2;
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEntry {
     /// First line of every journal: identifies the campaign the journal
-    /// belongs to. Resume checks it against the resuming campaign.
-    Header {
-        /// Journal layout version ([`JOURNAL_SCHEMA_VERSION`]).
-        schema_version: u32,
-        /// Engine seed of the writing campaign.
-        seed: u64,
-        /// Total number of experiments in the expanded campaign.
-        total: usize,
-        /// Canonical fingerprint of the full campaign configuration
-        /// (seed, scenario, comm model, setup, budget, telemetry — see
-        /// [`crate::fingerprint::campaign_fingerprint`]). Resume and merge
-        /// refuse journals whose fingerprint differs: the `setup` field
-        /// alone cannot see a changed scenario or communication model.
-        fingerprint: u64,
-        /// The attack campaign setup (expansion input).
-        setup: AttackCampaignSetup,
-    },
+    /// belongs to ([`JournalState::check_identity`]).
+    Header(JournalHeader),
     /// Second line of every journal: the golden (attack-free) reference
     /// run's metrics row, present when the campaign collects telemetry.
     /// Recorded so worker journals carry everything `metrics.json` needs —
@@ -102,8 +87,8 @@ pub enum JournalEntry {
         /// The classified record (spec + verdict).
         record: ExperimentRecord,
         /// Per-experiment metrics row, present when the campaign collects
-        /// metrics. Required for a resumed run to reproduce `metrics.json`
-        /// byte-identically.
+        /// metrics. Required for a continued run to reproduce
+        /// `metrics.json` byte-identically.
         metrics: Option<ExperimentMetrics>,
     },
     /// An experiment failed.
@@ -119,19 +104,13 @@ impl ToJson for JournalEntry {
     fn write_json(&self, w: &mut Writer<'_>) {
         w.begin_object();
         match self {
-            JournalEntry::Header {
-                schema_version,
-                seed,
-                total,
-                fingerprint,
-                setup,
-            } => {
+            JournalEntry::Header(header) => {
                 w.field("entry", "header");
-                w.field("schema_version", schema_version);
-                w.field("seed", seed);
-                w.field("total", total);
-                w.field("fingerprint", fingerprint);
-                w.field("setup", setup);
+                w.field("schema_version", &header.schema_version);
+                w.field("seed", &header.seed);
+                w.field("total", &header.total);
+                w.field("fingerprint", &header.fingerprint);
+                w.field("setup", &header.setup);
             }
             JournalEntry::Golden { metrics } => {
                 w.field("entry", "golden");
@@ -167,13 +146,13 @@ impl FromJson for JournalEntry {
             "header" => {
                 // Static-shard runs wrote a `shard` key; it is ignored.
                 fields.ignore("shard");
-                JournalEntry::Header {
+                JournalEntry::Header(JournalHeader {
                     schema_version: fields.get("schema_version")?,
                     seed: fields.get("seed")?,
                     total: fields.get("total")?,
                     fingerprint: fields.get_or_default("fingerprint")?,
                     setup: fields.get("setup")?,
-                }
+                })
             }
             "golden" => JournalEntry::Golden {
                 metrics: fields.get("metrics")?,
@@ -227,7 +206,7 @@ impl JournalWriter {
         Ok(writer)
     }
 
-    /// Opens an existing journal at `path` for appending (resume), first
+    /// Opens an existing journal at `path` for appending, first
     /// cutting off an unterminated tail — the remnant of a write a kill
     /// interrupted, which [`read_journal`] ignores.
     pub fn append_to(path: &Path) -> Result<Self, ComfaseError> {
@@ -265,18 +244,22 @@ fn io_err(path: &Path, e: &std::io::Error) -> ComfaseError {
     ComfaseError::Io(format!("journal {}: {e}", path.display()))
 }
 
-/// Header fields of a parsed journal.
+/// The campaign identity a journal's first line records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalHeader {
-    /// Journal layout version.
+    /// Journal layout version ([`JOURNAL_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Engine seed of the writing campaign.
     pub seed: u64,
-    /// Total experiments of the whole campaign.
+    /// Total number of experiments in the expanded campaign.
     pub total: usize,
-    /// Canonical full-config fingerprint.
+    /// Canonical fingerprint of the full campaign configuration (seed,
+    /// scenario, comm model, setup, budget, telemetry — see
+    /// [`crate::fingerprint::campaign_fingerprint`]). Continuing and
+    /// merging refuse journals whose fingerprint differs: the `setup`
+    /// field alone cannot see a changed scenario or communication model.
     pub fingerprint: u64,
-    /// The attack campaign setup.
+    /// The attack campaign setup (expansion input).
     pub setup: AttackCampaignSetup,
 }
 
@@ -290,30 +273,25 @@ pub struct JournalState {
     /// Completed experiments by index: record plus optional metrics row.
     pub completed: BTreeMap<usize, (ExperimentRecord, Option<ExperimentMetrics>)>,
     /// Terminal failures by index. An index later journaled as completed
-    /// (a successful re-run after resume) is removed from this map.
+    /// (a successful re-run in a continuation) is removed from this map.
     pub failures: BTreeMap<usize, ExperimentFailure>,
 }
 
 impl JournalState {
-    /// Verifies the journal was written by a campaign with the same
-    /// identity — seed, experiment count, setup, canonical full-config
-    /// fingerprint — and a supported schema version.
+    /// Verifies the journal was written by the campaign `expected`
+    /// identifies — same seed, experiment count, setup and canonical
+    /// full-config fingerprint — under the supported schema version
+    /// [`JOURNAL_SCHEMA_VERSION`] (`expected.schema_version` is not read).
+    /// A run checks the journal it continues against its own identity,
+    /// and the journal merger checks every journal against the first.
     ///
     /// A malformed journal (no header, unsupported schema) is
     /// [`ComfaseError::Io`]; a well-formed journal that belongs to a
     /// *different* campaign is [`ComfaseError::InvalidConfig`] — the
     /// caller's configuration, not the file, is what disagrees.
-    pub fn check_identity(
-        &self,
-        seed: u64,
-        total: usize,
-        setup: &AttackCampaignSetup,
-        fingerprint: u64,
-    ) -> Result<(), ComfaseError> {
+    pub fn check_identity(&self, expected: &JournalHeader) -> Result<(), ComfaseError> {
         let Some(header) = &self.header else {
-            return Err(ComfaseError::Io(
-                "journal has no header line; refusing to resume".into(),
-            ));
+            return Err(ComfaseError::Io("journal has no header line".into()));
         };
         if header.schema_version != JOURNAL_SCHEMA_VERSION {
             return Err(ComfaseError::Io(format!(
@@ -321,20 +299,23 @@ impl JournalState {
                 header.schema_version
             )));
         }
-        if header.seed != seed || header.total != total || header.setup != *setup {
+        if header.seed != expected.seed
+            || header.total != expected.total
+            || header.setup != expected.setup
+        {
             return Err(ComfaseError::InvalidConfig(format!(
                 "journal belongs to a different campaign \
                  (journal: seed {}, {} experiments; \
-                 resuming: seed {seed}, {total} experiments)",
-                header.seed, header.total
+                 expected: seed {}, {} experiments)",
+                header.seed, header.total, expected.seed, expected.total
             )));
         }
-        if header.fingerprint != fingerprint {
+        if header.fingerprint != expected.fingerprint {
             return Err(ComfaseError::InvalidConfig(format!(
                 "journal belongs to a different campaign configuration \
-                 (journal fingerprint {:016x}, resuming {fingerprint:016x}): \
+                 (journal fingerprint {:016x}, expected {:016x}): \
                  the scenario, comm model, budget or telemetry config changed",
-                header.fingerprint
+                header.fingerprint, expected.fingerprint
             )));
         }
         Ok(())
@@ -347,8 +328,8 @@ impl JournalState {
     /// at that index. A damaged line that still parses would otherwise
     /// add a phantom record or move a metrics row to another index, so
     /// any disagreement is a corrupt journal ([`ComfaseError::Io`]).
-    /// Resume (with the campaign's specs) and merge (without) both call
-    /// this.
+    /// A continuing run (with the campaign's specs) and the merger
+    /// (without) both call this.
     pub fn check_entries(
         &self,
         total: usize,
@@ -399,20 +380,8 @@ pub fn read_journal(path: &Path) -> Result<JournalState, ComfaseError> {
             ))
         })?;
         match entry {
-            JournalEntry::Header {
-                schema_version,
-                seed,
-                total,
-                fingerprint,
-                setup,
-            } => {
-                state.header = Some(JournalHeader {
-                    schema_version,
-                    seed,
-                    total,
-                    fingerprint,
-                    setup,
-                });
+            JournalEntry::Header(header) => {
+                state.header = Some(header);
             }
             JournalEntry::Golden { metrics } => {
                 state.golden = metrics;
@@ -477,14 +446,18 @@ mod tests {
 
     const TEST_FINGERPRINT: u64 = 0xdead_beef_cafe_f00d;
 
-    fn header() -> JournalEntry {
-        JournalEntry::Header {
+    fn identity() -> JournalHeader {
+        JournalHeader {
             schema_version: JOURNAL_SCHEMA_VERSION,
             seed: 42,
             total: 8,
             fingerprint: TEST_FINGERPRINT,
             setup: setup(),
         }
+    }
+
+    fn header() -> JournalEntry {
+        JournalEntry::Header(identity())
     }
 
     #[test]
@@ -516,9 +489,7 @@ mod tests {
         drop(writer);
 
         let state = read_journal(&path).unwrap();
-        state
-            .check_identity(42, 8, &setup(), TEST_FINGERPRINT)
-            .unwrap();
+        state.check_identity(&identity()).unwrap();
         assert_eq!(state.completed.len(), 1);
         assert_eq!(state.completed[&3].0, record(3));
         assert_eq!(state.failures[&5], failure);
@@ -565,7 +536,7 @@ mod tests {
     #[test]
     fn legacy_shard_key_in_the_header_is_ignored() {
         // Static-shard runs wrote a `shard` key into the header; such
-        // journals still read, resume and merge.
+        // journals still read, continue and merge.
         let path = std::env::temp_dir().join("comfase-journal-legacy-shard.journal");
         let header = comfase_json::to_string(&header());
         let legacy = header.replacen(
@@ -576,9 +547,7 @@ mod tests {
         assert_ne!(legacy, header);
         std::fs::write(&path, format!("{legacy}\n")).unwrap();
         let state = read_journal(&path).unwrap();
-        assert!(state
-            .check_identity(42, 8, &setup(), TEST_FINGERPRINT)
-            .is_ok());
+        assert!(state.check_identity(&identity()).is_ok());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -641,27 +610,35 @@ mod tests {
 
     #[test]
     fn identity_mismatch_is_rejected() {
-        let fp = TEST_FINGERPRINT;
         let state = JournalState {
-            header: Some(JournalHeader {
-                schema_version: JOURNAL_SCHEMA_VERSION,
-                seed: 42,
-                total: 8,
-                fingerprint: fp,
-                setup: setup(),
-            }),
+            header: Some(identity()),
             ..JournalState::default()
         };
-        assert!(state.check_identity(42, 8, &setup(), fp).is_ok());
-        assert!(state.check_identity(43, 8, &setup(), fp).is_err());
-        assert!(state.check_identity(42, 9, &setup(), fp).is_err());
-        let mut other = setup();
-        other.attack_values = vec![9.0];
-        assert!(state.check_identity(42, 8, &other, fp).is_err());
+        assert!(state.check_identity(&identity()).is_ok());
+        let check = |edit: fn(&mut JournalHeader)| {
+            let mut expected = identity();
+            edit(&mut expected);
+            state.check_identity(&expected)
+        };
+        assert!(check(|h| h.seed = 43).is_err());
+        assert!(check(|h| h.total = 9).is_err());
+        assert!(check(|h| h.setup.attack_values = vec![9.0]).is_err());
         // A changed scenario/comm/budget only shows up in the fingerprint —
-        // exactly the resume hole the fingerprint closes.
-        let err = state.check_identity(42, 8, &setup(), fp ^ 1).unwrap_err();
+        // exactly the continuation hole the fingerprint closes.
+        let err = check(|h| h.fingerprint ^= 1).unwrap_err();
         assert!(matches!(err, ComfaseError::InvalidConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("expected"), "{err}");
+        // A journal without a header, or of another schema, is malformed.
+        let mut old = identity();
+        old.schema_version = 1;
+        for header in [None, Some(old)] {
+            let state = JournalState {
+                header,
+                ..JournalState::default()
+            };
+            let err = state.check_identity(&identity()).unwrap_err();
+            assert!(matches!(err, ComfaseError::Io(_)), "{err:?}");
+        }
     }
 
     /// A state holding `record(rec)` — plus, when given, a metrics row
@@ -691,8 +668,8 @@ mod tests {
         // A record, or a metrics row, journaled under another index.
         assert!(corrupt(completed(3, 4, None), None));
         assert!(corrupt(completed(3, 3, Some(6)), None));
-        // A spec that is not the campaign's at that index: only resume
-        // knows the specs.
+        // A spec that is not the campaign's at that index: only a
+        // continuing run knows the specs.
         let mut other = specs.clone();
         other[3].value = 2.0;
         assert!(completed(3, 3, None).check_entries(8, None).is_ok());

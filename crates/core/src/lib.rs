@@ -89,6 +89,6 @@ pub mod prelude {
     pub use comfase_des::sim::EventBudget;
     pub use comfase_obs::{
         chrome_trace_json, CampaignMetrics, ExperimentMetrics, FrameBreakdown, HostProfiler,
-        KernelCounters, MetricsSnapshot, ObsConfig, WallDeadline,
+        KernelCounters, MetricsSnapshot, ObsConfig,
     };
 }

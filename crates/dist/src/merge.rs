@@ -18,10 +18,12 @@
 //!
 //! The checks are strict by design. Refused with a clear
 //! [`ComfaseError`]: journals from different campaigns (any identity
-//! field disagrees), an entry that disagrees with its own index
-//! (`JournalState::check_entries`), two journals disagreeing about one
-//! experiment, incomplete coverage of `0..total`, unresolved failures,
-//! and journals written without telemetry (there are no rows to merge).
+//! field disagrees with journal #0's — `JournalState::check_identity`,
+//! the same rule a continuing run applies), an entry that disagrees with
+//! its own index (`JournalState::check_entries`), two journals
+//! disagreeing about one experiment, incomplete coverage of `0..total`,
+//! unresolved failures, and journals written without telemetry (there
+//! are no rows to merge).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,7 +31,7 @@ use std::path::Path;
 
 use comfase_obs::{CampaignMetrics, ExperimentMetrics};
 
-use comfase::journal::{read_journal, JournalHeader, JournalState, JOURNAL_SCHEMA_VERSION};
+use comfase::journal::{read_journal, JournalState};
 use comfase::prelude::{ComfaseError, ExperimentRecord};
 
 /// A half-open run `[lo, hi)` of experiment indices.
@@ -159,44 +161,12 @@ pub fn merge_states(states: &[JournalState]) -> Result<CampaignMetrics, MergeFai
         );
     }
 
-    // Identity: every journal must declare the same campaign.
-    let headers: Vec<&JournalHeader> = states
-        .iter()
-        .enumerate()
-        .map(|(n, s)| {
-            s.header.as_ref().ok_or_else(|| {
-                ComfaseError::Io(format!(
-                    "journal #{n} has no header line; refusing to merge"
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let first = headers[0];
-    for (n, header) in headers.iter().enumerate() {
-        if header.schema_version != JOURNAL_SCHEMA_VERSION {
-            return Err(ComfaseError::Io(format!(
-                "journal #{n}: schema version {} != supported {JOURNAL_SCHEMA_VERSION}",
-                header.schema_version
-            ))
-            .into());
-        }
-        if header.seed != first.seed
-            || header.total != first.total
-            || header.fingerprint != first.fingerprint
-            || header.setup != first.setup
-        {
-            return Err(ComfaseError::InvalidConfig(format!(
-                "journal #{n} belongs to a different campaign than journal #0 \
-                 (seed {} vs {}, {} vs {} experiments, fingerprint {:016x} vs {:016x})",
-                header.seed,
-                first.seed,
-                header.total,
-                first.total,
-                header.fingerprint,
-                first.fingerprint
-            ))
-            .into());
-        }
+    // Identity: every journal must declare journal #0's campaign.
+    let Some(first) = &states[0].header else {
+        return Err(ComfaseError::Io("journal #0: journal has no header line".into()).into());
+    };
+    for (n, state) in states.iter().enumerate() {
+        state.check_identity(first).map_err(|e| in_journal(n, e))?;
     }
     let total = first.total;
 
@@ -210,7 +180,7 @@ pub fn merge_states(states: &[JournalState]) -> Result<CampaignMetrics, MergeFai
     for (n, state) in states.iter().enumerate() {
         state
             .check_entries(total, None)
-            .map_err(|e| ComfaseError::Io(format!("journal #{n}: {e}")))?;
+            .map_err(|e| in_journal(n, e))?;
         for (&index, entry) in &state.completed {
             match merged.get(&index) {
                 Some(existing) if existing != entry => {
@@ -253,7 +223,8 @@ pub fn merge_states(states: &[JournalState]) -> Result<CampaignMetrics, MergeFai
     if let Some((&index, &(n, kind))) = failures.iter().find(|(i, _)| !merged.contains_key(i)) {
         return Err(ComfaseError::InvalidConfig(format!(
             "experiment {index} failed ({kind}, journal #{n}) and no journal \
-             re-ran it to completion; resume a worker before merging"
+             re-ran it to completion; restart a worker on its journal before \
+             merging"
         ))
         .into());
     }
@@ -295,12 +266,22 @@ pub fn merge_states(states: &[JournalState]) -> Result<CampaignMetrics, MergeFai
     Ok(CampaignMetrics::build(rows, Some(golden)))
 }
 
+/// Prefixes `e`'s message with the journal it concerns, keeping its kind.
+fn in_journal(n: usize, e: ComfaseError) -> ComfaseError {
+    match e {
+        ComfaseError::Io(m) => ComfaseError::Io(format!("journal #{n}: {m}")),
+        ComfaseError::InvalidConfig(m) => ComfaseError::InvalidConfig(format!("journal #{n}: {m}")),
+        other => other,
+    }
+}
+
 // The tests below build `JournalState` values directly (no files, no
 // JSON): the merge logic is pure, and the end-to-end path through real
 // worker journals is covered by `tests/tests/dist.rs` and `steal.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comfase::journal::{JournalHeader, JOURNAL_SCHEMA_VERSION};
     use comfase::prelude::{
         AttackCampaignSetup, AttackModelKind, AttackSpec, Classification, Verdict,
     };
@@ -402,7 +383,24 @@ mod tests {
         assert!(is_invalid(merge_states(&[a.clone(), b]).unwrap_err()));
         let mut c = state(total, &[1]);
         c.header.as_mut().unwrap().seed ^= 1;
-        assert!(is_invalid(merge_states(&[a, c]).unwrap_err()));
+        let err = merge_states(&[a.clone(), c]).unwrap_err();
+        assert!(err.to_string().contains("journal #1: "), "{err}");
+        assert!(is_invalid(err));
+        // A missing header or an unsupported schema, in either position,
+        // is a malformed journal.
+        let mut headless = state(total, &[1]);
+        headless.header = None;
+        let mut old = state(total, &[1]);
+        old.header.as_mut().unwrap().schema_version -= 1;
+        for pair in [
+            [a.clone(), headless.clone()],
+            [headless, a.clone()],
+            [a.clone(), old.clone()],
+            [old, a],
+        ] {
+            let failure = merge_states(&pair).unwrap_err();
+            assert!(matches!(failure.error, ComfaseError::Io(_)), "{failure:?}");
+        }
     }
 
     #[test]
@@ -541,7 +539,7 @@ mod tests {
         // …but an unresolved one does.
         a.completed.remove(&1);
         let err = merge_states(std::slice::from_ref(&a)).unwrap_err();
-        assert!(err.to_string().contains("resume"), "got: {err}");
+        assert!(err.to_string().contains("restart a worker"), "got: {err}");
         // Resolution is global: a *different* journal completing the
         // index resolves the failure — the work-stealing recovery shape,
         // where the victim journals the failure and the thief the

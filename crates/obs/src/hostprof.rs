@@ -69,36 +69,6 @@ impl HostProfiler {
     }
 }
 
-/// Host wall-clock deadline for preempting a long campaign run.
-///
-/// **Not deterministic** — this measures the machine, like everything in
-/// this module, and expiry depends on host load. It exists for operational
-/// protection (CI time limits, shared clusters): an expired deadline makes
-/// the campaign runner stop claiming new experiments and lean on its
-/// journal for resume. The *reproducible* watchdog is the sim-side event
-/// budget (`comfase_des::EventBudget`), which trips identically on every
-/// host and thread count.
-#[derive(Debug)]
-pub struct WallDeadline {
-    started: Instant,
-    budget_s: f64,
-}
-
-impl WallDeadline {
-    /// Starts a deadline expiring `budget_s` wall-clock seconds from now.
-    pub fn after_secs(budget_s: f64) -> Self {
-        WallDeadline {
-            started: Instant::now(),
-            budget_s,
-        }
-    }
-
-    /// `true` once the budget has elapsed.
-    pub fn expired(&self) -> bool {
-        self.started.elapsed().as_secs_f64() >= self.budget_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,17 +100,5 @@ mod tests {
     fn profiler_is_sync_for_worker_threads() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<HostProfiler>();
-        assert_sync::<WallDeadline>();
-    }
-
-    #[test]
-    fn generous_deadline_does_not_expire() {
-        assert!(!WallDeadline::after_secs(3600.0).expired());
-    }
-
-    #[test]
-    fn zero_deadline_expires_immediately() {
-        let d = WallDeadline::after_secs(0.0);
-        assert!(d.expired());
     }
 }

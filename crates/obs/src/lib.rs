@@ -35,7 +35,7 @@ pub use dataset::{
     render_experiment, DatasetCapture, DatasetHeader, ExperimentExport, ExperimentLabel, FrameFate,
     FrameRecord, StepRecord, DATASET_SCHEMA_VERSION,
 };
-pub use hostprof::{HostProfiler, WallDeadline};
+pub use hostprof::HostProfiler;
 pub use metrics::{
     AggregateMetrics, CampaignMetrics, ExperimentMetrics, FrameBreakdown, KernelCounters,
     SUBSTRATE_COUNTER_PREFIXES,

@@ -5,8 +5,8 @@
 //! 1. **Damaged keys.** A key whose name was damaged (or duplicated by a
 //!    splice) must not decode as "field absent, use the default": a
 //!    journal row would silently lose its counters and `metrics.json`
-//!    would come out short. Resume and merge refuse such a journal; the
-//!    result cache treats such an entry as stale.
+//!    would come out short. Continuing and merging refuse such a
+//!    journal; the result cache treats such an entry as stale.
 //! 2. **Mutation sweep.** A deterministic mutator (every truncation plus
 //!    seeded byte flips and splices, seeded by `comfase_des::rng`) runs
 //!    over one sample of each format: a journal line, a cache file, a
@@ -84,15 +84,15 @@ fn damaged_journal(name: &str, damage: impl Fn(&str) -> String) -> PathBuf {
     path
 }
 
+/// Continuing the damaged journal and merging it both refuse it.
 fn assert_resume_and_merge_refuse(path: &Path) {
     let resume = RunConfig {
         journal: Some(path.to_path_buf()),
-        resume: true,
         ..RunConfig::default()
     };
     let err = campaign()
         .run(2, &resume, &NullObserver)
-        .expect_err("resume refuses the journal");
+        .expect_err("continuing refuses the journal");
     assert!(matches!(err, ComfaseError::Io(_)), "resume: {err:?}");
     let failure = merge_journals(&[path]).expect_err("merge refuses the journal");
     assert!(

@@ -208,9 +208,10 @@ impl CampaignObserver for PhaseLog {
 }
 
 /// Each of the six phase hooks fires once, in order, in every mode: on a
-/// fresh run (one experiment quarantined), on its resume (which re-runs
-/// that experiment) and on a fully cached run. campaign-bench times its
-/// gated `setup_s` as the Golden plus the Prefixes bracket.
+/// fresh run (one experiment quarantined), on a run that continues its
+/// journal (which re-runs that experiment) and on a fully cached run.
+/// campaign-bench times its gated `setup_s` as the Golden plus the
+/// Prefixes bracket.
 #[test]
 fn phase_hooks_bracket_each_phase_once_in_order() {
     use CampaignPhase::{Experiments, Golden, Prefixes};
@@ -239,10 +240,6 @@ fn phase_hooks_bracket_each_phase_once_in_order() {
             cache: Some(Arc::clone(&cache)),
             ..RunConfig::default()
         };
-        let resumed = RunConfig {
-            resume: true,
-            ..fresh.clone()
-        };
         let cached = RunConfig {
             mode,
             cache: Some(cache),
@@ -254,8 +251,8 @@ fn phase_hooks_bracket_each_phase_once_in_order() {
         });
         // (label, campaign, config, cache hits)
         for (label, campaign, config, hits) in [
-            ("fresh", quarantined, fresh, 0),
-            ("resumed", metrics_campaign(), resumed, 0),
+            ("fresh", quarantined, fresh.clone(), 0),
+            ("continued", metrics_campaign(), fresh, 0),
             ("cached", metrics_campaign(), cached, 8),
         ] {
             let log = PhaseLog::default();

@@ -1,6 +1,7 @@
 //! Integration tests for fault-tolerant campaign execution: panic
 //! isolation, the deterministic event-budget watchdog, quarantine, and
-//! checkpoint/resume from the append-only journal.
+//! checkpointing to the append-only journal, which a later run on the
+//! same path continues.
 //!
 //! The budget tests self-calibrate: they run the campaign once without a
 //! budget, read each experiment's `kernel.delivered` from the metrics
@@ -65,11 +66,11 @@ fn tmp_journal(name: &str) -> PathBuf {
     path
 }
 
-/// A run config resuming from the journal at `path`.
-fn resume_config(path: &Path) -> RunConfig {
+/// A run config journaling to `path`, continuing the journal already
+/// there.
+fn journal_config(path: &Path) -> RunConfig {
     RunConfig {
         journal: Some(path.to_path_buf()),
-        resume: true,
         ..RunConfig::default()
     }
 }
@@ -189,17 +190,15 @@ fn budget_failures_identical_across_modes_and_threads() {
 }
 
 /// The journal records the full campaign: a header pinning the campaign
-/// identity plus one completed entry per experiment, and resuming from a
+/// identity plus one completed entry per experiment, and continuing a
 /// complete journal reproduces the metrics artifact byte for byte.
 #[test]
 fn journal_records_a_full_campaign_and_resumes_from_it() {
     let path = tmp_journal("full");
     let campaign = supervised_campaign();
-    let config = RunConfig {
-        journal: Some(path.clone()),
-        ..RunConfig::default()
-    };
-    let reference = campaign.run(4, &config, &NullObserver).unwrap();
+    let reference = campaign
+        .run(4, &journal_config(&path), &NullObserver)
+        .unwrap();
     let reference_bytes = reference.metrics.as_ref().unwrap().to_json_bytes();
 
     let state = read_journal(&path).unwrap();
@@ -216,10 +215,10 @@ fn journal_records_a_full_campaign_and_resumes_from_it() {
     assert_eq!(state.completed.len(), 8);
     assert!(state.failures.is_empty());
 
-    // Resuming from the complete journal re-runs nothing and still hands
+    // Continuing the complete journal re-runs nothing and still hands
     // back the identical artifact.
     let resumed = campaign
-        .run(4, &resume_config(&path), &NullObserver)
+        .run(4, &journal_config(&path), &NullObserver)
         .unwrap();
     assert_eq!(resumed.records, reference.records);
     assert_eq!(
@@ -229,19 +228,17 @@ fn journal_records_a_full_campaign_and_resumes_from_it() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Resume after an interruption — journal truncated mid-campaign with a
-/// torn final line, as a SIGKILL mid-write leaves it — produces records
-/// and a metrics artifact byte-identical to the uninterrupted run's, in
-/// every execution mode and at 1/4/8 worker threads.
+/// Continuing after an interruption — journal truncated mid-campaign
+/// with a torn final line, as a SIGKILL mid-write leaves it — produces
+/// records and a metrics artifact byte-identical to the uninterrupted
+/// run's, in every execution mode and at 1/4/8 worker threads.
 #[test]
 fn resume_after_truncation_is_byte_identical() {
     let reference_path = tmp_journal("reference");
     let campaign = supervised_campaign();
-    let config = RunConfig {
-        journal: Some(reference_path.clone()),
-        ..RunConfig::default()
-    };
-    let reference = campaign.run(4, &config, &NullObserver).unwrap();
+    let reference = campaign
+        .run(4, &journal_config(&reference_path), &NullObserver)
+        .unwrap();
     let reference_bytes = reference.metrics.as_ref().unwrap().to_json_bytes();
 
     // Keep the header, the golden row and the first three completed
@@ -261,15 +258,11 @@ fn resume_after_truncation_is_byte_identical() {
         ] {
             let path = tmp_journal("truncated");
             std::fs::write(&path, &truncated).unwrap();
-            let resume_config = RunConfig {
+            let config = RunConfig {
                 mode,
-                journal: Some(path.clone()),
-                resume: true,
-                ..RunConfig::default()
+                ..journal_config(&path)
             };
-            let resumed = campaign
-                .run(threads, &resume_config, &NullObserver)
-                .unwrap();
+            let resumed = campaign.run(threads, &config, &NullObserver).unwrap();
             assert_eq!(
                 resumed.records, reference.records,
                 "records diverged at {threads} thread(s) under {mode:?}"
@@ -279,7 +272,7 @@ fn resume_after_truncation_is_byte_identical() {
                 reference_bytes,
                 "metrics artifact diverged at {threads} thread(s) under {mode:?}"
             );
-            // After the resumed run, the journal accounts for everything.
+            // After the continued run, the journal accounts for everything.
             let state = read_journal(&path).unwrap();
             assert_eq!(state.completed.len(), 8);
             let _ = std::fs::remove_file(&path);
@@ -288,17 +281,16 @@ fn resume_after_truncation_is_byte_identical() {
     let _ = std::fs::remove_file(&reference_path);
 }
 
-/// A journal from a different campaign (wrong seed) is rejected on
-/// resume instead of silently merging foreign results.
+/// A journal from a different campaign (wrong seed) is refused, instead
+/// of being overwritten or continued with foreign results.
 #[test]
 fn resume_rejects_a_foreign_journal() {
     let path = tmp_journal("foreign");
     let campaign = supervised_campaign();
-    let config = RunConfig {
-        journal: Some(path.clone()),
-        ..RunConfig::default()
-    };
-    campaign.run(2, &config, &NullObserver).unwrap();
+    campaign
+        .run(2, &journal_config(&path), &NullObserver)
+        .unwrap();
+    let journaled = std::fs::read(&path).unwrap();
 
     let setup = campaign.setup().clone();
     let other_engine = Engine::new(quick_scenario(30), CommModel::paper_default(), 43).unwrap();
@@ -306,28 +298,31 @@ fn resume_rejects_a_foreign_journal() {
         .unwrap()
         .with_obs(ObsConfig::metrics_only());
     let err = other
-        .run(2, &resume_config(&path), &NullObserver)
+        .run(2, &journal_config(&path), &NullObserver)
         .unwrap_err();
     assert!(
         matches!(err, ComfaseError::InvalidConfig(_)),
         "foreign journal must be an InvalidConfig error, got {err:?}"
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        journaled,
+        "a refused journal is left as it was"
     );
     let _ = std::fs::remove_file(&path);
 }
 
 /// A journal whose pre-fingerprint identity fields all match (same seed,
 /// same experiment count, same setup) but whose underlying configuration
-/// changed — here the traffic scenario — is rejected on resume: only the
-/// canonical full-config fingerprint can catch this class of mismatch.
+/// changed — here the traffic scenario — is refused: only the canonical
+/// full-config fingerprint can catch this class of mismatch.
 #[test]
 fn resume_rejects_a_mutated_configuration() {
     let path = tmp_journal("mutated-config");
     let campaign = supervised_campaign();
-    let config = RunConfig {
-        journal: Some(path.clone()),
-        ..RunConfig::default()
-    };
-    campaign.run(2, &config, &NullObserver).unwrap();
+    campaign
+        .run(2, &journal_config(&path), &NullObserver)
+        .unwrap();
 
     let engine = Engine::new(quick_scenario(31), CommModel::paper_default(), 42).unwrap();
     let mutated = Campaign::new(engine, campaign.setup().clone())
@@ -339,7 +334,7 @@ fn resume_rejects_a_mutated_configuration() {
         "the scenario change must move the fingerprint"
     );
     let err = mutated
-        .run(2, &resume_config(&path), &NullObserver)
+        .run(2, &journal_config(&path), &NullObserver)
         .unwrap_err();
     assert!(
         matches!(err, ComfaseError::InvalidConfig(_)),
@@ -352,12 +347,12 @@ fn resume_rejects_a_mutated_configuration() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Kill-and-resume of a claim worker end to end: the worker dies
+/// Kill-and-restart of a claim worker end to end: the worker dies
 /// mid-unit — its journal ends in a torn line, as a SIGKILL mid-write
 /// leaves it, and its lease is left with a frozen heartbeat — so merging
 /// its journal refuses loudly; restarting it on the same journal and
-/// ledger with `resume` steals its own stalled unit back, and the merged
-/// artifact is byte-identical to the single-process run's.
+/// ledger continues the journal and steals its own stalled unit back, and
+/// the merged artifact is byte-identical to the single-process run's.
 #[test]
 fn killed_claim_worker_resumes_and_merges_byte_identically() {
     use comfase_dist::{merge_journals, ClaimSource};
@@ -375,22 +370,20 @@ fn killed_claim_worker_resumes_and_merges_byte_identically() {
     let journal = tmp_journal("killed-worker");
     // Units of 3 experiments: [0,3), [3,6), [6,8). The first life dies
     // on experiment 4, with unit 0 done and unit 1 half journaled.
-    let config = |campaign: &Campaign, resume: bool| RunConfig {
-        journal: Some(journal.clone()),
-        resume,
+    let config = |campaign: &Campaign| RunConfig {
         work: Some(Arc::new(
             ClaimSource::for_campaign(&claim_dir, campaign, "worker", Some(3), 3)
                 .unwrap()
                 .with_scan_interval(Duration::from_millis(1)),
         ) as Arc<dyn WorkSource>),
-        ..RunConfig::default()
+        ..journal_config(&journal)
     };
     let first_life = supervised_campaign().with_chaos(ChaosConfig {
         fail_on: vec![4],
         ..ChaosConfig::default()
     });
     first_life
-        .run(1, &config(&first_life, false), &NullObserver)
+        .run(1, &config(&first_life), &NullObserver)
         .expect_err("the chaos kill must abort the first life");
     let mut torn = std::fs::read_to_string(&journal).unwrap();
     torn.push_str("{\"entry\":\"completed\",\"ind");
@@ -404,19 +397,121 @@ fn killed_claim_worker_resumes_and_merges_byte_identically() {
         "incomplete coverage must be an InvalidConfig error, got {failure:?}"
     );
 
-    // The restarted worker resumes its journal and drains the ledger.
+    // The restarted worker continues its journal and drains the ledger.
     let second_life = supervised_campaign();
     second_life
-        .run(2, &config(&second_life, true), &NullObserver)
+        .run(2, &config(&second_life), &NullObserver)
         .unwrap();
     let merged = merge_journals(std::slice::from_ref(&journal)).unwrap();
     assert_eq!(
         merged.to_json_bytes(),
         reference_bytes,
-        "the resumed worker's journal must merge byte-identically"
+        "the restarted worker's journal must merge byte-identically"
     );
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_dir_all(&claim_dir);
+}
+
+/// A claim worker restarted after it finished keeps its journaled rows:
+/// the first life drains the ledger alone, and a second life on the same
+/// journal and ledger finds no work, simulates nothing and leaves the
+/// journal as it was, so the journal still merges into the single-process
+/// artifact.
+#[test]
+fn a_restarted_claim_worker_keeps_its_journaled_rows() {
+    use comfase_dist::{merge_journals, ClaimSource};
+
+    let reference = supervised_campaign()
+        .run(4, &RunConfig::default(), &NullObserver)
+        .unwrap();
+    let reference_bytes = reference.metrics.as_ref().unwrap().to_json_bytes();
+
+    let claim_dir = std::env::temp_dir().join(format!(
+        "comfase-robustness-{}-restarted-claims",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&claim_dir);
+    let journal = tmp_journal("restarted-worker");
+    let config = |campaign: &Campaign| RunConfig {
+        work: Some(Arc::new(
+            ClaimSource::for_campaign(&claim_dir, campaign, "worker", Some(3), 3)
+                .unwrap()
+                .with_scan_interval(Duration::from_millis(1)),
+        ) as Arc<dyn WorkSource>),
+        ..journal_config(&journal)
+    };
+    let first_life = supervised_campaign();
+    first_life
+        .run(1, &config(&first_life), &NullObserver)
+        .unwrap();
+    let journaled = std::fs::read(&journal).unwrap();
+
+    let second_life = supervised_campaign();
+    let result = second_life
+        .run(1, &config(&second_life), &NullObserver)
+        .unwrap();
+    let stats = result.stats;
+    assert_eq!(
+        stats.forked_runs + stats.scratch_runs + stats.chain_forked_runs,
+        0,
+        "the second life finds the ledger drained and simulates nothing"
+    );
+    let merged = merge_journals(std::slice::from_ref(&journal))
+        .unwrap_or_else(|e| panic!("the journal no longer merges: {e}"));
+    assert_eq!(merged.to_json_bytes(), reference_bytes);
+    assert_eq!(
+        std::fs::read(&journal).unwrap(),
+        journaled,
+        "the second life keeps the journal as it was"
+    );
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_dir_all(&claim_dir);
+}
+
+/// Every state a kill can leave a journal in continues to the
+/// uninterrupted bytes: an empty file, and the complete journal cut at
+/// each line end and one byte short of it (a torn line). Cuts inside the
+/// header start a fresh journal; a cut after the header and before the
+/// golden row gets the golden row appended. The continued run's artifact
+/// and the merge of its journal both equal the uninterrupted run's.
+#[test]
+fn every_cut_of_a_journal_continues_to_the_same_bytes() {
+    use comfase_dist::merge_journals;
+
+    let campaign = supervised_campaign();
+    let reference_path = tmp_journal("cut-reference");
+    let reference = campaign
+        .run(2, &journal_config(&reference_path), &NullObserver)
+        .unwrap();
+    let reference_bytes = reference.metrics.as_ref().unwrap().to_json_bytes();
+    let full = std::fs::read(&reference_path).unwrap();
+    let mut cuts = vec![0];
+    for (at, _) in full.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        cuts.extend([at, at + 1]);
+    }
+    assert_eq!(cuts.len(), 1 + 2 * 10, "header, golden row and 8 rows");
+
+    let path = tmp_journal("cut");
+    for cut in cuts {
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let continued = campaign
+            .run(2, &journal_config(&path), &NullObserver)
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+        assert_eq!(
+            continued.metrics.as_ref().unwrap().to_json_bytes(),
+            reference_bytes,
+            "cut at byte {cut}: the continued run's artifact"
+        );
+        let merged = merge_journals(std::slice::from_ref(&path))
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: merge: {e}"));
+        assert_eq!(
+            merged.to_json_bytes(),
+            reference_bytes,
+            "cut at byte {cut}: the merged journal"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&reference_path);
 }
 
 /// Panic isolation end to end: under the default abort policy a chaos
