@@ -16,6 +16,7 @@ use std::time::Duration;
 use comfase::campaign::WorkSource;
 use comfase::prelude::*;
 use comfase_des::time::SimTime;
+use comfase_dist::{merge_journals, ClaimSource};
 
 fn quick_scenario(secs: i64) -> TrafficScenario {
     let mut s = TrafficScenario::paper_default();
@@ -72,6 +73,20 @@ fn journal_config(path: &Path) -> RunConfig {
     RunConfig {
         journal: Some(path.to_path_buf()),
         ..RunConfig::default()
+    }
+}
+
+/// A claim-driven run config over the ledger in `claim_dir` (units of 3
+/// experiments, 1 ms scans, stealing after 3 stalled rounds), journaling
+/// to `journal`.
+fn claim_config(claim_dir: &Path, journal: &Path, campaign: &Campaign) -> RunConfig {
+    RunConfig {
+        work: Some(Arc::new(
+            ClaimSource::for_campaign(claim_dir, campaign, "worker", Some(3), 3)
+                .expect("the claim dir is usable")
+                .with_scan_interval(Duration::from_millis(1)),
+        ) as Arc<dyn WorkSource>),
+        ..journal_config(journal)
     }
 }
 
@@ -355,8 +370,6 @@ fn resume_rejects_a_mutated_configuration() {
 /// the merged artifact is byte-identical to the single-process run's.
 #[test]
 fn killed_claim_worker_resumes_and_merges_byte_identically() {
-    use comfase_dist::{merge_journals, ClaimSource};
-
     let reference = supervised_campaign()
         .run(4, &RunConfig::default(), &NullObserver)
         .unwrap();
@@ -370,14 +383,7 @@ fn killed_claim_worker_resumes_and_merges_byte_identically() {
     let journal = tmp_journal("killed-worker");
     // Units of 3 experiments: [0,3), [3,6), [6,8). The first life dies
     // on experiment 4, with unit 0 done and unit 1 half journaled.
-    let config = |campaign: &Campaign| RunConfig {
-        work: Some(Arc::new(
-            ClaimSource::for_campaign(&claim_dir, campaign, "worker", Some(3), 3)
-                .unwrap()
-                .with_scan_interval(Duration::from_millis(1)),
-        ) as Arc<dyn WorkSource>),
-        ..journal_config(&journal)
-    };
+    let config = |campaign: &Campaign| claim_config(&claim_dir, &journal, campaign);
     let first_life = supervised_campaign().with_chaos(ChaosConfig {
         fail_on: vec![4],
         ..ChaosConfig::default()
@@ -419,8 +425,6 @@ fn killed_claim_worker_resumes_and_merges_byte_identically() {
 /// artifact.
 #[test]
 fn a_restarted_claim_worker_keeps_its_journaled_rows() {
-    use comfase_dist::{merge_journals, ClaimSource};
-
     let reference = supervised_campaign()
         .run(4, &RunConfig::default(), &NullObserver)
         .unwrap();
@@ -432,14 +436,7 @@ fn a_restarted_claim_worker_keeps_its_journaled_rows() {
     ));
     let _ = std::fs::remove_dir_all(&claim_dir);
     let journal = tmp_journal("restarted-worker");
-    let config = |campaign: &Campaign| RunConfig {
-        work: Some(Arc::new(
-            ClaimSource::for_campaign(&claim_dir, campaign, "worker", Some(3), 3)
-                .unwrap()
-                .with_scan_interval(Duration::from_millis(1)),
-        ) as Arc<dyn WorkSource>),
-        ..journal_config(&journal)
-    };
+    let config = |campaign: &Campaign| claim_config(&claim_dir, &journal, campaign);
     let first_life = supervised_campaign();
     first_life
         .run(1, &config(&first_life), &NullObserver)
@@ -476,8 +473,6 @@ fn a_restarted_claim_worker_keeps_its_journaled_rows() {
 /// and the merge of its journal both equal the uninterrupted run's.
 #[test]
 fn every_cut_of_a_journal_continues_to_the_same_bytes() {
-    use comfase_dist::merge_journals;
-
     let campaign = supervised_campaign();
     let reference_path = tmp_journal("cut-reference");
     let reference = campaign
