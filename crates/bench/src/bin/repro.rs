@@ -24,13 +24,9 @@
 //!       [--chrome-trace FILE]  write a golden-run event trace loadable in
 //!                              chrome://tracing or ui.perfetto.dev
 //!       [--journal PATH]  checkpoint the delay campaign to an append-only
-//!                         journal (one fsync'd line per finished experiment).
-//!                         An existing journal of the same campaign is
-//!                         continued: the experiments it records as completed
-//!                         are skipped, and the metrics artifact is
-//!                         byte-identical to an uninterrupted run; a journal
-//!                         of another campaign is refused. Delete the file
-//!                         or pass a new path for a fresh run
+//!                         journal (one fsync'd line per finished experiment);
+//!                         an existing journal of the same campaign is
+//!                         continued, one of another campaign is refused
 //!       [--claim-dir DIR]  split the delay campaign across worker
 //!                     processes: claim work units dynamically through a
 //!                     shared claim ledger (requires --journal; merge the
